@@ -9,8 +9,8 @@ use rand::SeedableRng;
 
 use lcrb::setcover::greedy_set_cover;
 use lcrb::{
-    find_bridge_ends, greedy_with_budget, protectors_to_cover_all, scbg, BridgeEndRule,
-    CandidatePool, GreedyConfig, MaxDegreeSelector, RumorBlockingInstance, ScbgConfig,
+    find_bridge_ends, greedy_with_budget, max_degree_ordering, protectors_to_cover_all, scbg,
+    BridgeEndRule, CandidatePool, GreedyConfig, RumorBlockingInstance, ScbgConfig,
 };
 use lcrb_datasets::{enron_like, hep_like, DatasetConfig};
 
@@ -70,7 +70,7 @@ fn bench_scbg_table1(c: &mut Criterion) {
             BenchmarkId::new("max_degree_coverage", label),
             inst,
             |b, inst| {
-                let ordering = MaxDegreeSelector.ordering(inst);
+                let ordering = max_degree_ordering(inst);
                 b.iter(|| protectors_to_cover_all(inst, BridgeEndRule::WithinCommunity, &ordering));
             },
         );

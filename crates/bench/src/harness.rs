@@ -9,9 +9,9 @@ use rand::SeedableRng;
 
 use lcrb::evaluate::{evaluate_protector_sets, HopSeriesReport};
 use lcrb::{
-    protectors_to_cover_all, scbg, Algorithm, BridgeEndRule, CandidatePool, Estimator,
-    MaxDegreeSelector, ProximitySelector, RumorBlockingInstance, ScbgConfig, SolveDetail,
-    SolveRequest, Solver, SolverConfig,
+    max_degree_ordering, protectors_to_cover_all, proximity_pool, scbg, Algorithm, BridgeEndRule,
+    CandidatePool, Estimator, RumorBlockingInstance, ScbgConfig, SolveDetail, SolveRequest, Solver,
+    SolverConfig,
 };
 use lcrb_datasets::{
     enron_like, enron_like_heterogeneous, hep_like, hep_like_heterogeneous, DatasetConfig,
@@ -397,13 +397,13 @@ pub struct TableOneRow {
 /// pool, extended (when the pool alone cannot cover) with the
 /// remaining nodes in decreasing degree order.
 fn proximity_ordering<R: Rng + ?Sized>(inst: &RumorBlockingInstance, rng: &mut R) -> Vec<NodeId> {
-    let mut pool = ProximitySelector.pool(inst);
+    let mut pool = proximity_pool(inst);
     pool.shuffle(rng);
     let mut in_pool = vec![false; inst.graph().node_count()];
     for &v in &pool {
         in_pool[v.index()] = true;
     }
-    for v in MaxDegreeSelector.ordering(inst) {
+    for v in max_degree_ordering(inst) {
         if !in_pool[v.index()] {
             pool.push(v);
         }
@@ -441,7 +441,7 @@ pub fn run_table_one(cfg: &HarnessConfig) -> Vec<TableOneRow> {
                     protectors_to_cover_all(&inst, BridgeEndRule::WithinCommunity, &prox_order)
                         .expect("ordering spans all non-rumor nodes, so coverage succeeds");
                 p_sum += prox.len() as f64;
-                let md_order = MaxDegreeSelector.ordering(&inst);
+                let md_order = max_degree_ordering(&inst);
                 let md = protectors_to_cover_all(&inst, BridgeEndRule::WithinCommunity, &md_order)
                     .expect("ordering spans all non-rumor nodes, so coverage succeeds");
                 m_sum += md.len() as f64;

@@ -1,14 +1,15 @@
-//! Solver sessions: one engine in front of every selection
-//! algorithm, with epoch-keyed artifact caching shared across
-//! threads.
+//! Solver sessions: the one public entry point that selects
+//! protectors, for every algorithm, with epoch-keyed artifact caching
+//! shared across threads.
 //!
-//! The free functions ([`crate::greedy_lcrb_p`], [`crate::scbg`], the
-//! heuristic selectors) rebuild every expensive artifact per call:
-//! the bridge-end set, the RR-sketch sample, the CELF priority state,
-//! degree/PageRank orderings. A [`Solver`] owns the
-//! [`RumorBlockingInstance`] plus an [`ArtifactCache`] and reuses
-//! those artifacts across queries, so a budget sweep or an α sweep
-//! pays the construction cost once.
+//! Every selection — the CELF greedy, SCBG, the GVS baseline and the
+//! comparison heuristics — is a [`SolveRequest`] answered by
+//! [`Solver::solve`]. The algorithm kernels underneath rebuild every
+//! expensive artifact per call: the bridge-end set, the RR-sketch
+//! sample, the CELF priority state, degree/PageRank orderings. A
+//! [`Solver`] owns the [`RumorBlockingInstance`] plus an
+//! [`ArtifactCache`] and reuses those artifacts across queries, so a
+//! budget sweep or an α sweep pays the construction cost once.
 //!
 //! Reuse is sound because each artifact depends only on what its
 //! cache key names — never on the stopping rule:
@@ -95,25 +96,20 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use lcrb_diffusion::{
-    CancelToken, MonteCarloConfig, RunBudget, ScratchPool, StopReason, TwoCascadeModel, WorkMeter,
-};
+use lcrb_diffusion::{derive_stream, CancelToken, RunBudget, ScratchPool, StopReason, WorkMeter};
 use lcrb_graph::NodeId;
 
-use crate::evaluate::{evaluate_protector_sets, HopSeriesReport};
 use crate::greedy::{
     advance_trajectory, candidate_pool_for, normalized_model, selection_from_trajectory,
     GreedyTrajectory, SigmaBackend, SigmaScratch,
 };
-use crate::gvs::greedy_viral_stopper_metered;
+use crate::gvs::{greedy_viral_stopper, GvsConfig};
+use crate::heuristics::{max_degree_ordering, pagerank_ordering, proximity_pool};
 use crate::scbg::scbg_metered;
-use crate::sketch_objective::mix;
 use crate::{
-    find_bridge_ends, greedy_viral_stopper, scbg, BridgeEndRule, BridgeEnds, CandidatePool,
-    Estimator, GreedyConfig, GreedySelection, GvsConfig, GvsSelection, LcrbError,
-    MaxDegreeSelector, ObjectiveModel, PageRankSelector, ProtectionObjective, ProtectorSelector,
-    ProximitySelector, RumorBlockingInstance, ScbgConfig, ScbgSolution, SketchIndex,
-    SketchObjective,
+    find_bridge_ends, scbg, BridgeEndRule, BridgeEnds, CandidatePool, Estimator, GreedyConfig,
+    GreedySelection, GvsSelection, LcrbError, ObjectiveModel, ProtectionObjective,
+    RumorBlockingInstance, ScbgConfig, ScbgSolution, SketchIndex, SketchObjective,
 };
 
 /// Which selection algorithm a [`SolveRequest`] runs.
@@ -123,8 +119,9 @@ pub enum Algorithm {
     /// Algorithm 1 (CELF greedy) for LCRB-P — the only algorithm that
     /// honors [`StopRule::Alpha`].
     Greedy,
-    /// Set Cover Based Greedy (Algorithm 3) for LCRB-D; ignores the
-    /// stopping rule (it always covers every bridge end it can).
+    /// Set Cover Based Greedy (Algorithm 3) for LCRB-D; ignores a
+    /// budget (it always covers every bridge end it can) and rejects
+    /// an α stop.
     Scbg,
     /// The Greedy Viral Stopper related-work baseline.
     Gvs,
@@ -141,8 +138,7 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// The canonical display name (matches the paper-figure labels
-    /// and the legacy [`ProtectorSelector::name`] strings).
+    /// The canonical display name (matches the paper-figure labels).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -195,7 +191,8 @@ pub struct SolveRequest {
     pub lazy: bool,
     /// Worker threads for the greedy's initial gain sweep.
     pub threads: usize,
-    /// Hard protector cap for α-mode greedy solves.
+    /// Hard protector cap for greedy solves: an α target stops at it
+    /// and a budget is clipped to it.
     pub max_protectors: usize,
     /// Monte-Carlo runs per GVS candidate evaluation.
     pub mc_runs: usize,
@@ -226,7 +223,7 @@ impl SolveRequest {
             candidates: defaults.candidates,
             lazy: defaults.lazy,
             threads: defaults.threads,
-            max_protectors: defaults.max_protectors,
+            max_protectors: usize::MAX,
             mc_runs: 16,
             pagerank_damping: 0.85,
             max_bbst_depth: None,
@@ -268,8 +265,8 @@ impl SolveRequest {
         SolveRequest::base(Algorithm::Greedy, StopRule::Alpha(alpha))
     }
 
-    /// Set Cover Based Greedy for LCRB-D (the stopping rule is
-    /// ignored; SCBG always covers everything it can).
+    /// Set Cover Based Greedy for LCRB-D (the budget is ignored;
+    /// SCBG always covers everything it can).
     ///
     /// # Examples
     ///
@@ -393,19 +390,14 @@ impl SolveRequest {
         self
     }
 
-    /// The equivalent legacy [`GreedyConfig`] (α is a placeholder in
-    /// budget mode; the engine passes the target separately).
+    /// The equivalent kernel [`GreedyConfig`] (the stopping rule is
+    /// not part of it; the engine passes the target separately).
     fn greedy_config(&self, master_seed: u64) -> GreedyConfig {
         GreedyConfig {
-            alpha: match self.stop {
-                StopRule::Alpha(a) => a,
-                StopRule::Budget(_) => 1.0,
-            },
             realizations: self.realizations,
             master_seed,
             max_hops: self.max_hops,
             model: self.model,
-            max_protectors: self.max_protectors,
             candidates: self.candidates,
             lazy: self.lazy,
             rule: self.rule,
@@ -676,75 +668,6 @@ pub struct SolverConfig {
     /// Master seed every derived randomness stream mixes from
     /// (realization batches, sketch sampling, heuristic shuffles).
     pub master_seed: u64,
-}
-
-/// A unified selection strategy a [`Solver`] can run — implemented by
-/// [`SolveRequest`] (the native path) and by [`Budgeted`] (the
-/// adapter over legacy [`ProtectorSelector`]s).
-pub trait Selector {
-    /// Display name for reports and figures.
-    fn name(&self) -> String;
-    /// Runs the strategy against the solver (using its cache and
-    /// derived randomness streams).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`LcrbError`] from the underlying algorithm.
-    fn select(&self, solver: &Solver) -> Result<SolveReport, LcrbError>;
-}
-
-impl Selector for SolveRequest {
-    fn name(&self) -> String {
-        self.algorithm.name().to_owned()
-    }
-
-    fn select(&self, solver: &Solver) -> Result<SolveReport, LcrbError> {
-        solver.solve(self)
-    }
-}
-
-/// Adapter running a legacy [`ProtectorSelector`] at a fixed budget
-/// through the [`Selector`] interface (randomness comes from the
-/// solver's derived stream for the selector's name and budget).
-#[derive(Clone, Copy)]
-pub struct Budgeted<'a> {
-    /// The legacy selector to run.
-    pub selector: &'a dyn ProtectorSelector,
-    /// How many protectors it may pick.
-    pub budget: usize,
-}
-
-impl std::fmt::Debug for Budgeted<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Budgeted")
-            .field("selector", &self.selector.name())
-            .field("budget", &self.budget)
-            .finish()
-    }
-}
-
-impl Selector for Budgeted<'_> {
-    fn name(&self) -> String {
-        self.selector.name().to_owned()
-    }
-
-    fn select(&self, solver: &Solver) -> Result<SolveReport, LcrbError> {
-        let mut clock = StageClock::start();
-        let mut rng = solver.named_rng(self.selector.name(), self.budget);
-        let protectors = self
-            .selector
-            .select(&solver.instance, self.budget, &mut rng);
-        clock.lap("select");
-        Ok(SolveReport {
-            algorithm: self.selector.name().to_owned(),
-            protectors,
-            epoch: solver.epoch,
-            stages: clock.stages,
-            cache_snapshot: solver.cache.stats(),
-            completion: Completion::Exact,
-            detail: SolveDetail::Heuristic,
-        })
-    }
 }
 
 /// A clock read for stage timings. Observability metadata only: the
@@ -1525,64 +1448,12 @@ impl Solver {
     /// stream name, and the budget — so identical requests draw
     /// identical randomness regardless of solve order or which worker
     /// thread runs them.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lcrb::engine::Solver;
-    /// use lcrb::RumorBlockingInstance;
-    /// use lcrb_community::Partition;
-    /// use lcrb_graph::{DiGraph, NodeId};
-    /// use rand::RngCore;
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let g = DiGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)])?;
-    /// let p = Partition::from_labels(vec![0, 0, 1, 1]);
-    /// let inst = RumorBlockingInstance::new(g, p, 0, vec![NodeId::new(0)])?;
-    /// let solver = Solver::new(inst);
-    /// let a = solver.named_rng("random", 3).next_u64();
-    /// let b = solver.named_rng("random", 3).next_u64();
-    /// assert_eq!(a, b); // pure function of (master seed, name, budget)
-    /// # Ok(())
-    /// # }
-    /// ```
-    #[must_use]
-    pub fn named_rng(&self, name: &str, budget: usize) -> SmallRng {
-        let mut s = mix(self.master_seed, 0x6c63_7262); // "lcrb"
+    pub(crate) fn named_rng(&self, name: &str, budget: usize) -> SmallRng {
+        let mut s = derive_stream(self.master_seed, 0x6c63_7262); // "lcrb"
         for &b in name.as_bytes() {
-            s = mix(s, u64::from(b));
+            s = derive_stream(s, u64::from(b));
         }
-        SmallRng::seed_from_u64(mix(s, budget as u64))
-    }
-
-    /// Runs one [`Selector`] (a [`SolveRequest`] or a [`Budgeted`]
-    /// legacy adapter) against this session.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`LcrbError`] from the strategy.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lcrb::engine::{Budgeted, Solver};
-    /// use lcrb::{RandomSelector, RumorBlockingInstance};
-    /// use lcrb_community::Partition;
-    /// use lcrb_graph::{DiGraph, NodeId};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let g = DiGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)])?;
-    /// let p = Partition::from_labels(vec![0, 0, 1, 1]);
-    /// let inst = RumorBlockingInstance::new(g, p, 0, vec![NodeId::new(0)])?;
-    /// let solver = Solver::new(inst);
-    /// let adapter = Budgeted { selector: &RandomSelector, budget: 2 };
-    /// let report = solver.run(&adapter)?;
-    /// assert_eq!(report.algorithm, "random");
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn run(&self, selector: &dyn Selector) -> Result<SolveReport, LcrbError> {
-        selector.select(self)
+        SmallRng::seed_from_u64(derive_stream(s, budget as u64))
     }
 
     /// Answers one [`SolveRequest`], reusing every cached artifact
@@ -1594,8 +1465,8 @@ impl Solver {
     /// - [`LcrbError::InvalidAlpha`] for an out-of-range
     ///   [`StopRule::Alpha`];
     /// - [`LcrbError::UnsupportedRequest`] for combinations no
-    ///   algorithm implements (α stop on a baseline, PageRank damping
-    ///   outside `[0, 1)`);
+    ///   algorithm implements (α stop on anything but the greedy,
+    ///   PageRank damping outside `[0, 1)`);
     /// - [`LcrbError::Interrupted`] when the request's
     ///   [`CancelToken`] is observed at a checkpoint, or when a stop
     ///   lands where no usable partial result exists (work-unit and
@@ -1827,58 +1698,6 @@ impl Solver {
         indexed.into_iter().map(|(_, report)| report).collect()
     }
 
-    /// Runs several selectors and Monte-Carlo evaluates their
-    /// selections under `model`, collecting the hop-series report
-    /// the paper's figures are built from
-    /// ([`crate::evaluate::HopSeriesReport`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`LcrbError`] from a selector or the
-    /// evaluation.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lcrb::engine::{Selector, Solver, SolveRequest};
-    /// use lcrb::RumorBlockingInstance;
-    /// use lcrb_community::Partition;
-    /// use lcrb_diffusion::{MonteCarloConfig, OpoaoModel};
-    /// use lcrb_graph::{DiGraph, NodeId};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let g = DiGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)])?;
-    /// let p = Partition::from_labels(vec![0, 0, 1, 1]);
-    /// let inst = RumorBlockingInstance::new(g, p, 0, vec![NodeId::new(0)])?;
-    /// let solver = Solver::new(inst);
-    /// let greedy = SolveRequest::greedy_budget(1);
-    /// let selectors: [&dyn Selector; 1] = [&greedy];
-    /// let report = solver.compare(
-    ///     &OpoaoModel::new(8),
-    ///     &selectors,
-    ///     &MonteCarloConfig { runs: 2, ..Default::default() },
-    /// )?;
-    /// assert_eq!(report.runs.len(), 1);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn compare<M>(
-        &self,
-        model: &M,
-        selectors: &[&dyn Selector],
-        mc: &MonteCarloConfig,
-    ) -> Result<HopSeriesReport, LcrbError>
-    where
-        M: TwoCascadeModel + Sync,
-    {
-        let mut sets = Vec::with_capacity(selectors.len());
-        for s in selectors {
-            let report = s.select(self)?;
-            sets.push((report.algorithm, report.protectors));
-        }
-        evaluate_protector_sets(&self.instance, model, &sets, mc)
-    }
-
     fn solve_greedy(
         &self,
         request: &SolveRequest,
@@ -1976,8 +1795,8 @@ impl Solver {
             None => f64::INFINITY,
         };
         let cap = match budget {
-            Some(k) => k.min(config.max_protectors),
-            None => config.max_protectors,
+            Some(k) => k.min(request.max_protectors),
+            None => request.max_protectors,
         };
 
         let celf_key = CelfKey {
@@ -2077,6 +1896,11 @@ impl Solver {
         request: &SolveRequest,
         meter: &mut WorkMeter,
     ) -> Result<SolveReport, LcrbError> {
+        if let StopRule::Alpha(_) = request.stop {
+            return Err(LcrbError::UnsupportedRequest {
+                reason: "SCBG covers every bridge end; alpha targets apply only to the greedy",
+            });
+        }
         let mut clock = StageClock::start();
         let epoch = self.epoch;
         let scbg_config = ScbgConfig {
@@ -2147,15 +1971,16 @@ impl Solver {
         // the full selection; a partial GVS prefix must never be
         // published as the exact budget-`k` artifact, so those
         // requests bypass the cache entirely.
-        let (selection, stop) = if meter.polls_needed() || meter.limits_sims() {
-            match model {
-                ObjectiveModel::Opoao(m) => {
-                    greedy_viral_stopper_metered(&self.instance, &m, budget, &gvs_config, meter)?
-                }
-                ObjectiveModel::CompetitiveIc(m) => {
-                    greedy_viral_stopper_metered(&self.instance, &m, budget, &gvs_config, meter)?
-                }
+        let run = |meter: &mut WorkMeter| match model {
+            ObjectiveModel::Opoao(m) => {
+                greedy_viral_stopper(&self.instance, &m, budget, &gvs_config, meter)
             }
+            ObjectiveModel::CompetitiveIc(m) => {
+                greedy_viral_stopper(&self.instance, &m, budget, &gvs_config, meter)
+            }
+        };
+        let (selection, stop) = if meter.polls_needed() || meter.limits_sims() {
+            run(meter)?
         } else {
             let key = GvsKey {
                 rule: rule_tag(request.rule),
@@ -2164,17 +1989,12 @@ impl Solver {
                 mc_runs: request.mc_runs,
                 budget,
             };
+            // No cap or poll is in scope here, so the kernel never
+            // stops short of the full selection.
             let selection = self
                 .cache
                 .gvs
-                .get_or_try_build(key, epoch, || match model {
-                    ObjectiveModel::Opoao(m) => {
-                        greedy_viral_stopper(&self.instance, &m, budget, &gvs_config)
-                    }
-                    ObjectiveModel::CompetitiveIc(m) => {
-                        greedy_viral_stopper(&self.instance, &m, budget, &gvs_config)
-                    }
-                })?;
+                .get_or_try_build(key, epoch, || run(meter).map(|(selection, _)| selection))?;
             (selection, None)
         };
         clock.lap("select");
@@ -2212,7 +2032,7 @@ impl Solver {
                         tag: 0,
                         damping_bits: 0,
                     },
-                    |inst| MaxDegreeSelector.ordering(inst),
+                    max_degree_ordering,
                 );
                 clock.lap("ordering");
                 let mut nodes = ordering.to_vec();
@@ -2230,8 +2050,7 @@ impl Solver {
                     tag: 1,
                     damping_bits: damping.to_bits(),
                 };
-                let ordering =
-                    self.cached_ordering(key, |inst| PageRankSelector::new(damping).ordering(inst));
+                let ordering = self.cached_ordering(key, |inst| pagerank_ordering(inst, damping));
                 clock.lap("ordering");
                 let mut nodes = ordering.to_vec();
                 nodes.truncate(budget);
@@ -2243,7 +2062,7 @@ impl Solver {
                         tag: 2,
                         damping_bits: 0,
                     },
-                    |inst| ProximitySelector.pool(inst),
+                    proximity_pool,
                 );
                 clock.lap("ordering");
                 let mut rng = self.named_rng(Algorithm::Proximity.name(), budget);
@@ -2295,7 +2114,7 @@ impl Solver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{greedy_lcrb_p, greedy_with_budget, NoBlockingSelector, RandomSelector};
+    use crate::greedy_with_budget;
     use lcrb_community::Partition;
     use lcrb_diffusion::OpoaoModel;
     use lcrb_graph::generators;
@@ -2370,14 +2189,17 @@ mod tests {
 
     #[test]
     fn greedy_alpha_solve_matches_free_function() {
+        // The reference is the budget-mode kernel run to a budget no
+        // solve can reach: an α-mode report must be the shortest
+        // prefix of that trajectory whose σ̂ reaches α·|B| — the
+        // prefix consistency the CELF cache relies on.
         let inst = community_instance(7);
         let config = GreedyConfig {
             realizations: 12,
-            alpha: 0.6,
             max_hops: 15,
             ..GreedyConfig::default()
         };
-        let free = greedy_lcrb_p(&inst, &config).unwrap();
+        let full = greedy_with_budget(&inst, inst.graph().node_count(), &config).unwrap();
         let solver = Solver::new(inst);
         let report = solver
             .solve(&SolveRequest {
@@ -2386,13 +2208,39 @@ mod tests {
                 ..SolveRequest::greedy_alpha(0.6)
             })
             .unwrap();
-        assert_eq!(report.protectors, free.protectors);
         let SolveDetail::Greedy(sel) = &report.detail else {
             panic!("expected greedy detail");
         };
-        assert_eq!(sel.target, free.target);
-        assert_eq!(sel.target_met, free.target_met);
-        assert_eq!(sel.achieved, free.achieved);
+        let target = 0.6 * full.bridge_ends.len() as f64;
+        assert_eq!(sel.target, target);
+        // σ̂(∅) is below the target here, so the prefix is non-empty
+        // and its length is read off the σ̂ history.
+        assert!(!report.protectors.is_empty());
+        let len = full
+            .sigma_history
+            .iter()
+            .position(|&sigma| sigma >= target)
+            .map_or(full.protectors.len(), |i| i + 1);
+        assert_eq!(report.protectors, full.protectors[..len]);
+        assert_eq!(sel.sigma_history, full.sigma_history[..len]);
+        assert_eq!(sel.achieved, full.sigma_history[len - 1]);
+        assert_eq!(sel.target_met, sel.achieved >= target);
+        assert!(sel.target_met);
+        // A protector cap one below that prefix stops the same
+        // trajectory short of the target.
+        let capped = solver
+            .solve(&SolveRequest {
+                realizations: 12,
+                max_hops: 15,
+                max_protectors: len - 1,
+                ..SolveRequest::greedy_alpha(0.6)
+            })
+            .unwrap();
+        assert_eq!(capped.protectors, full.protectors[..len - 1]);
+        let SolveDetail::Greedy(sel) = &capped.detail else {
+            panic!("expected greedy detail");
+        };
+        assert!(!sel.target_met);
     }
 
     #[test]
@@ -2605,7 +2453,14 @@ mod tests {
             seed: 0,
             ..GvsConfig::default()
         };
-        let free = greedy_viral_stopper(&inst, &OpoaoModel::new(10), 2, &config).unwrap();
+        let (free, _) = greedy_viral_stopper(
+            &inst,
+            &OpoaoModel::new(10),
+            2,
+            &config,
+            &mut WorkMeter::unlimited(),
+        )
+        .unwrap();
         let solver = Solver::new(inst);
         let req = SolveRequest {
             mc_runs: 4,
@@ -2628,14 +2483,15 @@ mod tests {
     }
 
     #[test]
-    fn heuristics_match_legacy_selectors_and_cache_orderings() {
+    fn heuristics_match_their_orderings_and_cache_them() {
         let inst = community_instance(25);
         let solver = Solver::new(inst.clone());
-        // Deterministic orderings agree with the legacy selectors.
+        // Deterministic heuristics are budget prefixes of their
+        // orderings.
         let md = solver
             .solve(&SolveRequest::heuristic(Algorithm::MaxDegree, 3))
             .unwrap();
-        let mut ordering = MaxDegreeSelector.ordering(&inst);
+        let mut ordering = max_degree_ordering(&inst);
         ordering.truncate(3);
         assert_eq!(md.protectors, ordering);
         let (_md_warm, delta) = charged(&solver, || {
@@ -2647,11 +2503,11 @@ mod tests {
         let pr = solver
             .solve(&SolveRequest::heuristic(Algorithm::PageRank, 3))
             .unwrap();
-        let mut pr_ordering = PageRankSelector::default().ordering(&inst);
+        let mut pr_ordering = pagerank_ordering(&inst, 0.85);
         pr_ordering.truncate(3);
         assert_eq!(pr.protectors, pr_ordering);
-        // Proximity picks come from the legacy pool.
-        let pool = ProximitySelector.pool(&inst);
+        // Proximity picks come from the pool.
+        let pool = proximity_pool(&inst);
         let prox = solver
             .solve(&SolveRequest::heuristic(Algorithm::Proximity, 2))
             .unwrap();
@@ -2703,6 +2559,10 @@ mod tests {
             SolveRequest {
                 pagerank_damping: f64::NAN,
                 ..SolveRequest::heuristic(Algorithm::PageRank, 1)
+            },
+            SolveRequest {
+                stop: StopRule::Alpha(0.5),
+                ..SolveRequest::scbg()
             },
         ] {
             assert!(matches!(
@@ -2862,59 +2722,6 @@ mod tests {
         assert_eq!(delta.celf.misses, 1);
         assert_eq!(delta.celf.hits, 5);
         assert_eq!(delta.bridge.misses, 1);
-    }
-
-    #[test]
-    fn budgeted_adapter_wraps_legacy_selectors() {
-        let inst = community_instance(31);
-        let solver = Solver::new(inst);
-        let adapter = Budgeted {
-            selector: &RandomSelector,
-            budget: 3,
-        };
-        assert_eq!(Selector::name(&adapter), "random");
-        let via_adapter = solver.run(&adapter).unwrap();
-        assert_eq!(via_adapter.algorithm, "random");
-        assert_eq!(via_adapter.protectors.len(), 3);
-        assert!(matches!(via_adapter.detail, SolveDetail::Heuristic));
-        // The adapter and the native request share the RNG stream.
-        let native = solver
-            .solve(&SolveRequest::heuristic(Algorithm::Random, 3))
-            .unwrap();
-        assert_eq!(via_adapter.protectors, native.protectors);
-        assert!(format!("{adapter:?}").contains("random"));
-    }
-
-    #[test]
-    fn compare_runs_selectors_through_the_session() {
-        let inst = community_instance(33);
-        let solver = Solver::new(inst);
-        let greedy = SolveRequest {
-            realizations: 8,
-            max_hops: 10,
-            ..SolveRequest::greedy_budget(2)
-        };
-        let scbg_req = SolveRequest::scbg();
-        let none = Budgeted {
-            selector: &NoBlockingSelector,
-            budget: 2,
-        };
-        let selectors: [&dyn Selector; 3] = [&greedy, &scbg_req, &none];
-        let report = solver
-            .compare(
-                &OpoaoModel::new(10),
-                &selectors,
-                &MonteCarloConfig {
-                    runs: 3,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(report.runs.len(), 3);
-        assert_eq!(report.runs[0].name, "greedy");
-        assert_eq!(report.runs[1].name, "scbg");
-        assert_eq!(report.runs[2].name, "no-blocking");
-        assert!(report.runs[2].protectors.is_empty());
     }
 
     #[test]

@@ -117,8 +117,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Budgeted, Selector, Solver, SolverConfig};
-    use crate::{MaxDegreeSelector, NoBlockingSelector, ProtectorSelector, ProximitySelector};
+    use crate::engine::{Algorithm, SolveRequest, Solver, SolverConfig};
     use lcrb_community::Partition;
     use lcrb_diffusion::{DoamModel, OpoaoModel};
     use lcrb_graph::generators;
@@ -173,14 +172,12 @@ mod tests {
         .is_err());
     }
 
-    /// Runs each selector through a one-shot [`Solver`] session via
-    /// the [`Budgeted`] adapter and evaluates the selections — the
-    /// migration target for the removed `compare_selectors` shim.
-    fn run_selectors<M: TwoCascadeModel + Sync>(
+    /// Answers the requests in one [`Solver`] session and evaluates
+    /// the selections — the solve-then-evaluate path the figures use.
+    fn run_requests<M: TwoCascadeModel + Sync>(
         inst: &RumorBlockingInstance,
         model: &M,
-        selectors: &[&dyn ProtectorSelector],
-        budget: usize,
+        requests: &[SolveRequest],
         selection_seed: u64,
         mc: &MonteCarloConfig,
     ) -> HopSeriesReport {
@@ -190,45 +187,56 @@ mod tests {
                 master_seed: selection_seed,
             },
         );
-        let mut sets = Vec::with_capacity(selectors.len());
-        for &selector in selectors {
-            let report = Budgeted { selector, budget }.select(&solver).unwrap();
-            sets.push((report.algorithm, report.protectors));
-        }
+        let sets: Vec<_> = solver
+            .solve_many(requests)
+            .into_iter()
+            .map(|report| {
+                let report = report.unwrap();
+                (report.algorithm, report.protectors)
+            })
+            .collect();
         evaluate_protector_sets(inst, model, &sets, mc).unwrap()
     }
 
     #[test]
     fn budgeted_session_runs_all_strategies() {
         let inst = instance();
-        let selectors: Vec<&dyn ProtectorSelector> =
-            vec![&NoBlockingSelector, &MaxDegreeSelector, &ProximitySelector];
-        let report = run_selectors(
+        let requests = [
+            SolveRequest::heuristic(Algorithm::NoBlocking, 2),
+            SolveRequest::heuristic(Algorithm::MaxDegree, 2),
+            SolveRequest::heuristic(Algorithm::Proximity, 2),
+            SolveRequest {
+                realizations: 8,
+                max_hops: 10,
+                ..SolveRequest::greedy_budget(2)
+            },
+            SolveRequest::scbg(),
+        ];
+        let report = run_requests(
             &inst,
             &OpoaoModel::new(10),
-            &selectors,
-            2,
+            &requests,
             7,
             &MonteCarloConfig {
                 runs: 5,
                 ..Default::default()
             },
         );
-        assert_eq!(report.runs.len(), 3);
+        assert_eq!(report.runs.len(), 5);
         assert_eq!(report.runs[0].name, "no-blocking");
         assert!(report.runs[0].protectors.is_empty());
         assert_eq!(report.runs[1].protectors.len(), 2);
+        assert_eq!(report.runs[3].name, "greedy");
+        assert_eq!(report.runs[4].name, "scbg");
     }
 
     #[test]
     fn table_and_csv_rendering() {
         let inst = instance();
-        let selectors: Vec<&dyn ProtectorSelector> = vec![&NoBlockingSelector];
-        let report = run_selectors(
+        let report = run_requests(
             &inst,
             &DoamModel::default(),
-            &selectors,
-            0,
+            &[SolveRequest::heuristic(Algorithm::NoBlocking, 0)],
             0,
             &MonteCarloConfig {
                 runs: 1,

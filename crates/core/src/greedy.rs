@@ -62,11 +62,10 @@ pub enum Estimator {
     Sketch(SketchParams),
 }
 
-/// Configuration for [`greedy_lcrb_p`] and [`greedy_with_budget`].
+/// Configuration for [`greedy_with_budget`] (the session engine
+/// builds one from each greedy [`crate::engine::SolveRequest`]).
 #[derive(Clone, Copy, Debug)]
 pub struct GreedyConfig {
-    /// Protection level `α ∈ (0, 1]`: stop once `σ̂ ≥ α·|B|`.
-    pub alpha: f64,
     /// Number of coupled realizations for the `σ̂` estimator.
     pub realizations: usize,
     /// Master seed for the realization batch.
@@ -78,8 +77,6 @@ pub struct GreedyConfig {
     /// default; competitive IC via live-edge realizations as the
     /// EIL-flavored extension).
     pub model: ObjectiveModel,
-    /// Hard cap on the number of protectors selected.
-    pub max_protectors: usize,
     /// Candidate pool to draw from.
     pub candidates: CandidatePool,
     /// Use CELF lazy evaluation (`false` re-scores every candidate in
@@ -98,12 +95,10 @@ pub struct GreedyConfig {
 impl Default for GreedyConfig {
     fn default() -> Self {
         GreedyConfig {
-            alpha: 0.8,
             realizations: 64,
             master_seed: 0,
             max_hops: lcrb_diffusion::PAPER_OPOAO_HOPS,
             model: ObjectiveModel::default(),
-            max_protectors: usize::MAX,
             candidates: CandidatePool::default(),
             lazy: true,
             rule: BridgeEndRule::default(),
@@ -154,47 +149,17 @@ impl Ord for FiniteF64 {
     }
 }
 
-/// Runs Algorithm 1: select protectors until `σ̂ ≥ α·|B|`.
-///
-/// **Deprecated shim**: this one-shot entry rebuilds every artifact
-/// (bridge ends, estimator state) per call. New code should hold a
-/// [`crate::engine::Solver`] and submit
-/// [`crate::engine::SolveRequest`]s, which cache those artifacts
-/// across queries; this function remains for one-off use and will be
-/// removed from the prelude in a future release.
-///
-/// # Errors
-///
-/// - [`LcrbError::InvalidAlpha`] if `config.alpha` is not in
-///   `(0, 1]`;
-/// - [`LcrbError::NoRealizations`] if `config.realizations == 0`.
-///
-/// If the target is unreachable within the candidate pool and budget
-/// (possible when `max_hops` is small or the pool is restricted), the
-/// run returns with `target_met == false` rather than erroring — the
-/// partial selection is still the greedy-optimal prefix.
-pub fn greedy_lcrb_p(
-    instance: &RumorBlockingInstance,
-    config: &GreedyConfig,
-) -> Result<GreedySelection, LcrbError> {
-    if config.alpha.is_nan() || config.alpha <= 0.0 || config.alpha > 1.0 {
-        return Err(LcrbError::InvalidAlpha {
-            alpha: config.alpha,
-        });
-    }
-    run_greedy(instance, config, None)
-}
-
 /// Budget-mode greedy: selects exactly `budget` protectors (or fewer
-/// if gains hit zero), ignoring `config.alpha`. This is how the
-/// paper's OPOAO experiments use the greedy — "for the same number of
-/// protector and rumor originators, how many nodes will be infected?"
-/// (§VI-B2).
+/// if gains hit zero). This is how the paper's OPOAO experiments use
+/// the greedy — "for the same number of protector and rumor
+/// originators, how many nodes will be infected?" (§VI-B2).
 ///
-/// **Deprecated shim**: prefer a [`crate::engine::Solver`] with
-/// [`crate::engine::SolveRequest::greedy_budget`], which reuses the
-/// sketch sample and CELF state across budgets instead of rebuilding
-/// them per call.
+/// This is the one-shot kernel behind
+/// [`crate::engine::SolveRequest::greedy_budget`]: it rebuilds the
+/// bridge ends and the `σ̂` estimator per call. Select through a
+/// [`crate::engine::Solver`], which reuses the sketch sample and CELF
+/// state across budgets and also serves α targets; call this
+/// directly only to measure the greedy layer on its own.
 ///
 /// # Errors
 ///
@@ -205,7 +170,34 @@ pub fn greedy_with_budget(
     budget: usize,
     config: &GreedyConfig,
 ) -> Result<GreedySelection, LcrbError> {
-    run_greedy(instance, config, Some(budget))
+    let bridge_ends = find_bridge_ends(instance, config.rule);
+    // xtask-allow: bufclone -- one-time handoff of the bridge-end list to the estimator, outside the query loop
+    let backend = build_backend(instance, config, bridge_ends.nodes.clone())?;
+    let mut traj = GreedyTrajectory::new(candidate_pool(instance, &bridge_ends, config.candidates));
+    // A one-shot pool: the sequential CELF loop leases one long-lived
+    // scratch (a `SimWorkspace` plus reusable seed pair against the
+    // CSR snapshot for Monte Carlo, coverage stamps for sketches) and
+    // the initial sweep leases one per worker.
+    let pool = ScratchPool::new();
+    let mut meter = WorkMeter::unlimited();
+    advance_trajectory(
+        &backend,
+        &mut traj,
+        f64::INFINITY,
+        budget,
+        config.lazy,
+        config.threads,
+        &pool,
+        &mut meter,
+    )?;
+    let evaluations = traj.evaluations();
+    Ok(selection_from_trajectory(
+        &traj,
+        f64::INFINITY,
+        budget,
+        evaluations,
+        bridge_ends,
+    ))
 }
 
 /// The `σ̂` estimator selected by [`GreedyConfig::estimator`], behind
@@ -580,47 +572,6 @@ pub(crate) fn selection_from_trajectory(
     }
 }
 
-fn run_greedy(
-    instance: &RumorBlockingInstance,
-    config: &GreedyConfig,
-    budget: Option<usize>,
-) -> Result<GreedySelection, LcrbError> {
-    let bridge_ends = find_bridge_ends(instance, config.rule);
-    // xtask-allow: bufclone -- one-time handoff of the bridge-end list to the estimator, outside the query loop
-    let backend = build_backend(instance, config, bridge_ends.nodes.clone())?;
-    let target = match budget {
-        Some(_) => f64::INFINITY,
-        None => config.alpha * bridge_ends.len() as f64,
-    };
-    let cap = budget.unwrap_or(config.max_protectors);
-
-    let mut traj = GreedyTrajectory::new(candidate_pool(instance, &bridge_ends, config.candidates));
-    // A one-shot pool: the sequential CELF loop leases one long-lived
-    // scratch (a `SimWorkspace` plus reusable seed pair against the
-    // CSR snapshot for Monte Carlo, coverage stamps for sketches) and
-    // the initial sweep leases one per worker.
-    let pool = ScratchPool::new();
-    let mut meter = WorkMeter::unlimited();
-    advance_trajectory(
-        &backend,
-        &mut traj,
-        target,
-        cap,
-        config.lazy,
-        config.threads,
-        &pool,
-        &mut meter,
-    )?;
-    let evaluations = traj.evaluations();
-    Ok(selection_from_trajectory(
-        &traj,
-        target,
-        cap,
-        evaluations,
-        bridge_ends,
-    ))
-}
-
 /// Crate-internal access to the candidate-pool construction (shared
 /// with the GVS baseline).
 pub(crate) fn candidate_pool_for(
@@ -749,6 +700,7 @@ fn parallel_initial_gains(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{SolveDetail, SolveRequest, Solver};
     use lcrb_community::Partition;
     use lcrb_graph::generators;
     use lcrb_graph::DiGraph;
@@ -769,17 +721,28 @@ mod tests {
         RumorBlockingInstance::with_random_seeds(g, p, 0, 2, &mut rng).unwrap()
     }
 
+    /// A cold α-mode (or any greedy) solve through the session engine.
+    fn solve(
+        inst: &RumorBlockingInstance,
+        request: &SolveRequest,
+    ) -> Result<GreedySelection, LcrbError> {
+        let report = Solver::new(inst.clone()).solve(request)?;
+        let SolveDetail::Greedy(sel) = report.detail else {
+            panic!("expected greedy detail");
+        };
+        Ok(sel)
+    }
+
     #[test]
     fn rejects_bad_alpha() {
         let inst = chain_instance();
         for alpha in [0.0, -0.5, 1.5, f64::NAN] {
-            let cfg = GreedyConfig {
-                alpha,
+            let request = SolveRequest {
                 realizations: 4,
-                ..GreedyConfig::default()
+                ..SolveRequest::greedy_alpha(alpha)
             };
             assert!(matches!(
-                greedy_lcrb_p(&inst, &cfg).unwrap_err(),
+                solve(&inst, &request).unwrap_err(),
                 LcrbError::InvalidAlpha { .. }
             ));
         }
@@ -793,7 +756,7 @@ mod tests {
             ..GreedyConfig::default()
         };
         assert!(matches!(
-            greedy_lcrb_p(&inst, &cfg).unwrap_err(),
+            greedy_with_budget(&inst, 1, &cfg).unwrap_err(),
             LcrbError::NoRealizations
         ));
     }
@@ -801,12 +764,11 @@ mod tests {
     #[test]
     fn chain_is_fully_protectable_with_one_node() {
         let inst = chain_instance();
-        let cfg = GreedyConfig {
-            alpha: 1.0,
+        let request = SolveRequest {
             realizations: 8,
-            ..GreedyConfig::default()
+            ..SolveRequest::greedy_alpha(1.0)
         };
-        let sel = greedy_lcrb_p(&inst, &cfg).unwrap();
+        let sel = solve(&inst, &request).unwrap();
         assert!(sel.target_met);
         assert_eq!(sel.bridge_ends.nodes, vec![NodeId::new(2)]);
         // Protecting node 1 or node 2 saves the single bridge end.
@@ -836,16 +798,15 @@ mod tests {
     #[test]
     fn lazy_and_plain_greedy_agree_on_achieved_sigma() {
         let inst = community_instance(7);
-        let base = GreedyConfig {
+        let base = SolveRequest {
             realizations: 12,
             max_hops: 15,
-            alpha: 0.6,
-            ..GreedyConfig::default()
+            ..SolveRequest::greedy_alpha(0.6)
         };
-        let lazy = greedy_lcrb_p(&inst, &base).unwrap();
-        let plain = greedy_lcrb_p(
+        let lazy = solve(&inst, &base).unwrap();
+        let plain = solve(
             &inst,
-            &GreedyConfig {
+            &SolveRequest {
                 lazy: false,
                 ..base
             },
@@ -893,11 +854,11 @@ mod tests {
         let g = DiGraph::from_edges(4, [(0, 1), (1, 0)]).unwrap();
         let p = Partition::from_labels(vec![0, 0, 1, 1]);
         let inst = RumorBlockingInstance::new(g, p, 0, vec![NodeId::new(0)]).unwrap();
-        let sel = greedy_lcrb_p(
+        let sel = solve(
             &inst,
-            &GreedyConfig {
+            &SolveRequest {
                 realizations: 4,
-                ..GreedyConfig::default()
+                ..SolveRequest::greedy_alpha(0.8)
             },
         )
         .unwrap();
@@ -909,13 +870,12 @@ mod tests {
     fn greedy_works_under_competitive_ic() {
         use lcrb_diffusion::CompetitiveIcModel;
         let inst = community_instance(13);
-        let cfg = GreedyConfig {
+        let request = SolveRequest {
             realizations: 12,
             model: ObjectiveModel::CompetitiveIc(CompetitiveIcModel::new(0.5).unwrap()),
-            alpha: 0.6,
-            ..GreedyConfig::default()
+            ..SolveRequest::greedy_alpha(0.6)
         };
-        let sel = greedy_lcrb_p(&inst, &cfg).unwrap();
+        let sel = solve(&inst, &request).unwrap();
         // σ̂ history is nondecreasing and the selection is valid.
         for w in sel.sigma_history.windows(2) {
             assert!(w[1] >= w[0] - 1e-12);
@@ -931,12 +891,9 @@ mod tests {
     #[test]
     fn sketch_estimator_solves_the_chain() {
         let inst = chain_instance();
-        let cfg = GreedyConfig {
-            alpha: 1.0,
-            estimator: Estimator::Sketch(SketchParams::default()),
-            ..GreedyConfig::default()
-        };
-        let sel = greedy_lcrb_p(&inst, &cfg).unwrap();
+        let request = SolveRequest::greedy_alpha(1.0)
+            .with_estimator(Estimator::Sketch(SketchParams::default()));
+        let sel = solve(&inst, &request).unwrap();
         assert!(sel.target_met);
         assert_eq!(sel.protectors.len(), 1);
         // On the forced chain the only useful picks are 1 and 2.
@@ -953,7 +910,7 @@ mod tests {
             ..GreedyConfig::default()
         };
         assert!(matches!(
-            greedy_lcrb_p(&inst, &cfg).unwrap_err(),
+            greedy_with_budget(&inst, 1, &cfg).unwrap_err(),
             LcrbError::SketchModelUnsupported
         ));
     }
@@ -961,14 +918,13 @@ mod tests {
     #[test]
     fn sketch_estimator_is_deterministic_across_threads() {
         let inst = community_instance(17);
-        let base = GreedyConfig {
-            estimator: Estimator::Sketch(SketchParams::default()),
-            alpha: 0.7,
+        let base = SolveRequest {
             threads: 1,
-            ..GreedyConfig::default()
-        };
-        let a = greedy_lcrb_p(&inst, &base).unwrap();
-        let b = greedy_lcrb_p(&inst, &GreedyConfig { threads: 4, ..base }).unwrap();
+            ..SolveRequest::greedy_alpha(0.7)
+        }
+        .with_estimator(Estimator::Sketch(SketchParams::default()));
+        let a = solve(&inst, &base).unwrap();
+        let b = solve(&inst, &SolveRequest { threads: 4, ..base }).unwrap();
         assert_eq!(a.protectors, b.protectors);
         assert_eq!(a.achieved, b.achieved);
     }
@@ -1004,14 +960,13 @@ mod tests {
     #[test]
     fn threads_do_not_change_selection() {
         let inst = community_instance(11);
-        let base = GreedyConfig {
+        let base = SolveRequest {
             realizations: 12,
-            alpha: 0.7,
             threads: 1,
-            ..GreedyConfig::default()
+            ..SolveRequest::greedy_alpha(0.7)
         };
-        let a = greedy_lcrb_p(&inst, &base).unwrap();
-        let b = greedy_lcrb_p(&inst, &GreedyConfig { threads: 4, ..base }).unwrap();
+        let a = solve(&inst, &base).unwrap();
+        let b = solve(&inst, &SolveRequest { threads: 4, ..base }).unwrap();
         assert_eq!(a.protectors, b.protectors);
         assert_eq!(a.achieved, b.achieved);
     }

@@ -17,20 +17,21 @@ use lcrb_graph::NodeId;
 
 use crate::{find_bridge_ends, BridgeEndRule, CandidatePool, LcrbError, RumorBlockingInstance};
 
-/// Configuration for [`greedy_viral_stopper`].
+/// Configuration for [`greedy_viral_stopper`], built by the session
+/// engine from a [`crate::engine::SolveRequest::gvs`] request.
 #[derive(Clone, Copy, Debug)]
-pub struct GvsConfig {
+pub(crate) struct GvsConfig {
     /// Monte-Carlo runs per candidate evaluation (GVS re-simulates,
     /// so keep this modest).
-    pub mc_runs: usize,
+    pub(crate) mc_runs: usize,
     /// Base seed for the Monte-Carlo estimates.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Candidate pool (defaults to the bridge-end backward
     /// neighborhood, same as the LCRB greedy, to keep runtimes
     /// comparable).
-    pub candidates: CandidatePool,
+    pub(crate) candidates: CandidatePool,
     /// Bridge-end rule used only to build restricted pools.
-    pub rule: BridgeEndRule,
+    pub(crate) rule: BridgeEndRule,
 }
 
 impl Default for GvsConfig {
@@ -58,7 +59,8 @@ pub struct GvsSelection {
 }
 
 /// Greedily selects `budget` protectors minimizing the Monte-Carlo
-/// expected infected count under `model` (GVS-style).
+/// expected infected count under `model` (GVS-style), metered by
+/// `meter`.
 ///
 /// Each round evaluates every remaining candidate with `mc_runs`
 /// simulations, so the cost is `budget × |candidates| × mc_runs`
@@ -66,42 +68,23 @@ pub struct GvsSelection {
 /// the LCRB greedy or SCBG for real deployments; this exists as the
 /// related-work baseline.
 ///
-/// # Errors
-///
-/// Returns [`LcrbError::Seeds`] only if the instance is internally
-/// inconsistent (cannot happen through the public constructors).
-pub fn greedy_viral_stopper<M>(
-    instance: &RumorBlockingInstance,
-    model: &M,
-    budget: usize,
-    config: &GvsConfig,
-) -> Result<GvsSelection, LcrbError>
-where
-    M: TwoCascadeModel + Sync,
-{
-    let mut meter = WorkMeter::unlimited();
-    let (selection, _) = greedy_viral_stopper_metered(instance, model, budget, config, &mut meter)?;
-    Ok(selection)
-}
-
-/// [`greedy_viral_stopper`] under a [`WorkMeter`]: each candidate
-/// evaluation charges its `mc_runs` simulations (all-or-nothing) and
-/// polls for cancellation.
-///
-/// Checkpoints sit at *round* boundaries: a stop mid-round discards
-/// that round's partial scan, so the returned prefix is exactly the
-/// completed-rounds prefix an uninterrupted run would have — and
-/// work-budget stops land at the same round on every run. Returns the
-/// (possibly partial) selection plus `Some(reason)` when a budget or
-/// deadline stopped the loop early.
+/// Each candidate evaluation charges its `mc_runs` simulations
+/// (all-or-nothing) and polls for cancellation. Checkpoints sit at
+/// *round* boundaries: a stop mid-round discards that round's partial
+/// scan, so the returned prefix is exactly the completed-rounds
+/// prefix an uninterrupted run would have — and work-budget stops
+/// land at the same round on every run. Returns the (possibly
+/// partial) selection plus `Some(reason)` when a budget or deadline
+/// stopped the loop early.
 ///
 /// # Errors
 ///
 /// [`LcrbError::Interrupted`] on cancellation anywhere, or on any
 /// stop during the no-protector baseline (there is no prefix to
-/// salvage before it completes); estimator errors as in
-/// [`greedy_viral_stopper`].
-pub(crate) fn greedy_viral_stopper_metered<M>(
+/// salvage before it completes); [`LcrbError::Seeds`] only if the
+/// instance is internally inconsistent (cannot happen through the
+/// public constructors).
+pub(crate) fn greedy_viral_stopper<M>(
     instance: &RumorBlockingInstance,
     model: &M,
     budget: usize,
@@ -181,6 +164,16 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    fn gvs<M: TwoCascadeModel + Sync>(
+        inst: &RumorBlockingInstance,
+        model: &M,
+        budget: usize,
+        config: &GvsConfig,
+    ) -> Result<GvsSelection, LcrbError> {
+        let mut meter = WorkMeter::unlimited();
+        greedy_viral_stopper(inst, model, budget, config, &mut meter).map(|(sel, _)| sel)
+    }
+
     fn instance(seed: u64) -> RumorBlockingInstance {
         let mut rng = SmallRng::seed_from_u64(seed);
         let (g, labels) =
@@ -192,7 +185,7 @@ mod tests {
     #[test]
     fn gvs_reduces_expected_infections_monotonically() {
         let inst = instance(3);
-        let sel = greedy_viral_stopper(
+        let sel = gvs(
             &inst,
             &OpoaoModel::new(15),
             3,
@@ -213,8 +206,7 @@ mod tests {
     #[test]
     fn gvs_never_selects_rumor_seeds() {
         let inst = instance(5);
-        let sel =
-            greedy_viral_stopper(&inst, &DoamModel::default(), 4, &GvsConfig::default()).unwrap();
+        let sel = gvs(&inst, &DoamModel::default(), 4, &GvsConfig::default()).unwrap();
         for p in &sel.protectors {
             assert!(!inst.is_rumor_seed(*p));
         }
@@ -223,10 +215,8 @@ mod tests {
     #[test]
     fn gvs_on_deterministic_model_is_deterministic() {
         let inst = instance(7);
-        let a =
-            greedy_viral_stopper(&inst, &DoamModel::default(), 2, &GvsConfig::default()).unwrap();
-        let b =
-            greedy_viral_stopper(&inst, &DoamModel::default(), 2, &GvsConfig::default()).unwrap();
+        let a = gvs(&inst, &DoamModel::default(), 2, &GvsConfig::default()).unwrap();
+        let b = gvs(&inst, &DoamModel::default(), 2, &GvsConfig::default()).unwrap();
         assert_eq!(a.protectors, b.protectors);
         assert_eq!(a.baseline, b.baseline);
     }
@@ -234,8 +224,7 @@ mod tests {
     #[test]
     fn zero_budget_returns_baseline_only() {
         let inst = instance(9);
-        let sel =
-            greedy_viral_stopper(&inst, &DoamModel::default(), 0, &GvsConfig::default()).unwrap();
+        let sel = gvs(&inst, &DoamModel::default(), 0, &GvsConfig::default()).unwrap();
         assert!(sel.protectors.is_empty());
         assert!(sel.infected_history.is_empty());
         assert!(sel.baseline >= inst.rumor_seeds().len() as f64);
@@ -248,8 +237,7 @@ mod tests {
         let g = lcrb_graph::DiGraph::from_edges(4, [(0, 1), (1, 0), (2, 3)]).unwrap();
         let p = Partition::from_labels(vec![0, 0, 1, 1]);
         let inst = RumorBlockingInstance::new(g, p, 0, vec![lcrb_graph::NodeId::new(0)]).unwrap();
-        let sel =
-            greedy_viral_stopper(&inst, &DoamModel::default(), 3, &GvsConfig::default()).unwrap();
+        let sel = gvs(&inst, &DoamModel::default(), 3, &GvsConfig::default()).unwrap();
         assert!(sel.protectors.is_empty());
     }
 }

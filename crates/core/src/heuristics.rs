@@ -1,234 +1,76 @@
-//! The comparison heuristics of §VI-B1 — MaxDegree, Proximity,
-//! Random, NoBlocking — behind a common [`ProtectorSelector`] trait,
-//! plus the coverage-mode runners used for Table I.
+//! The comparison heuristics of §VI-B1 — the candidate orderings
+//! behind MaxDegree, Proximity and PageRank, which
+//! [`crate::engine::Solver::solve`] truncates to the request's budget
+//! — plus the coverage-mode runner used for Table I.
 
 // xtask-allow-file: index -- score/degree arrays are node_count-sized and candidates come from the same graph's node iterator
-use rand::seq::SliceRandom;
-use rand::RngCore;
-
 use lcrb_graph::traversal::{CsrBfsScratch, Direction};
 use lcrb_graph::NodeId;
 
 use crate::{find_bridge_ends, BridgeEndRule, RumorBlockingInstance};
 
-/// A strategy that picks protector originators given a budget.
-///
-/// Implementations must never return rumor originators and must
-/// return at most `budget` distinct nodes. Deterministic strategies
-/// simply ignore the RNG.
-pub trait ProtectorSelector {
-    /// Selects up to `budget` protector originators for `instance`.
-    fn select(
-        &self,
-        instance: &RumorBlockingInstance,
-        budget: usize,
-        rng: &mut dyn RngCore,
-    ) -> Vec<NodeId>;
-
-    /// Short stable name for reports ("max-degree", "proximity", ...).
-    fn name(&self) -> &'static str;
+/// MaxDegree's ordering: "a basic algorithm, which simply chooses the
+/// nodes according to the decreasing order of node degree as the
+/// protectors" (§VI-B1). Returns all non-rumor nodes by decreasing
+/// out-degree (influence flows along out-edges); ties break toward
+/// smaller node ids for determinism.
+#[must_use]
+pub fn max_degree_ordering(instance: &RumorBlockingInstance) -> Vec<NodeId> {
+    let g = instance.graph();
+    let mut nodes: Vec<NodeId> = g.nodes().filter(|&v| !instance.is_rumor_seed(v)).collect();
+    nodes.sort_by_key(|&v| (std::cmp::Reverse(g.out_degree(v)), v));
+    nodes
 }
 
-/// "A basic algorithm, which simply chooses the nodes according to
-/// the decreasing order of node degree as the protectors" (§VI-B1).
-/// Out-degree is used (influence flows along out-edges); ties break
-/// toward smaller node ids for determinism.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MaxDegreeSelector;
-
-impl MaxDegreeSelector {
-    /// All non-rumor nodes in decreasing out-degree order (the full
-    /// candidate ordering behind [`ProtectorSelector::select`]).
-    #[must_use]
-    pub fn ordering(&self, instance: &RumorBlockingInstance) -> Vec<NodeId> {
-        let g = instance.graph();
-        let mut nodes: Vec<NodeId> = g.nodes().filter(|&v| !instance.is_rumor_seed(v)).collect();
-        nodes.sort_by_key(|&v| (std::cmp::Reverse(g.out_degree(v)), v));
-        nodes
-    }
-}
-
-impl ProtectorSelector for MaxDegreeSelector {
-    fn select(
-        &self,
-        instance: &RumorBlockingInstance,
-        budget: usize,
-        _rng: &mut dyn RngCore,
-    ) -> Vec<NodeId> {
-        let mut nodes = self.ordering(instance);
-        nodes.truncate(budget);
-        nodes
-    }
-
-    fn name(&self) -> &'static str {
-        "max-degree"
-    }
-}
-
-/// "A simple heuristic algorithm, in which the direct out-neighbors
-/// of rumors are chosen as the protectors" (§VI-B1); when the budget
-/// is smaller than the neighborhood, protectors are sampled randomly
-/// from it, as in the paper's experiments.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProximitySelector;
-
-impl ProximitySelector {
-    /// The candidate pool: distinct direct out-neighbors of the rumor
-    /// originators, excluding the originators themselves, in
-    /// ascending id order.
-    #[must_use]
-    pub fn pool(&self, instance: &RumorBlockingInstance) -> Vec<NodeId> {
-        let g = instance.graph();
-        let mut seen = vec![false; g.node_count()];
-        let mut pool = Vec::new();
-        for &r in instance.rumor_seeds() {
-            for &w in g.out_neighbors(r) {
-                if !seen[w.index()] && !instance.is_rumor_seed(w) {
-                    seen[w.index()] = true;
-                    pool.push(w);
-                }
+/// Proximity's candidate pool: "a simple heuristic algorithm, in
+/// which the direct out-neighbors of rumors are chosen as the
+/// protectors" (§VI-B1). Returns the distinct direct out-neighbors of
+/// the rumor originators, excluding the originators themselves, in
+/// ascending id order; a solve samples its picks from this pool at
+/// random when the budget is smaller, as in the paper's experiments.
+#[must_use]
+pub fn proximity_pool(instance: &RumorBlockingInstance) -> Vec<NodeId> {
+    let g = instance.graph();
+    let mut seen = vec![false; g.node_count()];
+    let mut pool = Vec::new();
+    for &r in instance.rumor_seeds() {
+        for &w in g.out_neighbors(r) {
+            if !seen[w.index()] && !instance.is_rumor_seed(w) {
+                seen[w.index()] = true;
+                pool.push(w);
             }
         }
-        pool.sort_unstable();
-        pool
     }
+    pool.sort_unstable();
+    pool
 }
 
-impl ProtectorSelector for ProximitySelector {
-    fn select(
-        &self,
-        instance: &RumorBlockingInstance,
-        budget: usize,
-        rng: &mut dyn RngCore,
-    ) -> Vec<NodeId> {
-        let mut pool = self.pool(instance);
-        pool.shuffle(rng);
-        pool.truncate(budget);
-        pool
-    }
-
-    fn name(&self) -> &'static str {
-        "proximity"
-    }
-}
-
-/// Uniform random non-rumor nodes (the baseline the paper excludes
-/// from its plots "due to its poor performance"; included here for
-/// completeness).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RandomSelector;
-
-impl ProtectorSelector for RandomSelector {
-    fn select(
-        &self,
-        instance: &RumorBlockingInstance,
-        budget: usize,
-        rng: &mut dyn RngCore,
-    ) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = instance
-            .graph()
-            .nodes()
-            .filter(|&v| !instance.is_rumor_seed(v))
-            .collect();
-        nodes.shuffle(rng);
-        nodes.truncate(budget);
-        nodes
-    }
-
-    fn name(&self) -> &'static str {
-        "random"
-    }
-}
-
-/// PageRank-ranked protector selection — an extension baseline
-/// beyond the paper's heuristics: like MaxDegree but ranking by
-/// PageRank score on the full graph, which rewards globally central
-/// relays instead of raw out-degree. Deterministic.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PageRankSelector {
-    damping: f64,
-}
-
-impl Default for PageRankSelector {
-    /// The conventional damping factor 0.85.
-    fn default() -> Self {
-        PageRankSelector { damping: 0.85 }
-    }
-}
-
-impl PageRankSelector {
-    /// Creates a selector with a custom damping factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `damping` is not in `[0, 1)` (checked when
-    /// selecting).
-    #[must_use]
-    pub fn new(damping: f64) -> Self {
-        PageRankSelector { damping }
-    }
-
-    /// All non-rumor nodes in decreasing PageRank order (ties toward
-    /// smaller ids).
-    #[must_use]
-    pub fn ordering(&self, instance: &RumorBlockingInstance) -> Vec<NodeId> {
-        let pr = lcrb_graph::pagerank::pagerank(
-            instance.graph(),
-            &lcrb_graph::pagerank::PageRankConfig {
-                damping: self.damping,
-                ..Default::default()
-            },
-        );
-        let mut nodes: Vec<NodeId> = instance
-            .graph()
-            .nodes()
-            .filter(|&v| !instance.is_rumor_seed(v))
-            .collect();
-        nodes.sort_by(|&a, &b| {
-            pr.scores[b.index()]
-                .partial_cmp(&pr.scores[a.index()])
-                // xtask-allow: panic -- pagerank scores are finite by construction (damped convex sums of finite values)
-                .expect("pagerank scores are finite")
-                .then(a.cmp(&b))
-        });
-        nodes
-    }
-}
-
-impl ProtectorSelector for PageRankSelector {
-    fn select(
-        &self,
-        instance: &RumorBlockingInstance,
-        budget: usize,
-        _rng: &mut dyn RngCore,
-    ) -> Vec<NodeId> {
-        let mut nodes = self.ordering(instance);
-        nodes.truncate(budget);
-        nodes
-    }
-
-    fn name(&self) -> &'static str {
-        "pagerank"
-    }
-}
-
-/// No protectors at all — the paper's "NoBlocking" reference line.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NoBlockingSelector;
-
-impl ProtectorSelector for NoBlockingSelector {
-    fn select(
-        &self,
-        _instance: &RumorBlockingInstance,
-        _budget: usize,
-        _rng: &mut dyn RngCore,
-    ) -> Vec<NodeId> {
-        Vec::new()
-    }
-
-    fn name(&self) -> &'static str {
-        "no-blocking"
-    }
+/// The PageRank baseline's ordering — an extension beyond the paper's
+/// heuristics: like MaxDegree but ranking all non-rumor nodes by
+/// decreasing PageRank score (with the given damping) on the full
+/// graph, which rewards globally central relays instead of raw
+/// out-degree. Ties break toward smaller ids.
+pub(crate) fn pagerank_ordering(instance: &RumorBlockingInstance, damping: f64) -> Vec<NodeId> {
+    let pr = lcrb_graph::pagerank::pagerank(
+        instance.graph(),
+        &lcrb_graph::pagerank::PageRankConfig {
+            damping,
+            ..Default::default()
+        },
+    );
+    let mut nodes: Vec<NodeId> = instance
+        .graph()
+        .nodes()
+        .filter(|&v| !instance.is_rumor_seed(v))
+        .collect();
+    nodes.sort_by(|&a, &b| {
+        pr.scores[b.index()]
+            .partial_cmp(&pr.scores[a.index()])
+            // xtask-allow: panic -- pagerank scores are finite by construction (damped convex sums of finite values)
+            .expect("pagerank scores are finite")
+            .then(a.cmp(&b))
+    });
+    nodes
 }
 
 /// Coverage mode for Table I: walk `ordering` front to back, adding
@@ -284,10 +126,9 @@ pub fn protectors_to_cover_all(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Algorithm, SolveDetail, SolveRequest, Solver};
     use lcrb_community::Partition;
     use lcrb_graph::DiGraph;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn fixture() -> RumorBlockingInstance {
         // Rumor community {0,1,2}, neighbors {3,4,5}.
@@ -299,19 +140,30 @@ mod tests {
         RumorBlockingInstance::new(g, p, 0, vec![NodeId::new(0)]).unwrap()
     }
 
+    /// The protectors and report name of a heuristic solve.
+    fn solve(
+        inst: &RumorBlockingInstance,
+        algorithm: Algorithm,
+        budget: usize,
+    ) -> (Vec<NodeId>, String) {
+        let report = Solver::new(inst.clone())
+            .solve(&SolveRequest::heuristic(algorithm, budget))
+            .unwrap();
+        assert!(matches!(report.detail, SolveDetail::Heuristic));
+        (report.protectors, report.algorithm)
+    }
+
     #[test]
     fn max_degree_orders_by_out_degree() {
         let inst = fixture();
-        let sel = MaxDegreeSelector;
-        let order = sel.ordering(&inst);
+        let order = max_degree_ordering(&inst);
         // Out-degrees: 1:1, 2:1, 3:1, 4:1, 5:1 — all ties except no
         // node 0 (rumor). Check rumor exclusion and determinism.
         assert!(!order.contains(&NodeId::new(0)));
         assert_eq!(order.len(), 5);
-        let mut rng = SmallRng::seed_from_u64(0);
-        let picked = sel.select(&inst, 2, &mut rng);
+        let (picked, name) = solve(&inst, Algorithm::MaxDegree, 2);
         assert_eq!(picked.len(), 2);
-        assert_eq!(sel.name(), "max-degree");
+        assert_eq!(name, "max-degree");
     }
 
     #[test]
@@ -319,20 +171,17 @@ mod tests {
         let g = DiGraph::from_edges(5, [(0, 1), (1, 2), (1, 3), (1, 4), (2, 3)]).unwrap();
         let p = Partition::from_labels(vec![0, 0, 1, 1, 1]);
         let inst = RumorBlockingInstance::new(g, p, 0, vec![NodeId::new(0)]).unwrap();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let picked = MaxDegreeSelector.select(&inst, 1, &mut rng);
+        let (picked, _) = solve(&inst, Algorithm::MaxDegree, 1);
         assert_eq!(picked, vec![NodeId::new(1)]); // out-degree 3 hub
     }
 
     #[test]
     fn proximity_pool_is_rumor_out_neighbors() {
         let inst = fixture();
-        let sel = ProximitySelector;
-        assert_eq!(sel.pool(&inst), vec![NodeId::new(1), NodeId::new(2)]);
-        let mut rng = SmallRng::seed_from_u64(1);
-        let picked = sel.select(&inst, 5, &mut rng);
+        assert_eq!(proximity_pool(&inst), vec![NodeId::new(1), NodeId::new(2)]);
+        let (picked, name) = solve(&inst, Algorithm::Proximity, 5);
         assert_eq!(picked.len(), 2); // pool smaller than budget
-        assert_eq!(sel.name(), "proximity");
+        assert_eq!(name, "proximity");
     }
 
     #[test]
@@ -343,46 +192,44 @@ mod tests {
         let p = Partition::from_labels(vec![0, 0, 1]);
         let inst =
             RumorBlockingInstance::new(g, p, 0, vec![NodeId::new(0), NodeId::new(1)]).unwrap();
-        assert_eq!(ProximitySelector.pool(&inst), vec![NodeId::new(2)]);
+        assert_eq!(proximity_pool(&inst), vec![NodeId::new(2)]);
     }
 
     #[test]
-    fn random_selector_respects_budget_and_exclusion() {
+    fn random_selection_respects_budget_and_exclusion() {
         let inst = fixture();
-        let mut rng = SmallRng::seed_from_u64(2);
-        let picked = RandomSelector.select(&inst, 3, &mut rng);
+        let (picked, name) = solve(&inst, Algorithm::Random, 3);
         assert_eq!(picked.len(), 3);
         assert!(!picked.contains(&NodeId::new(0)));
         // Distinct.
         let set: std::collections::HashSet<_> = picked.iter().collect();
         assert_eq!(set.len(), 3);
-        assert_eq!(RandomSelector.name(), "random");
+        assert_eq!(name, "random");
     }
 
     #[test]
-    fn pagerank_selector_prefers_central_nodes() {
+    fn pagerank_ordering_prefers_central_nodes() {
         // A hub that everything points to dominates PageRank.
         let g = DiGraph::from_edges(5, [(0, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 3)]).unwrap();
         let p = Partition::from_labels(vec![0, 1, 1, 1, 1]);
         let inst = RumorBlockingInstance::new(g, p, 0, vec![NodeId::new(0)]).unwrap();
-        let sel = PageRankSelector::default();
-        let order = sel.ordering(&inst);
+        let order = pagerank_ordering(&inst, 0.85);
         assert_eq!(order[0], NodeId::new(1));
         assert!(!order.contains(&NodeId::new(0)));
-        let mut rng = SmallRng::seed_from_u64(0);
-        assert_eq!(sel.select(&inst, 1, &mut rng), vec![NodeId::new(1)]);
-        assert_eq!(sel.name(), "pagerank");
+        let (picked, name) = solve(&inst, Algorithm::PageRank, 1);
+        assert_eq!(picked, vec![NodeId::new(1)]);
+        assert_eq!(name, "pagerank");
         // Custom damping still works.
-        let order2 = PageRankSelector::new(0.5).ordering(&inst);
+        let order2 = pagerank_ordering(&inst, 0.5);
         assert_eq!(order2.len(), 4);
     }
 
     #[test]
     fn no_blocking_returns_empty() {
         let inst = fixture();
-        let mut rng = SmallRng::seed_from_u64(3);
-        assert!(NoBlockingSelector.select(&inst, 10, &mut rng).is_empty());
-        assert_eq!(NoBlockingSelector.name(), "no-blocking");
+        let (picked, name) = solve(&inst, Algorithm::NoBlocking, 10);
+        assert!(picked.is_empty());
+        assert_eq!(name, "no-blocking");
     }
 
     #[test]
@@ -426,7 +273,7 @@ mod tests {
     fn coverage_mode_agrees_with_doam_simulation() {
         use lcrb_diffusion::DoamModel;
         let inst = fixture();
-        let ordering = MaxDegreeSelector.ordering(&inst);
+        let ordering = max_degree_ordering(&inst);
         let chosen =
             protectors_to_cover_all(&inst, BridgeEndRule::WithinCommunity, &ordering).unwrap();
         let seeds = inst.seed_sets(chosen).unwrap();

@@ -13,24 +13,29 @@
 //!
 //! - **LCRB-P** (under the stochastic OPOAO model): protect an `α`
 //!   fraction of bridge ends in expectation. The objective is
-//!   monotone submodular (Theorem 1), so [`greedy_lcrb_p`] — the
-//!   paper's Algorithm 1, here with CELF lazy evaluation — is a
+//!   monotone submodular (Theorem 1), so the greedy — the paper's
+//!   Algorithm 1, here with CELF lazy evaluation
+//!   ([`SolveRequest::greedy_alpha`]) — is a
 //!   `(1 − 1/e)`-approximation.
 //! - **LCRB-D** (under the deterministic DOAM model): protect *all*
 //!   bridge ends. This is equivalent to Set Cover (Theorems 2–3), so
-//!   [`scbg`] — the Set Cover Based Greedy, Algorithm 3 — achieves
-//!   the optimal `O(ln |B|)` factor.
+//!   the Set Cover Based Greedy (Algorithm 3, [`SolveRequest::scbg`])
+//!   achieves the optimal `O(ln |B|)` factor.
 //!
-//! The crate also ships the paper's comparison heuristics
-//! ([`MaxDegreeSelector`], [`ProximitySelector`], plus
-//! [`RandomSelector`] and [`NoBlockingSelector`]) and the evaluation
-//! harness behind its figures ([`engine::Solver::compare`] with
-//! [`evaluate::evaluate_protector_sets`]).
+//! [`Solver::solve`] is the one entry point that selects protectors:
+//! it answers both algorithms, the related-work GVS baseline, and the
+//! paper's comparison heuristics (MaxDegree, Proximity, Random,
+//! NoBlocking, plus PageRank; see [`Algorithm`]). The evaluation
+//! harness behind the figures is
+//! [`evaluate::evaluate_protector_sets`] over
+//! [`Solver::solve_many`]'s selections. The kernels the solver drives
+//! ([`greedy_with_budget`], [`scbg`]) stay public for direct
+//! measurement of one layer.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use lcrb::{find_bridge_ends, scbg, BridgeEndRule, RumorBlockingInstance, ScbgConfig};
+//! use lcrb::{RumorBlockingInstance, SolveDetail, SolveRequest, Solver};
 //! use lcrb_community::{louvain, LouvainConfig};
 //! use lcrb_graph::generators::planted_partition;
 //! use rand::rngs::SmallRng;
@@ -45,7 +50,10 @@
 //! // ...a rumor starting in community 0...
 //! let instance = RumorBlockingInstance::with_random_seeds(graph, partition, 0, 3, &mut rng)?;
 //! // ...and the least-cost protector set that blocks every escape.
-//! let solution = scbg(&instance, &ScbgConfig::default());
+//! let report = Solver::new(instance).solve(&SolveRequest::scbg())?;
+//! let SolveDetail::Scbg(solution) = &report.detail else {
+//!     unreachable!("an SCBG request carries an SCBG detail");
+//! };
 //! assert!(solution.is_complete());
 //! # Ok(())
 //! # }
@@ -71,22 +79,17 @@ pub mod source;
 
 pub use bridge::{find_bridge_ends, BridgeEndRule, BridgeEnds};
 pub use engine::{
-    Algorithm, Budgeted, CacheCounters, CacheStats, Completion, Selector, SolveDetail, SolveReport,
-    SolveRequest, Solver, SolverConfig, StageTiming, StopRule,
+    Algorithm, CacheCounters, CacheStats, Completion, SolveDetail, SolveReport, SolveRequest,
+    Solver, SolverConfig, StageTiming, StopRule,
 };
 // The budget/cancellation vocabulary rides on every `SolveRequest`,
 // so re-export it from the problem layer too.
 pub use error::LcrbError;
-pub use greedy::{
-    greedy_lcrb_p, greedy_with_budget, CandidatePool, Estimator, GreedyConfig, GreedySelection,
-};
-pub use gvs::{greedy_viral_stopper, GvsConfig, GvsSelection};
-pub use heuristics::{
-    protectors_to_cover_all, MaxDegreeSelector, NoBlockingSelector, PageRankSelector,
-    ProtectorSelector, ProximitySelector, RandomSelector,
-};
+pub use greedy::{greedy_with_budget, CandidatePool, Estimator, GreedyConfig, GreedySelection};
+pub use gvs::GvsSelection;
+pub use heuristics::{max_degree_ordering, protectors_to_cover_all, proximity_pool};
 pub use instance::RumorBlockingInstance;
 pub use lcrb_diffusion::{CancelToken, RunBudget, StopReason, WorkMeter};
 pub use objective::{ObjectiveModel, ProtectionObjective};
-pub use scbg::{scbg, scbg_weighted, ScbgConfig, ScbgSolution};
+pub use scbg::{scbg, ScbgConfig, ScbgSolution};
 pub use sketch_objective::{CoverageScratch, SketchIndex, SketchObjective, SketchParams};

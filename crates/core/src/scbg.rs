@@ -181,63 +181,6 @@ fn build_star_sets(
     Ok(sw.into_iter().unzip())
 }
 
-/// Cost-aware SCBG — an extension beyond the paper: protectors have
-/// per-node recruitment costs and the cover minimizes total cost via
-/// the weighted greedy (ratio rule), still within the classic
-/// logarithmic factor of the optimal weighted cover.
-///
-/// `cost(v)` must be strictly positive and finite for every node the
-/// BBSTs propose as a candidate.
-///
-/// # Panics
-///
-/// Panics (inside the set-cover layer) if `cost` produces a
-/// non-positive or non-finite value for a candidate.
-///
-/// # Examples
-///
-/// ```
-/// use lcrb::{scbg_weighted, RumorBlockingInstance, ScbgConfig};
-/// use lcrb_community::Partition;
-/// use lcrb_graph::{DiGraph, NodeId};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let g = DiGraph::from_edges(4, [(0, 1), (1, 2), (1, 3)])?;
-/// let p = Partition::from_labels(vec![0, 0, 1, 1]);
-/// let inst = RumorBlockingInstance::new(g, p, 0, vec![NodeId::new(0)])?;
-/// // Uniform costs reduce to plain SCBG.
-/// let sol = scbg_weighted(&inst, &ScbgConfig::default(), |_| 1.0);
-/// assert!(sol.is_complete());
-/// # Ok(())
-/// # }
-/// ```
-pub fn scbg_weighted<F>(
-    instance: &RumorBlockingInstance,
-    config: &ScbgConfig,
-    cost: F,
-) -> ScbgSolution
-where
-    F: Fn(NodeId) -> f64,
-{
-    let bridge_ends = find_bridge_ends(instance, config.rule);
-    let (candidates, sets) = build_star_sets(
-        instance,
-        &bridge_ends,
-        config.max_bbst_depth,
-        &WorkMeter::unlimited(),
-    )
-    // xtask-allow: panic -- an unlimited meter's poll never stops the build
-    .expect("unlimited meter cannot stop the star-set build");
-    let costs: Vec<f64> = candidates.iter().map(|&u| cost(u)).collect();
-    let solution = crate::setcover::greedy_weighted_set_cover(bridge_ends.len(), &sets, &costs);
-    ScbgSolution {
-        protectors: solution.selected.iter().map(|&i| candidates[i]).collect(),
-        covered: solution.covered,
-        candidate_count: candidates.len(),
-        bridge_ends,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,43 +317,6 @@ mod tests {
                 assert!(!outcome.status(v).is_infected());
             }
         }
-    }
-
-    #[test]
-    fn weighted_scbg_avoids_expensive_nodes() {
-        // Gateway 1 covers both bridge ends but costs a fortune;
-        // protecting the two bridge ends directly is cheaper.
-        let g = DiGraph::from_edges(5, [(0, 1), (1, 3), (1, 4)]).unwrap();
-        let inst = instance(g, vec![0, 0, 0, 1, 1], vec![0]);
-        let cheap = scbg_weighted(&inst, &ScbgConfig::default(), |v| {
-            if v == NodeId::new(1) {
-                100.0
-            } else {
-                1.0
-            }
-        });
-        assert!(cheap.is_complete());
-        let mut got = cheap.protectors.clone();
-        got.sort_unstable();
-        assert_eq!(got, vec![NodeId::new(3), NodeId::new(4)]);
-        // With uniform costs, the shared gateway wins again.
-        let uniform = scbg_weighted(&inst, &ScbgConfig::default(), |_| 1.0);
-        assert_eq!(uniform.protectors, vec![NodeId::new(1)]);
-        assert_all_bridge_ends_protected(&inst, &cheap);
-        assert_all_bridge_ends_protected(&inst, &uniform);
-    }
-
-    #[test]
-    fn weighted_scbg_with_uniform_costs_matches_plain_size() {
-        let mut rng = SmallRng::seed_from_u64(40);
-        let (g, labels) =
-            generators::planted_partition(&[25, 25], 0.3, 0.03, false, &mut rng).unwrap();
-        let p = Partition::from_labels(labels);
-        let inst = RumorBlockingInstance::with_random_seeds(g, p, 0, 2, &mut rng).unwrap();
-        let plain = scbg(&inst, &ScbgConfig::default());
-        let weighted = scbg_weighted(&inst, &ScbgConfig::default(), |_| 1.0);
-        assert!(weighted.is_complete());
-        assert_eq!(plain.protectors.len(), weighted.protectors.len());
     }
 
     #[test]

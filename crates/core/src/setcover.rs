@@ -1,5 +1,5 @@
 //! Greedy set cover (Algorithm 2 of the paper) with lazy evaluation,
-//! plus a weighted variant and the `H(n)` approximation bound.
+//! plus the `H(n)` approximation bound.
 //!
 //! Theorem 2/3 of the paper reduce LCRB-D to set cover: greedy gives
 //! the optimal-up-to-constants `O(ln n)` factor, and no polynomial
@@ -18,9 +18,6 @@ pub struct SetCoverSolution {
     pub selected: Vec<usize>,
     /// Number of universe elements covered by the selection.
     pub covered: usize,
-    /// Total cost of the selection (= `selected.len()` for the
-    /// unweighted variant).
-    pub cost: f64,
 }
 
 /// Classic greedy set cover: repeatedly pick the set covering the
@@ -130,78 +127,11 @@ pub(crate) fn greedy_set_cover_metered(
     }
     Ok((
         SetCoverSolution {
-            cost: selected.len() as f64,
             selected,
             covered: covered_count,
         },
         stop,
     ))
-}
-
-/// Weighted greedy set cover: repeatedly pick the set minimizing
-/// `cost / newly covered elements`. Provided as an extension for
-/// protector-cost variants of LCRB-D.
-///
-/// # Panics
-///
-/// Panics if `sets` and `costs` differ in length, if a cost is not
-/// strictly positive and finite, or if an element is outside the
-/// universe.
-#[must_use]
-pub fn greedy_weighted_set_cover(
-    universe_size: usize,
-    sets: &[Vec<u32>],
-    costs: &[f64],
-) -> SetCoverSolution {
-    assert_eq!(sets.len(), costs.len(), "one cost per set required");
-    for (i, &c) in costs.iter().enumerate() {
-        assert!(
-            c.is_finite() && c > 0.0,
-            "cost of set {i} must be positive and finite, got {c}"
-        );
-    }
-    for (i, s) in sets.iter().enumerate() {
-        for &e in s {
-            assert!(
-                (e as usize) < universe_size,
-                "set {i} contains element {e} outside universe of size {universe_size}"
-            );
-        }
-    }
-    let mut covered = vec![false; universe_size];
-    let mut covered_count = 0usize;
-    let mut selected = Vec::new();
-    let mut total_cost = 0.0;
-    let mut active: Vec<usize> = (0..sets.len()).collect();
-
-    while covered_count < universe_size {
-        let mut best: Option<(f64, usize)> = None;
-        active.retain(|&i| {
-            let gain = sets[i].iter().filter(|&&e| !covered[e as usize]).count();
-            if gain == 0 {
-                return false;
-            }
-            let ratio = costs[i] / gain as f64;
-            if best.is_none_or(|(b, _)| ratio < b) {
-                best = Some((ratio, i));
-            }
-            true
-        });
-        let Some((_, i)) = best else { break };
-        selected.push(i);
-        total_cost += costs[i];
-        for &e in &sets[i] {
-            if !covered[e as usize] {
-                covered[e as usize] = true;
-                covered_count += 1;
-            }
-        }
-    }
-    SetCoverSolution {
-        selected,
-        covered: covered_count,
-        cost: total_cost,
-    }
 }
 
 /// The harmonic number `H(n) = 1 + 1/2 + ... + 1/n`, the greedy set
@@ -224,7 +154,6 @@ mod tests {
         assert_eq!(sol.selected.len(), 2);
         assert!(sol.selected.contains(&0));
         assert!(sol.selected.contains(&2));
-        assert_eq!(sol.cost, 2.0);
     }
 
     #[test]
@@ -288,39 +217,6 @@ mod tests {
             "{} > {bound}",
             sol.selected.len()
         );
-    }
-
-    #[test]
-    fn weighted_prefers_cheap_efficient_sets() {
-        // Set 0 covers everything at cost 10; sets 1 and 2 cover it
-        // in two steps at total cost 2.
-        let sets = vec![vec![0, 1, 2, 3], vec![0, 1], vec![2, 3]];
-        let costs = vec![10.0, 1.0, 1.0];
-        let sol = greedy_weighted_set_cover(4, &sets, &costs);
-        assert_eq!(sol.covered, 4);
-        assert_eq!(sol.cost, 2.0);
-        assert!(!sol.selected.contains(&0));
-    }
-
-    #[test]
-    fn weighted_with_uniform_costs_matches_unweighted_quality() {
-        let sets = vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![0, 3]];
-        let a = greedy_set_cover(4, &sets);
-        let b = greedy_weighted_set_cover(4, &sets, &[1.0; 4]);
-        assert_eq!(a.covered, b.covered);
-        assert_eq!(a.selected.len(), b.selected.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive and finite")]
-    fn weighted_rejects_zero_cost() {
-        let _ = greedy_weighted_set_cover(1, &[vec![0]], &[0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one cost per set")]
-    fn weighted_rejects_length_mismatch() {
-        let _ = greedy_weighted_set_cover(1, &[vec![0]], &[]);
     }
 
     #[test]

@@ -27,7 +27,9 @@
 
 use std::sync::Arc;
 
-use lcrb_diffusion::{rr_sketch_batch_into, OpoaoRealization, RrScratch, SketchBatch, WorkMeter};
+use lcrb_diffusion::{
+    derive_stream, rr_sketch_batch_into, OpoaoRealization, RrScratch, SketchBatch, WorkMeter,
+};
 use lcrb_graph::NodeId;
 
 use crate::{LcrbError, RumorBlockingInstance};
@@ -129,14 +131,6 @@ impl SketchParams {
         (2.0 + 2.0 * self.epsilon / 3.0) * (2.0 / self.delta).ln()
             / (self.epsilon * self.epsilon * p_hat)
     }
-}
-
-/// Derives a decorrelated RNG stream — the shared
-/// [`lcrb_diffusion::derive_stream`] primitive, re-exposed under the
-/// name the engine and estimators historically use.
-#[inline]
-pub(crate) fn mix(master: u64, stream: u64) -> u64 {
-    lcrb_diffusion::derive_stream(master, stream)
 }
 
 /// Epoch-versioned scratch for [`SketchObjective::sigma_with`]
@@ -363,9 +357,13 @@ impl SketchIndex {
                     csr,
                     rumors,
                     |g| {
-                        let target = bridge_ends
-                            [(mix(master_seed, 2 * g) % bridge_ends.len() as u64) as usize];
-                        (target, OpoaoRealization::new(mix(master_seed, 2 * g + 1)))
+                        let target = bridge_ends[(derive_stream(master_seed, 2 * g)
+                            % bridge_ends.len() as u64)
+                            as usize];
+                        (
+                            target,
+                            OpoaoRealization::new(derive_stream(master_seed, 2 * g + 1)),
+                        )
                     },
                     generated as u64,
                     theta as u64,

@@ -1,12 +1,16 @@
 //! Property-based tests for the LCRB algorithms, including empirical
 //! checks of the paper's theory: per-realization monotonicity and
 //! submodularity of the protector-blocking count (Lemma 4 / Theorem
-//! 1), the exactness of SCBG covers, and set-cover invariants.
+//! 1), the exactness of SCBG covers, set-cover invariants, and the
+//! selection contract of `Solver::solve` on degenerate instances.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use lcrb::setcover::{greedy_set_cover, harmonic};
 use lcrb::{
-    find_bridge_ends, greedy_with_budget, protectors_to_cover_all, scbg, BridgeEndRule,
-    GreedyConfig, MaxDegreeSelector, ProtectionObjective, RumorBlockingInstance, ScbgConfig,
+    find_bridge_ends, greedy_with_budget, max_degree_ordering, protectors_to_cover_all, scbg,
+    Algorithm, BridgeEndRule, Estimator, GreedyConfig, ProtectionObjective, RumorBlockingInstance,
+    ScbgConfig, SketchParams, SolveRequest, Solver,
 };
 use lcrb_community::Partition;
 use lcrb_diffusion::DoamModel;
@@ -40,6 +44,60 @@ fn arb_instance() -> impl Strategy<Value = RumorBlockingInstance> {
             })
     })
 }
+
+/// Small instances in four shapes, one per value of the first draw:
+/// 0 = a random two-community graph; 1 = the same with every edge
+/// leaving the rumor community dropped, so there are no bridge ends;
+/// 2 = the first rumor seed isolated (no edges in or out); 3 = a
+/// single community whose every node is a rumor seed.
+fn arb_degenerate_instance() -> impl Strategy<Value = RumorBlockingInstance> {
+    (0u32..4, 1usize..8, 1usize..8).prop_flat_map(|(shape, a, b)| {
+        let n = if shape == 3 { a } else { a + b };
+        (
+            proptest::collection::vec((0..n, 0..n), 0..(3 * n + 1)),
+            proptest::collection::btree_set(0..a, 1..(a + 1)),
+        )
+            .prop_map(move |(pairs, seeds)| {
+                let labels: Vec<usize> = (0..n).map(|i| usize::from(i >= a)).collect();
+                let seeds: Vec<usize> = if shape == 3 {
+                    (0..n).collect()
+                } else {
+                    seeds.into_iter().collect()
+                };
+                let isolated = (shape == 2).then_some(seeds[0]);
+                let mut g = DiGraph::with_nodes(n);
+                for (u, v) in pairs {
+                    let escapes = labels[u] == 0 && labels[v] != 0;
+                    if u == v
+                        || (shape == 1 && escapes)
+                        || isolated.is_some_and(|s| s == u || s == v)
+                    {
+                        continue;
+                    }
+                    let _ = g.add_edge(NodeId::new(u), NodeId::new(v));
+                }
+                RumorBlockingInstance::new(
+                    g,
+                    Partition::from_labels(labels),
+                    0,
+                    seeds.into_iter().map(NodeId::new).collect(),
+                )
+                .expect("seeds are in community 0 by construction")
+            })
+    })
+}
+
+/// Every selection algorithm a `SolveRequest` can name.
+const ALGORITHMS: [Algorithm; 8] = [
+    Algorithm::Greedy,
+    Algorithm::Scbg,
+    Algorithm::Gvs,
+    Algorithm::MaxDegree,
+    Algorithm::Proximity,
+    Algorithm::Random,
+    Algorithm::PageRank,
+    Algorithm::NoBlocking,
+];
 
 /// Distinct non-rumor nodes of an instance, for protector picks.
 fn non_rumor_nodes(inst: &RumorBlockingInstance) -> Vec<NodeId> {
@@ -172,7 +230,6 @@ proptest! {
                 covered[e as usize] = true;
             }
         }
-        prop_assert_eq!(sol.cost, sol.selected.len() as f64);
     }
 
     /// Greedy set cover respects the harmonic bound against a known
@@ -205,7 +262,7 @@ proptest! {
     /// necessary (dropping it leaves some bridge end unprotected).
     #[test]
     fn coverage_prefix_is_tight(inst in arb_instance()) {
-        let ordering = MaxDegreeSelector.ordering(&inst);
+        let ordering = max_degree_ordering(&inst);
         let Some(chosen) = protectors_to_cover_all(
             &inst,
             BridgeEndRule::WithinCommunity,
@@ -257,5 +314,56 @@ proptest! {
             prop_assert!(w[1] >= w[0] - 1e-12);
         }
         prop_assert_eq!(sel.sigma_history.len(), sel.protectors.len());
+    }
+
+    /// The selection contract of the single entry point: on small and
+    /// degenerate instances, every algorithm (the greedy under both
+    /// estimators) at budgets 0, 1 and 3 either returns distinct
+    /// non-rumor protectors, at most `budget` of them (SCBG covers
+    /// whatever the budget), or a typed `LcrbError` — and never
+    /// panics.
+    #[test]
+    fn every_algorithm_honors_the_selection_contract(inst in arb_degenerate_instance()) {
+        let solver = Solver::new(inst);
+        let sketch = Estimator::Sketch(SketchParams {
+            min_sketches: 16,
+            max_sketches: 64,
+            ..SketchParams::default()
+        });
+        for budget in [0, 1, 3] {
+            let base = SolveRequest {
+                realizations: 4,
+                max_hops: 8,
+                mc_runs: 2,
+                ..SolveRequest::greedy_budget(budget)
+            };
+            let requests = ALGORITHMS
+                .iter()
+                .map(|&algorithm| SolveRequest { algorithm, ..base.clone() })
+                .chain([base.clone().with_estimator(sketch)]);
+            for request in requests {
+                let name = request.algorithm.name();
+                match catch_unwind(AssertUnwindSafe(|| solver.solve(&request))) {
+                    Err(_) => prop_assert!(false, "{name} at budget {budget} panicked"),
+                    Ok(Err(_typed)) => {}
+                    Ok(Ok(report)) => {
+                        let mut seen = std::collections::HashSet::new();
+                        for &p in &report.protectors {
+                            prop_assert!(
+                                !solver.instance().is_rumor_seed(p),
+                                "{name} picked rumor seed {p}"
+                            );
+                            prop_assert!(seen.insert(p), "{name} picked {p} twice");
+                        }
+                        prop_assert!(
+                            request.algorithm == Algorithm::Scbg
+                                || report.protectors.len() <= budget,
+                            "{name} picked {} protectors at budget {budget}",
+                            report.protectors.len()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

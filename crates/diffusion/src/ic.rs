@@ -15,7 +15,9 @@ use rand::Rng;
 // xtask-allow: hotpath -- DiGraph is imported only for the documented one-off convenience wrapper
 use lcrb_graph::{CsrGraph, DiGraph, NodeId};
 
-use crate::{DiffusionOutcome, SeedSets, SimWorkspace, Status, TwoCascadeModel};
+use crate::{
+    derive_stream, splitmix64, DiffusionOutcome, SeedSets, SimWorkspace, Status, TwoCascadeModel,
+};
 
 /// Error returned when constructing a [`CompetitiveIcModel`] with an
 /// invalid probability.
@@ -95,14 +97,6 @@ pub struct IcRealization {
     seed: u64,
 }
 
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 impl IcRealization {
     /// Creates the realization identified by `seed`.
     #[must_use]
@@ -111,11 +105,12 @@ impl IcRealization {
     }
 
     /// Derives a batch of independent realizations from a master
-    /// seed.
+    /// seed (realization `i` uses the stream
+    /// [`derive_stream`]`(master, i)`).
     #[must_use]
     pub fn batch(count: usize, master_seed: u64) -> Vec<Self> {
         (0..count as u64)
-            .map(|i| IcRealization::new(splitmix64(master_seed ^ splitmix64(i))))
+            .map(|i| IcRealization::new(derive_stream(master_seed, i)))
             .collect()
     }
 

@@ -231,66 +231,20 @@ pub fn monte_carlo_csr<M>(
 where
     M: TwoCascadeModel + Sync,
 {
-    let runs = config.runs;
-    if runs == 0 {
-        return AveragedOutcome {
-            runs: 0,
-            mean_infected_by_hop: Vec::new(),
-            mean_protected_by_hop: Vec::new(),
-            std_final_infected: 0.0,
-        };
-    }
-    let threads = config.effective_threads().min(runs).max(1);
-    if threads == 1 {
-        let mut acc = SeriesAccumulator::default();
-        let mut ws = SimWorkspace::with_capacity(graph.node_count());
-        for run in 0..runs {
-            let mut rng = SmallRng::seed_from_u64(run_seed(config.base_seed, run));
-            model.run_into(graph, seeds, &mut ws, &mut rng);
-            acc.add_trace(ws.trace());
-        }
-        return acc.into_average();
-    }
-    let accumulators = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let base_seed = config.base_seed;
-            handles.push(scope.spawn(move || {
-                let mut acc = SeriesAccumulator::default();
-                let mut ws = SimWorkspace::with_capacity(graph.node_count());
-                let mut run = t;
-                while run < runs {
-                    let mut rng = SmallRng::seed_from_u64(run_seed(base_seed, run));
-                    model.run_into(graph, seeds, &mut ws, &mut rng);
-                    acc.add_trace(ws.trace());
-                    run += threads;
-                }
-                acc
-            }));
-        }
-        handles
-            .into_iter()
-            // xtask-allow: panic -- re-raising a worker panic on the coordinating thread is the intended behavior
-            .map(|h| h.join().expect("monte carlo worker panicked"))
-            .collect::<Vec<_>>()
-    });
-
-    accumulators
-        .into_iter()
-        .reduce(SeriesAccumulator::merge)
-        // xtask-allow: panic -- thread count is clamped to at least 1, so one accumulator always exists
-        .expect("at least one worker")
-        .into_average()
+    monte_carlo_csr_budgeted(model, graph, seeds, config, &mut WorkMeter::unlimited())
+        // xtask-allow: panic -- an unlimited meter has no cap to charge against and no token or deadline to observe
+        .expect("an unlimited meter cannot stop the batch")
 }
 
 /// [`monte_carlo_csr`] under a [`WorkMeter`]: the batch's simulation
 /// cost is charged up front (all-or-nothing against
 /// [`crate::RunBudget::max_sims`]) and cancellation/deadline polls run
-/// per simulation.
+/// per simulation — only when the meter has a token or deadline to
+/// observe, so an unmetered batch runs the bare loop.
 ///
 /// The checkpoint discipline keeps the work-budget path
 /// deterministic: either the whole batch fits under the cap and the
-/// result is bitwise-identical to [`monte_carlo_csr`] (for any thread
+/// result is bitwise-identical to an unlimited run (for any thread
 /// count), or the kernel stops *before* running it — a truncated
 /// average is never produced. Cancellation and deadlines observed
 /// mid-batch also discard the batch by returning the stop instead of
@@ -311,16 +265,19 @@ where
     M: TwoCascadeModel + Sync,
 {
     meter.charge_sims(config.runs as u64)?;
-    if !meter.polls_needed() || config.runs == 0 {
-        return Ok(monte_carlo_csr(model, graph, seeds, config));
-    }
     let runs = config.runs;
+    if runs == 0 {
+        return Ok(SeriesAccumulator::default().into_average());
+    }
+    let polls = meter.polls_needed();
     let threads = config.effective_threads().min(runs).max(1);
     if threads == 1 {
         let mut acc = SeriesAccumulator::default();
         let mut ws = SimWorkspace::with_capacity(graph.node_count());
         for run in 0..runs {
-            meter.poll()?;
+            if polls {
+                meter.poll()?;
+            }
             let mut rng = SmallRng::seed_from_u64(run_seed(config.base_seed, run));
             model.run_into(graph, seeds, &mut ws, &mut rng);
             acc.add_trace(ws.trace());
@@ -329,6 +286,7 @@ where
     }
     let shared: &WorkMeter = meter;
     let accumulators = std::thread::scope(|scope| {
+        // xtask-allow: hotreach -- one join handle per worker per batch, outside the per-run loop
         let mut handles = Vec::with_capacity(threads);
         for t in 0..threads {
             let base_seed = config.base_seed;
@@ -337,7 +295,7 @@ where
                 let mut ws = SimWorkspace::with_capacity(graph.node_count());
                 let mut run = t;
                 while run < runs {
-                    if shared.poll().is_err() {
+                    if polls && shared.poll().is_err() {
                         // The stop is re-observed (and reported) by
                         // the coordinator's poll below; both stop
                         // conditions are monotone.
@@ -355,6 +313,7 @@ where
             .into_iter()
             // xtask-allow: panic -- re-raising a worker panic on the coordinating thread is the intended behavior
             .map(|h| h.join().expect("monte carlo worker panicked"))
+            // xtask-allow: hotreach -- one accumulator per worker per batch, gathered once for the merge
             .collect::<Vec<_>>()
     });
     meter.poll()?;

@@ -20,6 +20,8 @@
 
 use lcrb_graph::NodeId;
 
+use crate::{derive_stream, splitmix64};
+
 /// One fixed realization of all OPOAO random choices.
 ///
 /// # Examples
@@ -39,14 +41,6 @@ pub struct OpoaoRealization {
     seed: u64,
 }
 
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 impl OpoaoRealization {
     /// Creates the realization identified by `seed`.
     #[must_use]
@@ -55,11 +49,12 @@ impl OpoaoRealization {
     }
 
     /// Derives a batch of `count` independent realizations from a
-    /// master seed (realization `i` uses a hash of `(master, i)`).
+    /// master seed (realization `i` uses the stream
+    /// [`derive_stream`]`(master, i)`).
     #[must_use]
     pub fn batch(count: usize, master_seed: u64) -> Vec<Self> {
         (0..count as u64)
-            .map(|i| OpoaoRealization::new(splitmix64(master_seed ^ splitmix64(i))))
+            .map(|i| OpoaoRealization::new(derive_stream(master_seed, i)))
             .collect()
     }
 

@@ -36,7 +36,9 @@
 //!   `charge_sims`, ...) — directly, through a helper, or inside the
 //!   kernel itself. Reachability reuses the workspace call graph, so
 //!   a loop calling an internally-metered kernel passes without a
-//!   redundant outer poll.
+//!   redundant outer poll. Reach stops at a fn that builds
+//!   `WorkMeter::unlimited()`: the kernels below it poll a meter
+//!   that never stops.
 //! - **`pubapi`** — renders the deterministic public-API surface from
 //!   the symbol model ([`api_surface`]) and diffs it against the
 //!   checked-in `docs/api-baseline.txt` ([`pubapi_diff`]); drift
@@ -550,8 +552,13 @@ const CHECKPOINT_CALLS: [&str; 5] = [
 /// The set of fns that transitively contain a call site naming one
 /// of `names`: seeds are direct callers (resolved or not, so
 /// cross-crate method calls like `meter.poll()` count), propagated
-/// to callers through the resolved call graph.
-fn callers_reaching(model: &WorkspaceModel, names: &[&str]) -> BTreeSet<usize> {
+/// to callers through the resolved call graph. Fns in `barrier` are
+/// never reached by propagation, only as seeds.
+fn callers_reaching(
+    model: &WorkspaceModel,
+    names: &[&str],
+    barrier: &BTreeSet<usize>,
+) -> BTreeSet<usize> {
     let mut reverse: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     let mut set = BTreeSet::new();
     let mut queue: VecDeque<usize> = VecDeque::new();
@@ -567,7 +574,7 @@ fn callers_reaching(model: &WorkspaceModel, names: &[&str]) -> BTreeSet<usize> {
     }
     while let Some(cur) = queue.pop_front() {
         for &caller in reverse.get(&cur).into_iter().flatten() {
-            if set.insert(caller) {
+            if !barrier.contains(&caller) && set.insert(caller) {
                 queue.push_back(caller);
             }
         }
@@ -648,8 +655,23 @@ pub fn cancelpoint(model: &WorkspaceModel) -> Vec<Violation> {
             .chain(CANCEL_KERNELS.iter())
             .copied()
             .collect::<Vec<_>>(),
+        &BTreeSet::new(),
     );
-    let checkpoint_reach = callers_reaching(model, &CHECKPOINT_CALLS);
+    // A fn that builds `WorkMeter::unlimited()` hands its callees a
+    // meter that never stops, so the checkpoints they reach cannot
+    // observe a cancel or a deadline on its behalf.
+    let unmetered: BTreeSet<usize> = model
+        .fns
+        .iter()
+        .enumerate()
+        .filter(|(_, f)| {
+            f.calls
+                .iter()
+                .any(|c| c.callee == "unlimited" && c.qualifier.as_deref() == Some("WorkMeter"))
+        })
+        .map(|(i, _)| i)
+        .collect();
+    let checkpoint_reach = callers_reaching(model, &CHECKPOINT_CALLS, &unmetered);
 
     let mut out = Vec::new();
     for (fi, f) in model.fns.iter().enumerate() {

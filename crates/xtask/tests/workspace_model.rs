@@ -598,6 +598,33 @@ fn monte_carlo_csr_budgeted(x: u32, meter: &mut WorkMeter) -> u32 {
 }
 
 #[test]
+fn cancelpoint_flags_a_kernel_behind_an_unlimited_meter() {
+    // The wrapper reaches `charge_sims`, but only on a meter that never
+    // stops, so the loop still cannot observe a cancel or a deadline.
+    let src = r#"
+pub fn drain(n: u32) -> u32 {
+    let mut acc = 0;
+    while acc < n {
+        acc += estimate(acc);
+    }
+    acc
+}
+fn estimate(x: u32) -> u32 {
+    monte_carlo_csr_budgeted(x, &mut WorkMeter::unlimited())
+}
+fn monte_carlo_csr_budgeted(x: u32, meter: &mut WorkMeter) -> u32 {
+    meter.charge_sims(1);
+    x + 1
+}
+"#;
+    let model = WorkspaceModel::from_sources(&[(HOT_FIXTURE, src)]);
+    let violations = wrules::cancelpoint(&model);
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert_eq!(violations[0].line, 4);
+    assert!(violations[0].message.contains("estimate"));
+}
+
+#[test]
 fn cancelpoint_skips_bounded_for_loops_and_cold_files() {
     // `for` is bounded by its iterator: no checkpoint required.
     let bounded = r#"

@@ -57,26 +57,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Step 4: SCBG computes the cheapest full-coverage briefing list.
-    let solution = scbg(&instance, &ScbgConfig::default());
+    let solver = Solver::new(instance);
+    let solution = solver.solve(&SolveRequest::scbg())?;
     let budget = solution.protectors.len();
     println!("scbg needs {budget} employees briefed with the facts");
 
     // Step 5: compare against the intuitive alternatives at the SAME
     // staffing budget, under the DOAM (broadcast) model.
-    let sets = vec![
-        ("scbg".to_owned(), solution.protectors.clone()),
-        (
-            "proximity".to_owned(),
-            ProximitySelector.select(&instance, budget, &mut rng),
-        ),
-        (
-            "max-degree".to_owned(),
-            MaxDegreeSelector.select(&instance, budget, &mut rng),
-        ),
-        ("do-nothing".to_owned(), Vec::new()),
-    ];
+    let mut sets = vec![("scbg".to_owned(), solution.protectors)];
+    for algorithm in [Algorithm::Proximity, Algorithm::MaxDegree] {
+        let report = solver.solve(&SolveRequest::heuristic(algorithm, budget))?;
+        sets.push((report.algorithm, report.protectors));
+    }
+    sets.push(("do-nothing".to_owned(), Vec::new()));
     let report = evaluate_protector_sets(
-        &instance,
+        solver.instance(),
         &DoamModel::default(),
         &sets,
         &MonteCarloConfig {

@@ -73,13 +73,10 @@ pub use lcrb;
 /// One-stop imports for the common workflow.
 pub mod prelude {
     pub use lcrb::{
-        find_bridge_ends, greedy_lcrb_p, greedy_viral_stopper, greedy_with_budget, scbg,
-        scbg_weighted, Algorithm, BridgeEndRule, Budgeted, CacheStats, CancelToken, CandidatePool,
-        Completion, Estimator, GreedyConfig, GvsConfig, LcrbError, MaxDegreeSelector,
-        NoBlockingSelector, ObjectiveModel, PageRankSelector, ProtectorSelector, ProximitySelector,
-        RandomSelector, RumorBlockingInstance, RunBudget, ScbgConfig, Selector, SketchIndex,
-        SketchObjective, SketchParams, SolveDetail, SolveReport, SolveRequest, Solver,
-        SolverConfig, StopReason, StopRule,
+        find_bridge_ends, greedy_with_budget, scbg, Algorithm, BridgeEndRule, CacheStats,
+        CancelToken, CandidatePool, Completion, Estimator, GreedyConfig, LcrbError, ObjectiveModel,
+        RumorBlockingInstance, RunBudget, ScbgConfig, SketchIndex, SketchObjective, SketchParams,
+        SolveDetail, SolveReport, SolveRequest, Solver, SolverConfig, StopReason, StopRule,
     };
     pub use lcrb_community::{louvain, LouvainConfig, Partition};
     pub use lcrb_datasets::{enron_like, hep_like, DatasetConfig};

@@ -119,11 +119,11 @@ fn greedy_beats_no_blocking_under_opoao() {
 #[test]
 fn scbg_needs_fewer_protectors_than_coverage_heuristics() {
     // The Table I headline, as a regression test at small scale.
-    use lcrb::protectors_to_cover_all;
+    use lcrb::{max_degree_ordering, protectors_to_cover_all};
     let inst = hep_instance(0.08, 5, 8);
     let solution = scbg(&inst, &ScbgConfig::default());
 
-    let md_order = MaxDegreeSelector.ordering(&inst);
+    let md_order = max_degree_ordering(&inst);
     let md = protectors_to_cover_all(&inst, BridgeEndRule::WithinCommunity, &md_order)
         .expect("max-degree ordering covers eventually");
     assert!(
@@ -140,14 +140,17 @@ fn alpha_one_greedy_matches_problem_definition() {
     // alpha close to 1 should protect nearly all bridge ends in
     // expectation.
     let inst = hep_instance(0.04, 3, 2);
-    let cfg = GreedyConfig {
-        alpha: 0.9,
-        realizations: 16,
-        candidates: CandidatePool::BbstUnion,
-        master_seed: 2,
-        ..GreedyConfig::default()
+    let solver = Solver::with_config(inst, SolverConfig { master_seed: 2 });
+    let report = solver
+        .solve(&SolveRequest {
+            realizations: 16,
+            candidates: CandidatePool::BbstUnion,
+            ..SolveRequest::greedy_alpha(0.9)
+        })
+        .unwrap();
+    let SolveDetail::Greedy(sel) = report.detail else {
+        panic!("a greedy request carries a greedy detail");
     };
-    let sel = greedy_lcrb_p(&inst, &cfg).unwrap();
     assert!(sel.target_met, "greedy failed to hit alpha = 0.9 target");
     assert!(sel.achieved >= 0.9 * sel.bridge_ends.len() as f64 - 1e-9);
 }
