@@ -87,6 +87,9 @@ fn parse_options(args: &[String]) -> Result<CliOptions, String> {
                 opts.runs = value("--runs")?
                     .parse()
                     .map_err(|e| format!("bad --runs: {e}"))?;
+                if opts.runs == 0 {
+                    return Err("--runs must be at least 1".to_owned());
+                }
             }
             "--seed" => {
                 opts.seed = value("--seed")?
@@ -102,6 +105,9 @@ fn parse_options(args: &[String]) -> Result<CliOptions, String> {
                 opts.realizations = value("--realizations")?
                     .parse()
                     .map_err(|e| format!("bad --realizations: {e}"))?;
+                if opts.realizations == 0 {
+                    return Err("--realizations must be at least 1".to_owned());
+                }
             }
             "--out" => opts.out = value("--out")?,
             "--full-greedy" => opts.full_greedy = true,
@@ -127,7 +133,7 @@ fn parse_options(args: &[String]) -> Result<CliOptions, String> {
                         .map_err(|e| format!("bad --delta: {e}"))?,
                 );
             }
-            other => return Err(format!("unknown flag {other}\n{}", usage())),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
     if let Estimator::Sketch(ref mut params) = opts.estimator {
@@ -294,7 +300,7 @@ fn main() -> ExitCode {
     let opts = match parse_options(rest) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: {e}\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
@@ -317,5 +323,36 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<CliOptions, String> {
+        let args: Vec<String> = args.iter().map(|&a| a.to_owned()).collect();
+        parse_options(&args)
+    }
+
+    #[test]
+    fn zero_counts_are_rejected() {
+        for (flag, message) in [
+            ("--realizations", "--realizations must be at least 1"),
+            ("--runs", "--runs must be at least 1"),
+        ] {
+            assert_eq!(parse(&[flag, "0"]).err().as_deref(), Some(message));
+            assert!(parse(&[flag, "1"]).is_ok(), "{flag} 1");
+        }
+    }
+
+    #[test]
+    fn out_of_range_scale_is_rejected() {
+        let err = parse(&["--scale", "0"]).err().unwrap_or_default();
+        assert!(err.contains("--scale must be in (0, 1]"), "{err}");
+        assert_eq!(
+            parse(&["--scale", "0.5"]).ok().and_then(|o| o.scale),
+            Some(0.5)
+        );
     }
 }

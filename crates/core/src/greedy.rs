@@ -15,7 +15,9 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use lcrb_diffusion::{ScratchPool, SimWorkspace, StopReason, WorkMeter};
+use lcrb_diffusion::{
+    LaneWorkspace, ScratchPool, SimWorkspace, StopReason, WorkMeter, OPOAO_LANES,
+};
 use lcrb_graph::traversal::{CsrBfsScratch, Direction};
 use lcrb_graph::NodeId;
 
@@ -122,7 +124,10 @@ pub struct GreedySelection {
     /// Whether the target was reached before the candidate pool or
     /// the budget ran out.
     pub target_met: bool,
-    /// Number of `σ̂` evaluations performed (CELF-vs-plain metric).
+    /// Number of logical `σ̂` evaluations (the CELF-vs-plain metric):
+    /// one per candidate set scored, however the evaluations were
+    /// packed — the initial sweep scores 64 candidates per OPOAO
+    /// realization pass and still counts each of them.
     pub evaluations: usize,
     /// The bridge ends protected against.
     pub bridge_ends: BridgeEnds,
@@ -213,12 +218,13 @@ pub(crate) enum SigmaBackend<'a> {
 
 /// Per-worker scratch covering either backend (all parts are empty
 /// until first used, so carrying the unused ones is free): a
-/// [`SimWorkspace`] plus a reusable seed pair for Monte Carlo,
-/// coverage stamps for sketches.
+/// [`SimWorkspace`] plus a reusable seed pair for Monte Carlo, lane
+/// masks for the packed OPOAO sweep, coverage stamps for sketches.
 #[derive(Debug, Default)]
 pub(crate) struct SigmaScratch {
     ws: SimWorkspace,
     seeds: Option<lcrb_diffusion::SeedSets>,
+    lanes: LaneWorkspace,
     coverage: CoverageScratch,
 }
 
@@ -621,11 +627,20 @@ fn candidate_pool(
     nodes
 }
 
-/// The initial CELF gain sweep. Cancellation/deadline polls run per
-/// candidate (the simulation cost was already charged whole by the
-/// caller); a stop surfaces as [`LcrbError::Interrupted`] and the
-/// sweep's partial results are discarded, so interruption can never
-/// produce a half-populated heap.
+/// The initial CELF gain sweep: `σ̂({c}) − σ̂(∅)` for every candidate
+/// `c`, spread over `threads` workers.
+///
+/// The OPOAO Monte-Carlo backend packs the pool, in order, into chunks
+/// of [`OPOAO_LANES`] candidates and runs one lane-kernel pass per
+/// (chunk, realization) unit. Each candidate's saved-bridge-end count
+/// is summed as an integer, so its `σ̂` equals what `sigma_with`
+/// returns, bit for bit, at any thread count. The sketch backend and
+/// the IC objective score one candidate per unit.
+///
+/// Cancellation/deadline polls run per unit (the simulation cost was
+/// already charged whole by the caller); a stop surfaces as
+/// [`LcrbError::Interrupted`] and the sweep's partial results are
+/// discarded, so interruption can never produce a half-populated heap.
 fn parallel_initial_gains(
     objective: &SigmaBackend<'_>,
     candidates: &[NodeId],
@@ -634,67 +649,125 @@ fn parallel_initial_gains(
     pool: &ScratchPool<SigmaScratch>,
     meter: &WorkMeter,
 ) -> Result<Vec<f64>, LcrbError> {
-    let threads = if threads > 0 {
+    if let SigmaBackend::Mc(obj) = objective {
+        if let Some(scorer) = obj.lane_scorer() {
+            let realizations = obj.realization_count();
+            let units = candidates.len().div_ceil(OPOAO_LANES) * realizations;
+            let partials = run_units(
+                units,
+                threads,
+                pool,
+                meter,
+                // xtask-allow: hotpath -- one accumulator per worker thread for the whole sweep
+                || vec![0; candidates.len()],
+                |unit, scratch, totals| {
+                    let lo = unit / realizations * OPOAO_LANES;
+                    let hi = (lo + OPOAO_LANES).min(candidates.len());
+                    scorer.add_saved(
+                        unit % realizations,
+                        candidates[lo..hi].iter().map(std::slice::from_ref),
+                        &mut scratch.lanes,
+                        &mut totals[lo..hi],
+                    )
+                },
+            )?;
+            // xtask-allow: hotpath -- once-per-sweep result buffer sized to the candidate pool
+            let mut totals = vec![0; candidates.len()];
+            for partial in partials {
+                for (total, saved) in totals.iter_mut().zip(partial) {
+                    *total += saved;
+                }
+            }
+            return Ok(totals
+                .into_iter()
+                .map(|total| obj.average(total) - sigma_empty)
+                .collect());
+        }
+    }
+    let partials = run_units(
+        candidates.len(),
+        threads,
+        pool,
+        meter,
+        // xtask-allow: hotpath -- one accumulator per worker thread for the whole sweep
+        Vec::new,
+        |i, scratch, sigmas| {
+            sigmas.push((i, objective.sigma_with(&[candidates[i]], scratch)?));
+            Ok(())
+        },
+    )?;
+    // xtask-allow: hotpath -- once-per-sweep result buffer sized to the candidate pool
+    let mut gains = vec![0.0; candidates.len()];
+    for (i, sigma) in partials.into_iter().flatten() {
+        gains[i] = sigma - sigma_empty;
+    }
+    Ok(gains)
+}
+
+/// Runs work units `0..units` on up to `threads` workers (0 = available
+/// parallelism), worker `t` taking units `t, t + workers, …`. Each
+/// worker leases one scratch for its whole share (the objective is
+/// shared immutably) and folds its units into its own accumulator
+/// from `init`; the accumulators come back in worker order.
+///
+/// Polls `meter` once per unit. After a stop the coordinator
+/// re-observes it (both stop conditions are monotone) and returns
+/// [`LcrbError::Interrupted`], discarding every accumulator.
+fn run_units<T, I, W>(
+    units: usize,
+    threads: usize,
+    pool: &ScratchPool<SigmaScratch>,
+    meter: &WorkMeter,
+    init: I,
+    work: W,
+) -> Result<Vec<T>, LcrbError>
+where
+    T: Send,
+    I: Fn() -> T + Sync,
+    W: Fn(usize, &mut SigmaScratch, &mut T) -> Result<(), LcrbError> + Sync,
+{
+    let workers = if threads > 0 {
         threads
     } else {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
     }
-    .min(candidates.len())
+    .min(units)
     .max(1);
-
-    if threads == 1 {
-        let mut ws = pool.lease();
-        return candidates
-            .iter()
-            .map(|&c| {
-                meter
-                    .poll()
-                    .map_err(|reason| LcrbError::Interrupted { reason })?;
-                Ok(objective.sigma_with(&[c], &mut ws)? - sigma_empty)
-            })
-            .collect();
-    }
-    let results = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            handles.push(scope.spawn(move || {
-                // One scratch lease per worker for the whole sweep:
-                // the objective is shared immutably, scratch is
-                // private to the lease.
-                let mut ws = pool.lease();
-                // xtask-allow: hotpath -- one accumulator per worker thread for the whole sweep
-                let mut partial = Vec::new();
-                let mut i = t;
-                while i < candidates.len() {
-                    if meter.poll().is_err() {
-                        // Re-observed by the coordinator poll below;
-                        // both stop conditions are monotone.
-                        break;
-                    }
-                    partial.push((i, objective.sigma_with(&[candidates[i]], &mut ws)));
-                    i += threads;
-                }
-                partial
-            }));
+    let worker = |first: usize| -> Result<T, LcrbError> {
+        let mut scratch = pool.lease();
+        let mut acc = init();
+        let mut unit = first;
+        while unit < units {
+            meter
+                .poll()
+                .map_err(|reason| LcrbError::Interrupted { reason })?;
+            work(unit, &mut scratch, &mut acc)?;
+            unit += workers;
         }
-        handles
-            .into_iter()
-            // xtask-allow: panic -- re-raising a worker panic on the coordinating thread is the intended behavior
-            .flat_map(|h| h.join().expect("gain worker panicked"))
-            .collect::<Vec<_>>()
-    });
+        Ok(acc)
+    };
+    let results = if workers == 1 {
+        // xtask-allow: hotpath -- the single worker's accumulator, once per sweep
+        vec![worker(0)]
+    } else {
+        std::thread::scope(|scope| {
+            let worker = &worker;
+            let handles: Vec<_> = (0..workers)
+                .map(|t| scope.spawn(move || worker(t)))
+                .collect();
+            handles
+                .into_iter()
+                // xtask-allow: panic -- re-raising a worker panic on the coordinating thread is the intended behavior
+                .map(|h| h.join().expect("gain worker panicked"))
+                .collect::<Vec<_>>()
+        })
+    };
     meter
         .poll()
         .map_err(|reason| LcrbError::Interrupted { reason })?;
-
-    // xtask-allow: hotpath -- once-per-sweep result buffer sized to the candidate pool
-    let mut gains = vec![0.0; candidates.len()];
-    for (i, sigma) in results {
-        gains[i] = sigma? - sigma_empty;
-    }
-    Ok(gains)
+    results.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -955,6 +1028,128 @@ mod tests {
             sk_q - empty >= 0.5 * (mc_q - empty) - 1e-9,
             "sketch quality {sk_q} too far below MC {mc_q} (empty {empty})"
         );
+    }
+
+    /// 150 nodes, two rumor seeds: 148 candidates under `AllNonRumor`,
+    /// two full lane chunks and a partial third.
+    fn three_chunk_instance() -> (RumorBlockingInstance, BridgeEnds, Vec<NodeId>) {
+        let mut rng = SmallRng::seed_from_u64(23);
+        let (g, labels) =
+            generators::planted_partition(&[50, 50, 50], 0.12, 0.02, false, &mut rng).unwrap();
+        let p = Partition::from_labels(labels);
+        let inst = RumorBlockingInstance::with_random_seeds(g, p, 0, 2, &mut rng).unwrap();
+        let bridges = find_bridge_ends(&inst, BridgeEndRule::default());
+        let candidates = candidate_pool(&inst, &bridges, CandidatePool::AllNonRumor);
+        assert!(candidates.len() > 2 * OPOAO_LANES);
+        assert_ne!(
+            candidates.len() % OPOAO_LANES,
+            0,
+            "the last chunk must be partial"
+        );
+        (inst, bridges, candidates)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn lane_sweep_matches_per_candidate_sigma_at_any_thread_count() {
+        let (inst, bridges, candidates) = three_chunk_instance();
+        let cfg = GreedyConfig {
+            realizations: 6,
+            max_hops: 12,
+            candidates: CandidatePool::AllNonRumor,
+            ..GreedyConfig::default()
+        };
+        let backend = build_backend(&inst, &cfg, bridges.nodes.clone()).unwrap();
+        let mut scratch = SigmaScratch::default();
+        let empty = backend.sigma_with(&[], &mut scratch).unwrap();
+        let expected: Vec<f64> = candidates
+            .iter()
+            .map(|&c| backend.sigma_with(&[c], &mut scratch).unwrap() - empty)
+            .collect();
+        assert!(expected.iter().any(|&gain| gain > 0.0));
+        let pool = ScratchPool::new();
+        for threads in [1, 2, 7] {
+            let gains = parallel_initial_gains(
+                &backend,
+                &candidates,
+                empty,
+                threads,
+                &pool,
+                &WorkMeter::unlimited(),
+            )
+            .unwrap();
+            assert_eq!(bits(&gains), bits(&expected), "threads {threads}");
+        }
+
+        let solves = [1, 2, 7]
+            .map(|threads| greedy_with_budget(&inst, 3, &GreedyConfig { threads, ..cfg }).unwrap());
+        assert_eq!(solves[0].protectors.len(), 3);
+        assert!(solves[0].evaluations > candidates.len());
+        for s in &solves[1..] {
+            assert_eq!(s.protectors, solves[0].protectors);
+            assert_eq!(bits(&s.sigma_history), bits(&solves[0].sigma_history));
+            assert_eq!(s.evaluations, solves[0].evaluations);
+        }
+    }
+
+    #[test]
+    fn cancelled_lane_sweep_returns_nothing() {
+        let (inst, bridges, candidates) = three_chunk_instance();
+        let cfg = GreedyConfig {
+            realizations: 4,
+            ..GreedyConfig::default()
+        };
+        let backend = build_backend(&inst, &cfg, bridges.nodes).unwrap();
+        let token = lcrb_diffusion::CancelToken::new();
+        token.cancel();
+        let meter = WorkMeter::new(lcrb_diffusion::RunBudget::unlimited(), Some(token), None);
+        for threads in [1, 3] {
+            let err = parallel_initial_gains(
+                &backend,
+                &candidates,
+                0.0,
+                threads,
+                &ScratchPool::new(),
+                &meter,
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                LcrbError::Interrupted {
+                    reason: StopReason::Cancelled
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn sigma_batch_matches_sigma_under_both_models() {
+        use lcrb_diffusion::CompetitiveIcModel;
+        let (inst, bridges, candidates) = three_chunk_instance();
+        let mut sets: Vec<Vec<NodeId>> = candidates.iter().map(|&c| vec![c]).collect();
+        sets.push(Vec::new());
+        sets.push(candidates[..5].to_vec());
+        for model in [
+            ObjectiveModel::default(),
+            ObjectiveModel::CompetitiveIc(CompetitiveIcModel::new(0.3).unwrap()),
+        ] {
+            let obj =
+                ProtectionObjective::with_model(&inst, bridges.nodes.clone(), model, 5, 9).unwrap();
+            let expected: Vec<f64> = sets.iter().map(|s| obj.sigma(s).unwrap()).collect();
+            assert_eq!(bits(&obj.sigma_batch(&sets).unwrap()), bits(&expected));
+            // The first invalid set's error, as `sigma` reports it.
+            let rumor = inst.rumor_seeds()[0];
+            let mut bad = sets.clone();
+            bad[100].push(rumor);
+            bad[120].push(NodeId::new(10_000));
+            assert_eq!(
+                obj.sigma_batch(&bad).unwrap_err(),
+                obj.sigma(&bad[100]).unwrap_err()
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! paper's protection target `α·|B|`.
 
 use lcrb_diffusion::{
-    CompetitiveIcModel, IcRealization, OpoaoModel, OpoaoRealization, SeedSets, SimWorkspace,
+    CompetitiveIcModel, IcRealization, LaneWorkspace, OpoaoModel, OpoaoRealization, SeedSets,
+    SimWorkspace, OPOAO_LANES,
 };
 use lcrb_graph::NodeId;
 
@@ -210,7 +211,64 @@ impl<'a> ProtectionObjective<'a> {
         let total: usize = (0..self.batch.len())
             .map(|i| self.saved(i, &seeds, ws))
             .sum();
-        Ok(total as f64 / self.batch.len() as f64)
+        Ok(self.average(total))
+    }
+
+    /// `σ̂` of every set in `protector_sets`, in order; each equals
+    /// [`ProtectionObjective::sigma_with`] on that set, bit for bit.
+    ///
+    /// Under OPOAO, [`OPOAO_LANES`] sets share each realization pass
+    /// ([`OpoaoModel::run_lanes_into`]); under IC, which has no lane
+    /// kernel, each set runs alone.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LcrbError::Seeds`] for the first set that is out of
+    /// bounds or overlaps the rumor seeds, as `sigma_with` would.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lcrb::{ProtectionObjective, RumorBlockingInstance};
+    /// use lcrb_community::Partition;
+    /// use lcrb_graph::{DiGraph, NodeId};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let g = DiGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)])?;
+    /// let p = Partition::from_labels(vec![0, 0, 1, 1]);
+    /// let inst = RumorBlockingInstance::new(g, p, 0, vec![NodeId::new(0)])?;
+    /// let obj = ProtectionObjective::new(&inst, vec![NodeId::new(2)], 16, 0, 31)?;
+    /// let sets = [vec![], vec![NodeId::new(1)], vec![NodeId::new(3)]];
+    /// let sigmas = obj.sigma_batch(&sets)?;
+    /// for (set, sigma) in sets.iter().zip(sigmas) {
+    ///     assert_eq!(sigma, obj.sigma(set)?);
+    /// }
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn sigma_batch<P: AsRef<[NodeId]>>(
+        &self,
+        protector_sets: &[P],
+    ) -> Result<Vec<f64>, LcrbError> {
+        let Some(scorer) = self.lane_scorer() else {
+            let mut ws = SimWorkspace::with_capacity(self.instance.graph().node_count());
+            return protector_sets
+                .iter()
+                .map(|set| self.sigma_with(set.as_ref(), &mut ws))
+                .collect();
+        };
+        let mut lanes = LaneWorkspace::new();
+        // xtask-allow: hotpath -- one-off batch entry point: one total per set, returned as σ̂
+        let mut totals = vec![0; protector_sets.len()];
+        for (sets, totals) in protector_sets
+            .chunks(OPOAO_LANES)
+            .zip(totals.chunks_mut(OPOAO_LANES))
+        {
+            for index in 0..self.batch.len() {
+                scorer.add_saved(index, sets, &mut lanes, totals)?;
+            }
+        }
+        Ok(totals.into_iter().map(|t| self.average(t)).collect())
     }
 
     /// `σ̂(protectors)` with *zero* per-query allocation: the seed
@@ -237,7 +295,26 @@ impl<'a> ProtectionObjective<'a> {
         let total: usize = (0..self.batch.len())
             .map(|i| self.saved(i, seeds, ws))
             .sum();
-        Ok(total as f64 / self.batch.len() as f64)
+        Ok(self.average(total))
+    }
+
+    /// The lane-packed scorer behind [`ProtectionObjective::sigma_batch`]
+    /// and the greedy's initial sweep; `None` under IC, which has no
+    /// lane kernel.
+    pub(crate) fn lane_scorer(&self) -> Option<LaneScorer<'_>> {
+        match &self.batch {
+            Batch::Opoao(model, realizations) => Some(LaneScorer {
+                objective: self,
+                model: *model,
+                realizations,
+            }),
+            Batch::Ic(..) => None,
+        }
+    }
+
+    /// `σ̂` from the saved-bridge-end count summed over the batch.
+    pub(crate) fn average(&self, total: usize) -> f64 {
+        total as f64 / self.batch.len() as f64
     }
 
     fn seed_sets(&self, protectors: &[NodeId]) -> Result<SeedSets, LcrbError> {
@@ -255,6 +332,56 @@ impl<'a> ProtectionObjective<'a> {
             .iter()
             .filter(|&&v| !ws.status(v).is_infected())
             .count()
+    }
+}
+
+/// Scores up to [`OPOAO_LANES`] protector sets per OPOAO realization
+/// pass: the lane kernel ([`OpoaoModel::run_lanes_into`]) plus the
+/// objective's bridge-end count.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LaneScorer<'o> {
+    objective: &'o ProtectionObjective<'o>,
+    model: OpoaoModel,
+    realizations: &'o [OpoaoRealization],
+}
+
+impl LaneScorer<'_> {
+    /// Runs realization `index` once for `sets` (at most
+    /// [`OPOAO_LANES`]) and adds each set's count of bridge ends not
+    /// infected to its slot of `totals`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LcrbError::Seeds`] for the first invalid set, as
+    /// [`ProtectionObjective::sigma_with`] would.
+    pub(crate) fn add_saved<I>(
+        &self,
+        index: usize,
+        sets: I,
+        lanes: &mut LaneWorkspace,
+        totals: &mut [usize],
+    ) -> Result<(), LcrbError>
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+        I::Item: AsRef<[NodeId]>,
+    {
+        let instance = self.objective.instance;
+        self.model.run_lanes_into(
+            instance.snapshot(),
+            instance.rumor_seeds(),
+            sets,
+            lanes,
+            &self.realizations[index],
+        )?;
+        for &v in &self.objective.bridge_ends {
+            let mut saved = lanes.lane_mask() & !lanes.infected(v);
+            while saved != 0 {
+                totals[saved.trailing_zeros() as usize] += 1;
+                saved &= saved - 1;
+            }
+        }
+        Ok(())
     }
 }
 

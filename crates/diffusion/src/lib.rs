@@ -82,7 +82,7 @@ pub use model::TwoCascadeModel;
 pub use montecarlo::{
     monte_carlo, monte_carlo_csr, monte_carlo_csr_budgeted, AveragedOutcome, MonteCarloConfig,
 };
-pub use opoao::{OpoaoModel, PAPER_OPOAO_HOPS};
+pub use opoao::{LaneWorkspace, OpoaoModel, OPOAO_LANES, PAPER_OPOAO_HOPS};
 pub use outcome::{DiffusionOutcome, HopRecord, Status};
 pub use pool::{ScratchLease, ScratchPool};
 pub use realization::OpoaoRealization;

@@ -14,10 +14,16 @@ use rand::Rng;
 // xtask-allow: hotpath -- DiGraph is imported only for the documented one-off convenience wrapper
 use lcrb_graph::{CsrGraph, DiGraph, NodeId};
 
-use crate::{DiffusionOutcome, OpoaoRealization, SeedSets, SimWorkspace, Status, TwoCascadeModel};
+use crate::{
+    DiffusionOutcome, OpoaoRealization, SeedError, SeedSets, SimWorkspace, Status, TwoCascadeModel,
+};
 
 /// Number of hops the paper simulates in Figures 4–6.
 pub const PAPER_OPOAO_HOPS: u32 = 31;
+
+/// Protector sets one [`OpoaoModel::run_lanes_into`] pass carries:
+/// one bit lane of a `u64` mask each.
+pub const OPOAO_LANES: usize = u64::BITS as usize;
 
 /// The OPOAO model configured with a hop budget.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -84,6 +90,306 @@ impl OpoaoModel {
         run_csr_with_choices(graph, seeds, self.max_hops, ws, |node, hop, degree| {
             realization.choice(node, hop, degree)
         });
+    }
+
+    /// Runs one realization for up to [`OPOAO_LANES`] protector sets
+    /// that share the rumor seeds, one set per bit lane of `lanes`.
+    ///
+    /// Lane `l`'s final statuses (read through
+    /// [`LaneWorkspace::infected`] and [`LaneWorkspace::protected`])
+    /// equal those of [`OpoaoModel::run_realized_into`] with rumors
+    /// `rumors` and protectors `protector_sets[l]`. A realization's
+    /// choice for (node, hop) does not depend on the seed sets, so the
+    /// lanes share one frontier and one `choice` per frontier node per
+    /// hop (DESIGN.md §2).
+    ///
+    /// # Errors
+    ///
+    /// Validates like [`SeedSets::set_protectors`], lane by lane:
+    /// [`SeedError::OutOfBounds`] for a seed outside `graph`,
+    /// [`SeedError::Overlap`] for a protector that is also a rumor
+    /// seed, and [`SeedError::TooManyLanes`] for more than
+    /// [`OPOAO_LANES`] sets. After an error `lanes` holds no result.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lcrb_diffusion::{LaneWorkspace, OpoaoModel, OpoaoRealization};
+    /// use lcrb_graph::{CsrGraph, DiGraph, NodeId};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let g = CsrGraph::from(&DiGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)])?);
+    /// let sets = [vec![], vec![NodeId::new(2)]];
+    /// let mut lanes = LaneWorkspace::new();
+    /// OpoaoModel::default().run_lanes_into(
+    ///     &g,
+    ///     &[NodeId::new(0)],
+    ///     sets.iter(),
+    ///     &mut lanes,
+    ///     &OpoaoRealization::new(7),
+    /// )?;
+    /// // Unprotected (lane 0) the rumor walks the path; a protector at
+    /// // node 2 (lane 1) saves node 3.
+    /// assert_eq!(lanes.infected(NodeId::new(3)), 0b01);
+    /// assert_eq!(lanes.protected(NodeId::new(3)), 0b10);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn run_lanes_into<I>(
+        &self,
+        graph: &CsrGraph,
+        rumors: &[NodeId],
+        protector_sets: I,
+        lanes: &mut LaneWorkspace,
+        realization: &OpoaoRealization,
+    ) -> Result<(), SeedError>
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+        I::Item: AsRef<[NodeId]>,
+    {
+        let sets = protector_sets.into_iter();
+        if sets.len() > OPOAO_LANES {
+            return Err(SeedError::TooManyLanes { sets: sets.len() });
+        }
+        lanes.begin(graph, sets.len());
+        lanes.place_seeds(rumors, sets)?;
+        lanes.run(graph, self.max_hops, realization);
+        Ok(())
+    }
+}
+
+/// A node's state across the lanes of one packed run: bit `l` is set
+/// where the node is infected (or protected) under protector set `l`.
+/// As a claim, the same pair holds the lanes whose rumor (`infected`)
+/// or protector (`protected`) cascade targets the node this hop.
+#[derive(Clone, Copy, Debug, Default)]
+struct LaneMasks {
+    infected: u64,
+    protected: u64,
+}
+
+impl LaneMasks {
+    #[inline]
+    fn active(self) -> u64 {
+        self.infected | self.protected
+    }
+}
+
+/// Reusable scratch and result state for
+/// [`OpoaoModel::run_lanes_into`]: about 44 bytes per node, grown on
+/// first use and kept across runs, so repeated runs allocate nothing.
+///
+/// After a run, [`LaneWorkspace::infected`] and
+/// [`LaneWorkspace::protected`] give each node's final status in every
+/// lane as a bit mask.
+#[derive(Clone, Debug, Default)]
+pub struct LaneWorkspace {
+    node_count: usize,
+    /// Bits of the lanes in use.
+    lane_mask: u64,
+    state: Vec<LaneMasks>,
+    /// Claim staging; restored to all-zeros before each hop ends.
+    claim: Vec<LaneMasks>,
+    /// Out-arcs of `u` whose head is not yet active in every lane. A
+    /// node at zero cannot activate anyone in any lane and retires.
+    counters: Vec<u32>,
+    /// Nodes active in some lane that may still activate someone: a
+    /// superset of every lane's own live set.
+    frontier: Vec<NodeId>,
+    /// Targets claimed this hop, in its first slots; `n + 1` long.
+    claimed: Vec<NodeId>,
+}
+
+impl LaneWorkspace {
+    /// Creates an empty workspace; buffers grow on first use.
+    #[must_use]
+    pub fn new() -> Self {
+        LaneWorkspace::default()
+    }
+
+    /// Bit mask of the last run's lanes: bit `l` is set for each of
+    /// its protector sets.
+    #[must_use]
+    pub fn lane_mask(&self) -> u64 {
+        self.lane_mask
+    }
+
+    /// The lanes in which `node` ended infected in the last run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range for the last run's graph.
+    #[must_use]
+    pub fn infected(&self, node: NodeId) -> u64 {
+        self.masks(node).infected
+    }
+
+    /// The lanes in which `node` ended protected in the last run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range for the last run's graph.
+    #[must_use]
+    pub fn protected(&self, node: NodeId) -> u64 {
+        self.masks(node).protected
+    }
+
+    fn masks(&self, node: NodeId) -> LaneMasks {
+        assert!(node.index() < self.node_count, "node {node} out of bounds");
+        self.state[node.index()]
+    }
+
+    /// Resets every per-node buffer for a run of `lanes` sets on
+    /// `graph`.
+    fn begin(&mut self, graph: &CsrGraph, lanes: usize) {
+        let n = graph.node_count();
+        self.node_count = n;
+        self.lane_mask = if lanes == OPOAO_LANES {
+            u64::MAX
+        } else {
+            (1 << lanes) - 1
+        };
+        self.state.clear();
+        self.state.resize(n, LaneMasks::default());
+        if self.claim.len() < n {
+            self.claim.resize(n, LaneMasks::default());
+        }
+        debug_assert!(
+            self.claim.iter().all(|c| c.active() == 0),
+            "a previous run left claim staging set"
+        );
+        self.counters.clear();
+        self.counters.extend_from_slice(graph.out_degrees());
+        self.frontier.clear();
+        if self.claimed.len() <= n {
+            self.claimed.resize(n + 1, NodeId::new(0));
+        }
+    }
+
+    /// Places the rumors in every lane and set `l` in lane `l`,
+    /// validating like [`SeedSets::set_protectors`]. Every seeded node
+    /// enters the frontier once.
+    fn place_seeds<I>(&mut self, rumors: &[NodeId], sets: I) -> Result<(), SeedError>
+    where
+        I: Iterator,
+        I::Item: AsRef<[NodeId]>,
+    {
+        let n = self.node_count;
+        let out_of_bounds = |&v: &NodeId| {
+            (v.index() >= n).then_some(SeedError::OutOfBounds {
+                node: v,
+                node_count: n,
+            })
+        };
+        if let Some(e) = rumors.iter().find_map(out_of_bounds) {
+            return Err(e);
+        }
+        for &r in rumors {
+            self.activate(
+                r,
+                LaneMasks {
+                    infected: self.lane_mask,
+                    protected: 0,
+                },
+            );
+        }
+        let lanes = self.lane_mask.count_ones() as usize;
+        for (lane, set) in sets.take(lanes).enumerate() {
+            let set = set.as_ref();
+            if let Some(e) = set.iter().find_map(out_of_bounds) {
+                return Err(e);
+            }
+            for &p in set {
+                if self.state[p.index()].infected != 0 {
+                    return Err(SeedError::Overlap { node: p });
+                }
+                self.activate(
+                    p,
+                    LaneMasks {
+                        infected: 0,
+                        protected: 1 << lane,
+                    },
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Seeds `v` in the lanes of `add`; a node's first activation in
+    /// any lane puts it on the frontier.
+    fn activate(&mut self, v: NodeId, add: LaneMasks) {
+        let s = &mut self.state[v.index()];
+        if s.active() == 0 && add.active() != 0 {
+            self.frontier.push(v);
+        }
+        s.infected |= add.infected;
+        s.protected |= add.protected;
+    }
+
+    /// The hop loop: every lane of [`run_csr_with_choices`] at once.
+    fn run(&mut self, graph: &CsrGraph, max_hops: u32, realization: &OpoaoRealization) {
+        let LaneWorkspace {
+            lane_mask,
+            state,
+            claim,
+            counters,
+            frontier,
+            claimed,
+            ..
+        } = self;
+        let full = *lane_mask;
+        // A seed active in every lane (a rumor, or a protector common
+        // to all sets) closes its in-arcs from the start.
+        for &s in frontier.iter() {
+            if state[s.index()].active() == full {
+                for &u in graph.in_neighbors(s) {
+                    counters[u.index()] -= 1;
+                }
+            }
+        }
+        frontier.retain(|&v| graph.out_degree(v) > 0);
+
+        for hop in 1..=max_hops {
+            frontier.retain(|&u| counters[u.index()] > 0);
+            if frontier.is_empty() {
+                break;
+            }
+            // Staged without branches: every target is written, and
+            // `staged` only moves past a target newly claimed this hop.
+            // At most `n` are, so the `n + 1` slots never overflow.
+            let mut staged = 0;
+            for &u in frontier.iter() {
+                let degree = graph.out_degree(u);
+                let target = graph.out_neighbors(u)[realization.choice(u, hop, degree)];
+                let from = state[u.index()];
+                // Lanes where `u` is active and its target is not.
+                let open = from.active() & !state[target.index()].active();
+                let slot = &mut claim[target.index()];
+                let fresh = slot.active() == 0;
+                slot.infected |= open & from.infected;
+                slot.protected |= open & from.protected;
+                claimed[staged] = target;
+                staged += usize::from(fresh & (open != 0));
+            }
+            for &w in &claimed[..staged] {
+                let slot = std::mem::take(&mut claim[w.index()]);
+                let s = &mut state[w.index()];
+                let before = s.active();
+                // Protector priority: a lane takes the rumor's claim
+                // only where no protector claimed.
+                s.protected |= slot.protected;
+                s.infected |= slot.infected & !slot.protected;
+                if before == 0 && graph.out_degree(w) > 0 {
+                    frontier.push(w);
+                }
+                if s.active() == full {
+                    for &u in graph.in_neighbors(w) {
+                        counters[u.index()] -= 1;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -347,6 +653,45 @@ mod tests {
             outcomes.iter().any(|&c| c != outcomes[0]),
             "all 10 realizations gave {outcomes:?}"
         );
+    }
+
+    #[test]
+    fn lane_runs_reject_invalid_input_with_typed_errors() {
+        let g = CsrGraph::from(&lcrb_graph::generators::path_graph(4));
+        let model = OpoaoModel::default();
+        let real = OpoaoRealization::new(3);
+        let mut lanes = LaneWorkspace::new();
+        let rumor = [NodeId::new(0)];
+        let too_many = vec![vec![NodeId::new(2)]; OPOAO_LANES + 1];
+        assert_eq!(
+            model.run_lanes_into(&g, &rumor, &too_many, &mut lanes, &real),
+            Err(SeedError::TooManyLanes { sets: 65 })
+        );
+        let far = NodeId::new(9);
+        let out_of_bounds = SeedError::OutOfBounds {
+            node: far,
+            node_count: 4,
+        };
+        assert_eq!(
+            model.run_lanes_into(&g, &[far], [[NodeId::new(2)]], &mut lanes, &real),
+            Err(out_of_bounds.clone())
+        );
+        assert_eq!(
+            model.run_lanes_into(&g, &rumor, [vec![], vec![far]], &mut lanes, &real),
+            Err(out_of_bounds)
+        );
+        assert_eq!(
+            model.run_lanes_into(&g, &rumor, [[NodeId::new(1), rumor[0]]], &mut lanes, &real),
+            Err(SeedError::Overlap { node: rumor[0] })
+        );
+        // The full 64 lanes are fine, and the workspace recovers from
+        // every error above.
+        model
+            .run_lanes_into(&g, &rumor, &too_many[1..], &mut lanes, &real)
+            .unwrap();
+        assert_eq!(lanes.lane_mask(), u64::MAX);
+        assert_eq!(lanes.infected(NodeId::new(1)), u64::MAX);
+        assert_eq!(lanes.protected(NodeId::new(3)), u64::MAX);
     }
 
     #[test]

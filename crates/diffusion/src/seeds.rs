@@ -70,6 +70,12 @@ pub enum SeedError {
         /// The node present in both sets.
         node: NodeId,
     },
+    /// A lane-packed run was given more protector sets than a `u64`
+    /// mask has lanes ([`crate::OPOAO_LANES`]).
+    TooManyLanes {
+        /// How many protector sets were supplied.
+        sets: usize,
+    },
 }
 
 impl fmt::Display for SeedError {
@@ -82,6 +88,11 @@ impl fmt::Display for SeedError {
             SeedError::Overlap { node } => {
                 write!(f, "node {node} appears in both seed sets")
             }
+            SeedError::TooManyLanes { sets } => write!(
+                f,
+                "{sets} protector sets exceed the {} lanes of one packed run",
+                crate::OPOAO_LANES
+            ),
         }
     }
 }

@@ -6,9 +6,9 @@ use rand::SeedableRng;
 
 use lcrb_diffusion::{
     doam_analytic, doam_safe_targets, monte_carlo, rr_sketch_into, CompetitiveIcModel,
-    CompetitiveLtModel, CompetitiveSisModel, DoamModel, IcRealization, MonteCarloConfig,
-    OpoaoModel, OpoaoRealization, RrScratch, SeedSets, SimWorkspace, SisState, SketchBatch, Status,
-    TwoCascadeModel,
+    CompetitiveLtModel, CompetitiveSisModel, DoamModel, IcRealization, LaneWorkspace,
+    MonteCarloConfig, OpoaoModel, OpoaoRealization, RrScratch, SeedSets, SimWorkspace, SisState,
+    SketchBatch, Status, TwoCascadeModel, OPOAO_LANES,
 };
 use lcrb_graph::{CsrGraph, DiGraph, NodeId};
 
@@ -460,6 +460,107 @@ proptest! {
                 let fresh = CompetitiveIcModel::new(0.5).unwrap().run(&g, &seeds, &mut b);
                 prop_assert_eq!(ws.to_outcome(), fresh);
             }
+        }
+    }
+}
+
+// The lane kernel against the scalar one: every lane of a packed run
+// must reproduce, node for node, the scalar realized run with that
+// lane's protector set. CI reruns these in release with
+// `PROPTEST_CASES=1000`.
+proptest! {
+    #[test]
+    fn opoao_lanes_match_the_scalar_kernel(
+        (g, seeds) in arb_instance(),
+        picks in proptest::collection::vec(proptest::collection::vec(0usize..30, 0..4), OPOAO_LANES),
+        rseed in 0u64..1024,
+        hops in 2u32..40,
+    ) {
+        let rumors = seeds.rumors();
+        let free: Vec<NodeId> = g.nodes().filter(|v| !rumors.contains(v)).collect();
+        prop_assume!(!free.is_empty());
+        // Protectors are drawn from the few non-rumor nodes, so sets
+        // repeat nodes across lanes; sinks are common on these graphs.
+        let mut sets: Vec<Vec<NodeId>> = picks
+            .iter()
+            .map(|p| p.iter().map(|&i| free[i % free.len()]).collect())
+            .collect();
+        if let Some(&sink) = free.iter().find(|&&v| g.out_degree(v) == 0) {
+            sets[1].push(sink);
+        }
+        if rseed % 2 == 0 {
+            // One node protects in every lane, so it is active in all
+            // of them from hop 0.
+            let everywhere = free[rseed as usize % free.len()];
+            for set in &mut sets {
+                set.push(everywhere);
+            }
+        } else {
+            // Lane 0 gets the empty protector set.
+            sets[0].clear();
+        }
+
+        let csr = CsrGraph::from(&g);
+        let mut lanes = LaneWorkspace::new();
+        let mut ws = SimWorkspace::new();
+        for lane_count in [1, 2, 63, 64] {
+            let sets = &sets[..lane_count];
+            for max_hops in [0, 1, hops] {
+                let model = OpoaoModel::new(max_hops);
+                for r in 0..3 {
+                    let real = OpoaoRealization::new(rseed.wrapping_mul(3).wrapping_add(r));
+                    model.run_lanes_into(&csr, rumors, sets, &mut lanes, &real).unwrap();
+                    let mask = lanes.lane_mask();
+                    prop_assert_eq!(mask.count_ones() as usize, lane_count);
+                    for (lane, set) in sets.iter().enumerate() {
+                        let scalar = seeds.with_protectors(&g, set.clone()).unwrap();
+                        model.run_realized_into(&csr, &scalar, &mut ws, &real);
+                        for v in g.nodes() {
+                            let status = ws.status(v);
+                            let bit = |m: u64| (m >> lane) & 1 == 1;
+                            prop_assert_eq!(
+                                (bit(lanes.infected(v)), bit(lanes.protected(v))),
+                                (status.is_infected(), status.is_protected()),
+                                "lane {} of {}, node {}, {} hops, realization {}",
+                                lane, lane_count, v, max_hops, r
+                            );
+                        }
+                    }
+                    for v in g.nodes() {
+                        prop_assert_eq!((lanes.infected(v) | lanes.protected(v)) & !mask, 0);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn opoao_lanes_reject_invalid_sets_like_set_protectors(
+        (g, seeds) in arb_instance(),
+        bad in 0usize..40,
+        lane in 0usize..OPOAO_LANES,
+    ) {
+        // A set the scalar path rejects is rejected with the same
+        // error in any lane, and the workspace stays reusable.
+        let csr = CsrGraph::from(&g);
+        let mut set = seeds.protectors().to_vec();
+        set.push(NodeId::new(bad));
+        let want = seeds.with_protectors(&g, set.clone()).err();
+        let mut sets = vec![Vec::new(); lane + 1];
+        sets[lane] = set;
+        let mut lanes = LaneWorkspace::new();
+        let real = OpoaoRealization::new(bad as u64);
+        let got = OpoaoModel::default()
+            .run_lanes_into(&csr, seeds.rumors(), &sets, &mut lanes, &real)
+            .err();
+        prop_assert_eq!(got, want);
+        OpoaoModel::default()
+            .run_lanes_into(&csr, seeds.rumors(), [seeds.protectors()], &mut lanes, &real)
+            .unwrap();
+        let mut ws = SimWorkspace::new();
+        OpoaoModel::default().run_realized_into(&csr, &seeds, &mut ws, &real);
+        for v in g.nodes() {
+            prop_assert_eq!(lanes.infected(v) == 1, ws.status(v).is_infected());
         }
     }
 }

@@ -101,11 +101,12 @@ const NON_INDEX_KEYWORDS: [&str; 12] = [
 /// of these inside a guard's live range serializes the kernel work
 /// `solve_many` exists to fan out (and invites lock-order inversion
 /// against the cache's own family locks).
-pub(crate) const HOT_CALLS: [&str; 6] = [
+pub(crate) const HOT_CALLS: [&str; 7] = [
     "sigma_with",
     "sigma_with_cached_seeds",
     "run_into",
     "run_realized_into",
+    "run_lanes_into",
     "advance_trajectory",
     "monte_carlo_csr",
 ];

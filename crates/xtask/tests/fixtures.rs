@@ -423,6 +423,20 @@ fn f(solver: &Solver, traj: &mut Trajectory) -> Result<(), E> {
 }
 
 #[test]
+fn concurrency_flags_guard_held_across_the_lane_kernel() {
+    let src = r#"
+fn f(state: &Shared, lanes: &mut LaneWorkspace) -> Result<(), E> {
+    let guard = state.inner.lock().unwrap_or_default();
+    guard.model.run_lanes_into(&guard.csr, &guard.rumors, guard.sets.iter(), lanes, &guard.real)?;
+    Ok(())
+}
+"#;
+    let v = assert_rule(COLD, src, "concurrency", 1);
+    assert!(v[0].message.contains("run_lanes_into"));
+    assert!(v[0].message.contains("`guard`"));
+}
+
+#[test]
 fn concurrency_accepts_guard_dropped_before_hot_call() {
     // An explicit `drop(guard)` or the block's end frees the lock
     // before the kernel runs; cloning the artifact out is the idiom.
