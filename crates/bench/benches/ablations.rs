@@ -12,7 +12,8 @@ use lcrb::{
     RumorBlockingInstance, ScbgConfig,
 };
 use lcrb_datasets::{hep_like, DatasetConfig};
-use lcrb_diffusion::{doam_analytic, DoamModel};
+use lcrb_diffusion::{doam_analytic_csr, DoamModel, SimWorkspace};
+use lcrb_graph::traversal::CsrBfsScratch;
 
 fn instance(scale: f64, rumors: usize) -> RumorBlockingInstance {
     let ds = hep_like(&DatasetConfig::new(scale, 1));
@@ -100,11 +101,14 @@ fn bench_doam_oracle(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/doam_oracle");
     let inst = instance(1.0, 15);
     let seeds = inst.seed_sets(vec![]).unwrap();
+    let csr = inst.snapshot();
+    let mut ws = SimWorkspace::with_capacity(csr.node_count());
+    let (mut d_r, mut d_p) = (CsrBfsScratch::new(), CsrBfsScratch::new());
     group.bench_function("step_simulator", |b| {
-        b.iter(|| DoamModel::default().run_deterministic(inst.graph(), &seeds));
+        b.iter(|| DoamModel::default().run_deterministic_into(csr, &seeds, &mut ws));
     });
     group.bench_function("analytic_bfs", |b| {
-        b.iter(|| doam_analytic(inst.graph(), &seeds));
+        b.iter(|| doam_analytic_csr(csr, &seeds, &mut d_r, &mut d_p));
     });
     group.finish();
 }

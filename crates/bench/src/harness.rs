@@ -17,7 +17,7 @@ use lcrb_datasets::{
     enron_like, enron_like_heterogeneous, hep_like, hep_like_heterogeneous, DatasetConfig,
     SyntheticDataset,
 };
-use lcrb_diffusion::{DoamModel, MonteCarloConfig, OpoaoModel, TwoCascadeModel};
+use lcrb_diffusion::{DoamModel, MonteCarloConfig, OpoaoModel, SimWorkspace, TwoCascadeModel};
 use lcrb_graph::NodeId;
 
 /// Which network / rumor community an experiment runs on.
@@ -496,6 +496,7 @@ pub fn run_source_detection(cfg: &HarnessConfig) -> Vec<SourceDetectionRow> {
         ("opoao-15", false, 15),
     ];
     let mut rows = Vec::new();
+    let mut ws = SimWorkspace::new();
     for (label, deterministic, hops) in regimes {
         let mut rank_sum = 0.0;
         let mut top1 = 0;
@@ -513,15 +514,16 @@ pub fn run_source_detection(cfg: &HarnessConfig) -> Vec<SourceDetectionRow> {
             .expect("pinned community exists");
             let true_source = inst.rumor_seeds()[0];
             let seeds = inst.seed_sets(vec![]).expect("no protectors is valid");
-            let outcome = if deterministic {
-                DoamModel::new(hops).run_deterministic(inst.graph(), &seeds)
+            let snapshot = inst.snapshot();
+            if deterministic {
+                DoamModel::new(hops).run_deterministic_into(snapshot, &seeds, &mut ws);
             } else {
-                OpoaoModel::new(hops).run(inst.graph(), &seeds, &mut rng)
-            };
+                OpoaoModel::new(hops).run_into(snapshot, &seeds, &mut ws, &mut rng);
+            }
             let suspects = inst.rumor_community_members();
             candidates_len = suspects.len();
-            let ranking =
-                lcrb::source::rank_sources(inst.graph(), &outcome.infected_nodes(), &suspects);
+            let infected = ws.to_outcome().infected_nodes();
+            let ranking = lcrb::source::rank_sources(snapshot, &infected, &suspects);
             let rank = ranking
                 .rank_of(true_source)
                 .expect("true source is a community member");

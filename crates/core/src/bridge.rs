@@ -5,9 +5,11 @@
 //! direct in-neighbor inside it, reachable by the rumor cascade.
 //! Both algorithms of the paper start by finding them with BFS from
 //! the rumor originators (step 3 of Algorithms 1 and 3); the bridge
-//! ends are the leaves of the resulting forward search trees.
+//! ends are the leaves of the resulting forward search trees. σ and
+//! the set cover read only that leaf set, so the search runs on the
+//! instance's CSR snapshot and keeps nothing of the tree itself.
 
-use lcrb_graph::traversal::{bfs_tree, BfsTree, Direction};
+use lcrb_graph::traversal::{CsrBfsScratch, Direction};
 use lcrb_graph::NodeId;
 
 use crate::RumorBlockingInstance;
@@ -28,17 +30,14 @@ pub enum BridgeEndRule {
     AnyPath,
 }
 
-/// The set of bridge ends of an instance, plus the search tree that
-/// produced it.
+/// The set of bridge ends of an instance: the outside leaves of the
+/// rumor-forward search tree rooted at `S_R`.
 #[derive(Clone, Debug)]
 pub struct BridgeEnds {
     /// The bridge ends, sorted by node id.
     pub nodes: Vec<NodeId>,
     /// The rule used to find them.
     pub rule: BridgeEndRule,
-    /// The rumor-forward search tree rooted at `S_R` (parents and hop
-    /// distances of every explored node).
-    pub rfst: BfsTree,
 }
 
 impl BridgeEnds {
@@ -86,49 +85,36 @@ impl BridgeEnds {
 /// ```
 #[must_use]
 pub fn find_bridge_ends(instance: &RumorBlockingInstance, rule: BridgeEndRule) -> BridgeEnds {
-    let g = instance.graph();
-    let rfst = match rule {
-        BridgeEndRule::WithinCommunity => bfs_tree(
-            g,
-            instance.rumor_seeds(),
-            Direction::Forward,
-            u32::MAX,
-            |v| instance.in_rumor_community(v),
-        ),
-        BridgeEndRule::AnyPath => bfs_tree(
-            g,
-            instance.rumor_seeds(),
-            Direction::Forward,
-            u32::MAX,
-            |_| true,
-        ),
-    };
-    let mut nodes: Vec<NodeId> = match rule {
+    let csr = instance.snapshot();
+    let in_community = |v| instance.in_rumor_community(v);
+    let any_path = rule == BridgeEndRule::AnyPath;
+    let mut rfst = CsrBfsScratch::new();
+    rfst.run_where(
+        csr,
+        instance.rumor_seeds(),
+        Direction::Forward,
+        u32::MAX,
+        |v| any_path || in_community(v),
+    );
+    let is_bridge_end = |v| match rule {
         // Under the community-restricted search, every reached node
         // outside the community was discovered from inside: it is a
         // bridge end by construction.
-        BridgeEndRule::WithinCommunity => rfst
-            .order
-            .iter()
-            .copied()
-            .filter(|&v| !instance.in_rumor_community(v))
-            .collect(),
+        BridgeEndRule::WithinCommunity => !in_community(v),
         // Under the free search, check the in-neighbor condition of
         // Definition 2 explicitly.
-        BridgeEndRule::AnyPath => rfst
-            .order
-            .iter()
-            .copied()
-            .filter(|&v| {
-                !instance.in_rumor_community(v)
-                    && g.in_neighbors(v)
-                        .iter()
-                        .any(|&u| instance.in_rumor_community(u))
-            })
-            .collect(),
+        BridgeEndRule::AnyPath => {
+            !in_community(v) && csr.in_neighbors(v).iter().any(|&u| in_community(u))
+        }
     };
+    let mut nodes: Vec<NodeId> = rfst
+        .order()
+        .iter()
+        .copied()
+        .filter(|&v| is_bridge_end(v))
+        .collect();
     nodes.sort_unstable();
-    BridgeEnds { nodes, rule, rfst }
+    BridgeEnds { nodes, rule }
 }
 
 #[cfg(test)]
@@ -156,15 +142,6 @@ mod tests {
         assert!(!b.contains(NodeId::new(4)));
         assert_eq!(b.len(), 1);
         assert!(!b.is_empty());
-    }
-
-    #[test]
-    fn rfst_records_distances() {
-        let inst = fixture();
-        let b = find_bridge_ends(&inst, BridgeEndRule::WithinCommunity);
-        assert_eq!(b.rfst.distance[NodeId::new(3).index()], Some(2));
-        assert_eq!(b.rfst.distance[NodeId::new(0).index()], Some(0));
-        assert_eq!(b.rfst.distance[NodeId::new(5).index()], None);
     }
 
     #[test]

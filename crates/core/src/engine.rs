@@ -8,7 +8,7 @@
 //! expensive artifact per call: the bridge-end set, the RR-sketch
 //! sample, the CELF priority state, degree/PageRank orderings. A
 //! [`Solver`] owns the [`RumorBlockingInstance`] plus an
-//! [`ArtifactCache`] and reuses those artifacts across queries, so a
+//! `ArtifactCache` and reuses those artifacts across queries, so a
 //! budget sweep or an α sweep pays the construction cost once.
 //!
 //! Reuse is sound because each artifact depends only on what its
@@ -21,7 +21,7 @@
 //!   any budget or α;
 //! - a CELF trajectory is *prefix-consistent*: the stopping rule only
 //!   decides where the pick sequence stops, never which node is
-//!   picked next (see [`crate::greedy`]'s trajectory invariant), so a
+//!   picked next (see `crate::greedy`'s trajectory invariant), so a
 //!   smaller budget reads a prefix and a larger one resumes the
 //!   stored heap, bitwise identical to a cold run.
 //!
@@ -42,7 +42,7 @@
 //!   plain integer precisely because the only writers,
 //!   [`Solver::invalidate`] and [`Solver::set_rumor_seeds`], take
 //!   `&mut self`, which statically excludes racing in-flight solves);
-//! - **shared mutable**: the [`ArtifactCache`] (internally
+//! - **shared mutable**: the `ArtifactCache` (internally
 //!   synchronized, per-family locking with single-builder/waiters
 //!   discipline — concurrent same-key solves build an artifact once)
 //!   and the scratch pool (`lcrb_diffusion::ScratchPool`, leasing
@@ -497,7 +497,7 @@ pub struct StageTiming {
 /// A solve whose [`RunBudget`] expires at a deterministic checkpoint
 /// does not fail: it degrades, returning the best-so-far selection
 /// (always a prefix of the uninterrupted run — see the trajectory
-/// invariant in [`crate::greedy`]). Cancellation never degrades; it
+/// invariant in `crate::greedy`). Cancellation never degrades; it
 /// aborts the solve with [`LcrbError::Interrupted`] instead, because
 /// a cancelled caller has no use for a partial answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -789,7 +789,7 @@ enum Slot<V> {
 ///
 /// `pub` for the same reason as [`Gate`]: the deterministic-schedule
 /// tests drive the probe-or-publish race on the real type. The engine
-/// itself only uses it through [`ArtifactCache`].
+/// itself only uses it through `ArtifactCache`.
 #[derive(Debug)]
 pub struct FamilyCache<K, V> {
     map: Mutex<BTreeMap<K, (u64, Slot<V>)>>,
@@ -2075,7 +2075,7 @@ impl Solver {
                 let mut rng = self.named_rng(Algorithm::Random.name(), budget);
                 let mut nodes: Vec<NodeId> = self
                     .instance
-                    .graph()
+                    .snapshot()
                     .nodes()
                     .filter(|&v| !self.instance.is_rumor_seed(v))
                     .collect();

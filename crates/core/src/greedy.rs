@@ -593,14 +593,16 @@ fn candidate_pool(
     bridge_ends: &BridgeEnds,
     pool: CandidatePool,
 ) -> Vec<NodeId> {
-    let g = instance.graph();
     let csr = instance.snapshot();
     let mut nodes: Vec<NodeId> = match pool {
-        CandidatePool::AllNonRumor => g.nodes().filter(|&v| !instance.is_rumor_seed(v)).collect(),
+        CandidatePool::AllNonRumor => csr
+            .nodes()
+            .filter(|&v| !instance.is_rumor_seed(v))
+            .collect(),
         CandidatePool::BackwardRadius(radius) => {
             let mut back = CsrBfsScratch::new();
             back.run(csr, &bridge_ends.nodes, Direction::Backward, radius);
-            g.nodes()
+            csr.nodes()
                 .filter(|&v| back.is_reached(v) && !instance.is_rumor_seed(v))
                 .collect()
         }
@@ -608,7 +610,7 @@ fn candidate_pool(
             let mut d_r = CsrBfsScratch::new();
             d_r.run(csr, instance.rumor_seeds(), Direction::Forward, u32::MAX);
             // xtask-allow: hotpath -- one-time pool construction per greedy run, outside the evaluation loop
-            let mut in_pool = vec![false; g.node_count()];
+            let mut in_pool = vec![false; csr.node_count()];
             let mut back = CsrBfsScratch::new();
             for &v in &bridge_ends.nodes {
                 // xtask-allow: panic -- bridge ends are discovered by forward BFS from the rumor seeds, so a distance exists
@@ -618,7 +620,7 @@ fn candidate_pool(
                     in_pool[u.index()] = true;
                 }
             }
-            g.nodes()
+            csr.nodes()
                 .filter(|&v| in_pool[v.index()] && !instance.is_rumor_seed(v))
                 .collect()
         }

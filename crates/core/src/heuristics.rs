@@ -16,7 +16,7 @@ use crate::{find_bridge_ends, BridgeEndRule, RumorBlockingInstance};
 /// smaller node ids for determinism.
 #[must_use]
 pub fn max_degree_ordering(instance: &RumorBlockingInstance) -> Vec<NodeId> {
-    let g = instance.graph();
+    let g = instance.snapshot();
     let mut nodes: Vec<NodeId> = g.nodes().filter(|&v| !instance.is_rumor_seed(v)).collect();
     nodes.sort_by_key(|&v| (std::cmp::Reverse(g.out_degree(v)), v));
     nodes
@@ -30,7 +30,7 @@ pub fn max_degree_ordering(instance: &RumorBlockingInstance) -> Vec<NodeId> {
 /// random when the budget is smaller, as in the paper's experiments.
 #[must_use]
 pub fn proximity_pool(instance: &RumorBlockingInstance) -> Vec<NodeId> {
-    let g = instance.graph();
+    let g = instance.snapshot();
     let mut seen = vec![false; g.node_count()];
     let mut pool = Vec::new();
     for &r in instance.rumor_seeds() {
@@ -271,16 +271,17 @@ mod tests {
 
     #[test]
     fn coverage_mode_agrees_with_doam_simulation() {
-        use lcrb_diffusion::DoamModel;
+        use lcrb_diffusion::{DoamModel, SimWorkspace};
         let inst = fixture();
         let ordering = max_degree_ordering(&inst);
         let chosen =
             protectors_to_cover_all(&inst, BridgeEndRule::WithinCommunity, &ordering).unwrap();
         let seeds = inst.seed_sets(chosen).unwrap();
-        let outcome = DoamModel::default().run_deterministic(inst.graph(), &seeds);
+        let mut ws = SimWorkspace::new();
+        DoamModel::default().run_deterministic_into(inst.snapshot(), &seeds, &mut ws);
         let bridges = find_bridge_ends(&inst, BridgeEndRule::WithinCommunity);
         for &v in &bridges.nodes {
-            assert!(!outcome.status(v).is_infected(), "bridge end {v} infected");
+            assert!(!ws.status(v).is_infected(), "bridge end {v} infected");
         }
     }
 }

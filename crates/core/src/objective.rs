@@ -170,7 +170,7 @@ impl<'a> ProtectionObjective<'a> {
         protectors: &[NodeId],
     ) -> Result<usize, LcrbError> {
         let seeds = self.seed_sets(protectors)?;
-        let mut ws = SimWorkspace::with_capacity(self.instance.graph().node_count());
+        let mut ws = SimWorkspace::with_capacity(self.instance.snapshot().node_count());
         Ok(self.saved(index, &seeds, &mut ws))
     }
 
@@ -186,7 +186,7 @@ impl<'a> ProtectionObjective<'a> {
     /// Returns [`LcrbError::Seeds`] if `protectors` is out of bounds
     /// or overlaps the rumor seeds.
     pub fn sigma(&self, protectors: &[NodeId]) -> Result<f64, LcrbError> {
-        let mut ws = SimWorkspace::with_capacity(self.instance.graph().node_count());
+        let mut ws = SimWorkspace::with_capacity(self.instance.snapshot().node_count());
         self.sigma_with(protectors, &mut ws)
     }
 
@@ -251,7 +251,7 @@ impl<'a> ProtectionObjective<'a> {
         protector_sets: &[P],
     ) -> Result<Vec<f64>, LcrbError> {
         let Some(scorer) = self.lane_scorer() else {
-            let mut ws = SimWorkspace::with_capacity(self.instance.graph().node_count());
+            let mut ws = SimWorkspace::with_capacity(self.instance.snapshot().node_count());
             return protector_sets
                 .iter()
                 .map(|set| self.sigma_with(set.as_ref(), &mut ws))
@@ -291,7 +291,7 @@ impl<'a> ProtectionObjective<'a> {
             // xtask-allow: hotpath -- lazy one-time seed-set construction; later calls refill in place
             None => seeds.insert(self.instance.seed_sets(Vec::new())?),
         };
-        seeds.set_protectors(self.instance.graph().node_count(), protectors)?;
+        seeds.set_protectors(self.instance.snapshot().node_count(), protectors)?;
         let total: usize = (0..self.batch.len())
             .map(|i| self.saved(i, seeds, ws))
             .sum();

@@ -185,8 +185,9 @@ fn build_star_sets(
 mod tests {
     use super::*;
     use lcrb_community::Partition;
-    use lcrb_diffusion::{doam_analytic, DoamModel};
+    use lcrb_diffusion::{doam_analytic_csr, DoamModel, SimWorkspace};
     use lcrb_graph::generators;
+    use lcrb_graph::traversal::CsrBfsScratch;
     use lcrb_graph::DiGraph;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -200,12 +201,10 @@ mod tests {
     /// chosen protectors and assert every bridge end survives.
     fn assert_all_bridge_ends_protected(inst: &RumorBlockingInstance, sol: &ScbgSolution) {
         let seeds = inst.seed_sets(sol.protectors.clone()).unwrap();
-        let outcome = DoamModel::default().run_deterministic(inst.graph(), &seeds);
+        let mut ws = SimWorkspace::new();
+        DoamModel::default().run_deterministic_into(inst.snapshot(), &seeds, &mut ws);
         for &v in &sol.bridge_ends.nodes {
-            assert!(
-                !outcome.status(v).is_infected(),
-                "bridge end {v} was infected"
-            );
+            assert!(!ws.status(v).is_infected(), "bridge end {v} was infected");
         }
     }
 
@@ -312,7 +311,8 @@ mod tests {
             assert_all_bridge_ends_protected(&inst, &sol);
             // The analytic oracle agrees.
             let seeds = inst.seed_sets(sol.protectors.clone()).unwrap();
-            let outcome = doam_analytic(inst.graph(), &seeds);
+            let (mut d_r, mut d_p) = (CsrBfsScratch::new(), CsrBfsScratch::new());
+            let outcome = doam_analytic_csr(inst.snapshot(), &seeds, &mut d_r, &mut d_p);
             for &v in &sol.bridge_ends.nodes {
                 assert!(!outcome.status(v).is_infected());
             }

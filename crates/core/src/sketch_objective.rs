@@ -331,8 +331,8 @@ impl SketchIndex {
         meter: &mut WorkMeter,
     ) -> Result<Self, LcrbError> {
         params.validate()?;
-        let n = instance.graph().node_count();
         let csr = instance.snapshot();
+        let n = csr.node_count();
         let rumors = instance.rumor_seeds();
 
         let mut batch = SketchBatch::new();
@@ -525,7 +525,7 @@ impl<'a> SketchObjective<'a> {
         protectors: &[NodeId],
         scratch: &mut CoverageScratch,
     ) -> Result<f64, LcrbError> {
-        let n = self.instance.graph().node_count();
+        let n = self.instance.snapshot().node_count();
         if protectors
             .iter()
             .any(|&p| p.index() >= n || self.instance.is_rumor_seed(p))

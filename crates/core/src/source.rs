@@ -16,9 +16,8 @@
 //! which is exact on trees under deterministic spreading and a strong
 //! heuristic on general graphs.
 
-// xtask-allow-file: index -- distance arrays are node_count-sized and indexed by NodeIds of the same graph
-use lcrb_graph::traversal::bfs_distances;
-use lcrb_graph::{DiGraph, NodeId};
+use lcrb_graph::traversal::{CsrBfsScratch, Direction};
+use lcrb_graph::{CsrGraph, NodeId};
 
 /// One scored source candidate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,8 +71,8 @@ impl SourceRanking {
 
 /// Ranks `candidates` as explanations for the `infected` snapshot
 /// (see the module docs for the criterion). Runs one BFS per
-/// candidate; restrict the candidate set (e.g. to a suspected
-/// community) for large graphs.
+/// candidate, all in one reused scratch; restrict the candidate set
+/// (e.g. to a suspected community) for large graphs.
 ///
 /// Candidates that are themselves outside the infected set are
 /// allowed — observers may only have partial snapshots — but an
@@ -88,26 +87,32 @@ impl SourceRanking {
 /// ```
 /// use lcrb::source::rank_sources;
 /// use lcrb_graph::generators::path_graph;
-/// use lcrb_graph::NodeId;
+/// use lcrb_graph::{CsrGraph, NodeId};
 ///
 /// // Rumor walked 0 -> 1 -> 2 on a path: node 0 explains it best.
-/// let g = path_graph(4);
+/// let g = CsrGraph::from(&path_graph(4));
 /// let infected: Vec<NodeId> = (0..3).map(NodeId::new).collect();
 /// let candidates: Vec<NodeId> = (0..4).map(NodeId::new).collect();
 /// let ranking = rank_sources(&g, &infected, &candidates);
 /// assert_eq!(ranking.best(), Some(NodeId::new(0)));
 /// ```
 #[must_use]
-pub fn rank_sources(g: &DiGraph, infected: &[NodeId], candidates: &[NodeId]) -> SourceRanking {
+pub fn rank_sources(g: &CsrGraph, infected: &[NodeId], candidates: &[NodeId]) -> SourceRanking {
+    let n = g.node_count();
+    assert!(
+        infected.iter().all(|v| v.index() < n),
+        "infected node out of bounds"
+    );
+    let mut bfs = CsrBfsScratch::new();
     let mut ranked: Vec<SourceScore> = candidates
         .iter()
         .map(|&c| {
-            let dist = bfs_distances(g, &[c]);
+            bfs.run(g, &[c], Direction::Forward, u32::MAX);
             let mut unreachable = 0usize;
             let mut eccentricity = 0u32;
             let mut total_distance = 0u64;
             for &v in infected {
-                match dist[v.index()] {
+                match bfs.distance(v) {
                     Some(d) => {
                         eccentricity = eccentricity.max(d);
                         total_distance += u64::from(d);
@@ -132,14 +137,14 @@ mod tests {
     use super::*;
     use crate::RumorBlockingInstance;
     use lcrb_community::Partition;
-    use lcrb_diffusion::{DoamModel, OpoaoModel, TwoCascadeModel};
+    use lcrb_diffusion::{DoamModel, OpoaoModel, SimWorkspace, TwoCascadeModel};
     use lcrb_graph::generators;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     #[test]
     fn path_source_is_identified_exactly() {
-        let g = generators::path_graph(6);
+        let g = CsrGraph::from(&generators::path_graph(6));
         let infected: Vec<NodeId> = (0..4).map(NodeId::new).collect();
         let candidates: Vec<NodeId> = (0..6).map(NodeId::new).collect();
         let ranking = rank_sources(&g, &infected, &candidates);
@@ -152,7 +157,7 @@ mod tests {
 
     #[test]
     fn star_center_explains_leaf_infections() {
-        let g = generators::star_graph(7);
+        let g = CsrGraph::from(&generators::star_graph(7));
         let infected: Vec<NodeId> = (0..7).map(NodeId::new).collect();
         let candidates: Vec<NodeId> = (0..7).map(NodeId::new).collect();
         let ranking = rank_sources(&g, &infected, &candidates);
@@ -165,7 +170,7 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let g = generators::path_graph(3);
+        let g = CsrGraph::from(&generators::path_graph(3));
         let ranking = rank_sources(&g, &[], &[]);
         assert!(ranking.best().is_none());
         assert!(ranking.top(3).is_empty());
@@ -180,20 +185,22 @@ mod tests {
     #[test]
     fn doam_outbreak_source_is_recovered_on_random_graphs() {
         let mut hits = 0;
+        let mut ws = SimWorkspace::new();
         for seed in 0..10u64 {
             let mut rng = SmallRng::seed_from_u64(seed);
             let g = generators::gnm_directed(120, 480, &mut rng).unwrap();
+            let csr = CsrGraph::from(&g);
             let true_source = NodeId::new((seed as usize * 13) % 120);
             let seeds = lcrb_diffusion::SeedSets::rumors_only(&g, vec![true_source]).unwrap();
             // Truncate the broadcast to 3 hops so the snapshot still
             // carries locality information.
-            let outcome = DoamModel::new(3).run_deterministic(&g, &seeds);
-            let infected = outcome.infected_nodes();
+            DoamModel::new(3).run_deterministic_into(&csr, &seeds, &mut ws);
+            let infected = ws.to_outcome().infected_nodes();
             if infected.len() < 5 {
                 continue;
             }
             let candidates: Vec<NodeId> = g.nodes().collect();
-            let ranking = rank_sources(&g, &infected, &candidates);
+            let ranking = rank_sources(&csr, &infected, &candidates);
             let rank = ranking.rank_of(true_source).unwrap();
             if rank < 12 {
                 hits += 1; // top 10%
@@ -216,8 +223,10 @@ mod tests {
         let candidates = inst.rumor_community_members();
 
         // Deterministic 2-hop broadcast snapshot: sharp localization.
-        let outcome = DoamModel::new(2).run_deterministic(inst.graph(), &seeds);
-        let ranking = rank_sources(inst.graph(), &outcome.infected_nodes(), &candidates);
+        let csr = inst.snapshot();
+        let mut ws = SimWorkspace::new();
+        DoamModel::new(2).run_deterministic_into(csr, &seeds, &mut ws);
+        let ranking = rank_sources(csr, &ws.to_outcome().infected_nodes(), &candidates);
         let rank = ranking.rank_of(true_source).expect("source is a candidate");
         assert!(
             rank < candidates.len() / 4,
@@ -227,8 +236,8 @@ mod tests {
 
         // Stochastic OPOAO snapshot: noisier, so only demand better
         // than the median candidate.
-        let outcome = OpoaoModel::new(8).run(inst.graph(), &seeds, &mut rng);
-        let ranking = rank_sources(inst.graph(), &outcome.infected_nodes(), &candidates);
+        OpoaoModel::new(8).run_into(csr, &seeds, &mut ws, &mut rng);
+        let ranking = rank_sources(csr, &ws.to_outcome().infected_nodes(), &candidates);
         let rank = ranking.rank_of(true_source).expect("source is a candidate");
         assert!(
             rank < candidates.len() / 2,

@@ -13,9 +13,12 @@ use lcrb::{
     ScbgConfig, SketchParams, SolveRequest, Solver,
 };
 use lcrb_community::Partition;
-use lcrb_diffusion::DoamModel;
-use lcrb_graph::{DiGraph, NodeId};
+use lcrb_diffusion::{DiffusionOutcome, DoamModel, SimWorkspace};
+use lcrb_graph::traversal::{bfs_distances_where, Direction};
+use lcrb_graph::{generators, DiGraph, NodeId};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 /// A random two-community instance with rumor seeds in community 0.
 fn arb_instance() -> impl Strategy<Value = RumorBlockingInstance> {
@@ -87,6 +90,46 @@ fn arb_degenerate_instance() -> impl Strategy<Value = RumorBlockingInstance> {
     })
 }
 
+/// Planted-partition instances (two blocks, rumors in block 0) in
+/// four shapes, one per value of the first draw: 0 = one rumor seed;
+/// 1 = several rumor seeds; 2 = the first rumor seed isolated (every
+/// arc at it dropped); 3 = no escape route (every arc leaving the
+/// rumor community dropped).
+fn arb_planted_instance() -> impl Strategy<Value = RumorBlockingInstance> {
+    ((0u32..4, 2usize..12, 2usize..12), (2usize..5, 0u64..10_000)).prop_map(
+        |((shape, a, b), (several, seed))| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (planted, labels) =
+                generators::planted_partition(&[a, b], 0.35, 0.12, false, &mut rng).unwrap();
+            let members: Vec<NodeId> = planted.nodes().filter(|v| labels[v.index()] == 0).collect();
+            let count = if shape == 0 {
+                1
+            } else {
+                several.min(members.len())
+            };
+            let seeds = members[..count].to_vec();
+            let mut g = DiGraph::with_nodes(planted.node_count());
+            for (u, v) in planted.edges() {
+                let escapes = shape == 3 && labels[u.index()] == 0 && labels[v.index()] != 0;
+                let at_isolated = shape == 2 && (u == seeds[0] || v == seeds[0]);
+                if !(escapes || at_isolated) {
+                    g.add_edge(u, v).unwrap();
+                }
+            }
+            RumorBlockingInstance::new(g, Partition::from_labels(labels), 0, seeds)
+                .expect("seeds are in block 0 by construction")
+        },
+    )
+}
+
+/// The DOAM step simulation of `protectors` on the instance's snapshot.
+fn doam_outcome(inst: &RumorBlockingInstance, protectors: Vec<NodeId>) -> DiffusionOutcome {
+    let seeds = inst.seed_sets(protectors).unwrap();
+    let mut ws = SimWorkspace::new();
+    DoamModel::default().run_deterministic_into(inst.snapshot(), &seeds, &mut ws);
+    ws.to_outcome()
+}
+
 /// Every selection algorithm a `SolveRequest` can name.
 const ALGORITHMS: [Algorithm; 8] = [
     Algorithm::Greedy,
@@ -108,6 +151,37 @@ fn non_rumor_nodes(inst: &RumorBlockingInstance) -> Vec<NodeId> {
 }
 
 proptest! {
+    /// `find_bridge_ends` walks the snapshot; its result must equal
+    /// the definition, computed with the `DiGraph` reference BFS. With
+    /// C the rumor community: under `WithinCommunity`, the nodes
+    /// outside C reached when only nodes of C expand; under `AnyPath`,
+    /// the reached nodes outside C with an in-neighbor in C.
+    #[test]
+    fn bridge_ends_match_their_definition(inst in arb_planted_instance()) {
+        let g = inst.graph();
+        let in_c = |v: NodeId| inst.in_rumor_community(v);
+        let seeds = inst.rumor_seeds();
+        let within = bfs_distances_where(g, seeds, Direction::Forward, u32::MAX, in_c);
+        let any = bfs_distances_where(g, seeds, Direction::Forward, u32::MAX, |_| true);
+        let reached_outside = |dist: &[Option<u32>], v: NodeId| dist[v.index()].is_some() && !in_c(v);
+        let within_ends: Vec<NodeId> = g.nodes().filter(|&v| reached_outside(&within, v)).collect();
+        let any_ends: Vec<NodeId> = g
+            .nodes()
+            .filter(|&v| reached_outside(&any, v) && g.in_neighbors(v).iter().any(|&u| in_c(u)))
+            .collect();
+
+        let found = find_bridge_ends(&inst, BridgeEndRule::WithinCommunity);
+        prop_assert_eq!(&found.nodes, &within_ends);
+        prop_assert_eq!(found.rule, BridgeEndRule::WithinCommunity);
+        let found = find_bridge_ends(&inst, BridgeEndRule::AnyPath);
+        prop_assert_eq!(&found.nodes, &any_ends);
+        prop_assert_eq!(found.rule, BridgeEndRule::AnyPath);
+        // With no arc leaving C there is no escape route at all.
+        if g.edges().all(|(u, v)| !in_c(u) || in_c(v)) {
+            prop_assert!(within_ends.is_empty() && any_ends.is_empty());
+        }
+    }
+
     /// Lemma 4 (monotonicity): on a fixed realization, adding a
     /// protector never decreases the number of saved bridge ends.
     #[test]
@@ -188,8 +262,7 @@ proptest! {
     fn scbg_cover_is_complete_and_certified(inst in arb_instance()) {
         let sol = scbg(&inst, &ScbgConfig::default());
         prop_assert!(sol.is_complete());
-        let seeds = inst.seed_sets(sol.protectors.clone()).unwrap();
-        let outcome = DoamModel::default().run_deterministic(inst.graph(), &seeds);
+        let outcome = doam_outcome(&inst, sol.protectors.clone());
         for &v in &sol.bridge_ends.nodes {
             prop_assert!(!outcome.status(v).is_infected(), "bridge end {v} infected");
         }
@@ -275,8 +348,7 @@ proptest! {
             return Ok(());
         };
         // The chosen set covers (re-verified via simulation).
-        let seeds = inst.seed_sets(chosen.clone()).unwrap();
-        let outcome = DoamModel::default().run_deterministic(inst.graph(), &seeds);
+        let outcome = doam_outcome(&inst, chosen.clone());
         let bridges = find_bridge_ends(&inst, BridgeEndRule::WithinCommunity);
         for &v in &bridges.nodes {
             prop_assert!(!outcome.status(v).is_infected());
@@ -285,8 +357,7 @@ proptest! {
         // needed at all).
         if let Some((_, prefix)) = chosen.split_last() {
             if !bridges.nodes.is_empty() && !chosen.is_empty() {
-                let seeds = inst.seed_sets(prefix.to_vec()).unwrap();
-                let outcome = DoamModel::default().run_deterministic(inst.graph(), &seeds);
+                let outcome = doam_outcome(&inst, prefix.to_vec());
                 let still_unprotected = bridges
                     .nodes
                     .iter()

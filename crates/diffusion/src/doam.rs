@@ -7,9 +7,9 @@
 //! broadcast, in the paper's words.
 //!
 //! This module holds only the zero-allocation CSR step kernel. The
-//! closed-form BFS-distance oracle ([`crate::doam_analytic`] and
-//! friends) and the `DiGraph` convenience wrapper live in the cold
-//! `analytic` module.
+//! closed-form BFS-distance oracle ([`crate::doam_analytic_csr`] and
+//! [`crate::doam_safe_targets_csr`]) lives in the cold `analytic`
+//! module.
 
 use rand::Rng;
 
@@ -129,24 +129,23 @@ impl TwoCascadeModel for DoamModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Status;
+    use crate::testutil::{fresh_run, seeds};
+    use crate::{DiffusionOutcome, Status};
     use lcrb_graph::{generators, DiGraph, NodeId};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn seeds(g: &DiGraph, r: &[usize], p: &[usize]) -> SeedSets {
-        SeedSets::new(
-            g,
-            r.iter().map(|&i| NodeId::new(i)).collect(),
-            p.iter().map(|&i| NodeId::new(i)).collect(),
-        )
-        .unwrap()
+    /// One step simulation of `model` on `g`, as an owned outcome.
+    fn run(model: DoamModel, g: &DiGraph, r: &[usize], p: &[usize]) -> DiffusionOutcome {
+        let mut ws = SimWorkspace::new();
+        model.run_deterministic_into(&CsrGraph::from(g), &seeds(g, r, p), &mut ws);
+        ws.to_outcome()
     }
 
     #[test]
     fn broadcast_on_path() {
         let g = generators::path_graph(5);
-        let o = DoamModel::default().run_deterministic(&g, &seeds(&g, &[0], &[]));
+        let o = run(DoamModel::default(), &g, &[0], &[]);
         assert_eq!(o.infected_count(), 5);
         assert_eq!(o.activation_hop(NodeId::new(4)), Some(4));
         assert!(o.is_quiescent());
@@ -156,7 +155,7 @@ mod tests {
     fn tie_goes_to_protector() {
         // 0 (R) -> 2 <- 1 (P).
         let g = DiGraph::from_edges(3, [(0, 2), (1, 2)]).unwrap();
-        let o = DoamModel::default().run_deterministic(&g, &seeds(&g, &[0], &[1]));
+        let o = run(DoamModel::default(), &g, &[0], &[1]);
         assert_eq!(o.status(NodeId::new(2)), Status::Protected);
     }
 
@@ -164,7 +163,7 @@ mod tests {
     fn closer_rumor_wins() {
         // R at 0 one hop from 2; P at 3 two hops from 2 (3 -> 4 -> 2).
         let g = DiGraph::from_edges(5, [(0, 2), (3, 4), (4, 2)]).unwrap();
-        let o = DoamModel::default().run_deterministic(&g, &seeds(&g, &[0], &[3]));
+        let o = run(DoamModel::default(), &g, &[0], &[3]);
         assert_eq!(o.status(NodeId::new(2)), Status::Infected);
     }
 
@@ -173,7 +172,7 @@ mod tests {
         // Star: hub infected at hop 0 activates all leaves at hop 1,
         // then the process stops even though the hub stays infected.
         let g = generators::star_graph(6);
-        let o = DoamModel::default().run_deterministic(&g, &seeds(&g, &[0], &[]));
+        let o = run(DoamModel::default(), &g, &[0], &[]);
         assert_eq!(o.infected_count(), 6);
         assert!(o.trace().iter().all(|r| r.hop <= 2));
     }
@@ -183,7 +182,7 @@ mod tests {
         // 0 -> 1 -> 2 -> 3 with protector at 1's position already: R
         // cannot pass a protected node.
         let g = generators::path_graph(4);
-        let o = DoamModel::default().run_deterministic(&g, &seeds(&g, &[0], &[1]));
+        let o = run(DoamModel::default(), &g, &[0], &[1]);
         assert_eq!(o.status(NodeId::new(1)), Status::Protected);
         assert_eq!(o.status(NodeId::new(2)), Status::Protected);
         assert_eq!(o.status(NodeId::new(3)), Status::Protected);
@@ -193,7 +192,7 @@ mod tests {
     #[test]
     fn hop_budget_truncates_doam() {
         let g = generators::path_graph(10);
-        let o = DoamModel::new(2).run_deterministic(&g, &seeds(&g, &[0], &[]));
+        let o = run(DoamModel::new(2), &g, &[0], &[]);
         assert_eq!(o.infected_count(), 3);
         assert!(!o.is_quiescent());
     }
@@ -201,14 +200,15 @@ mod tests {
     #[test]
     fn model_name_and_rng_independence() {
         let g = generators::path_graph(4);
+        let csr = CsrGraph::from(&g);
         let s = seeds(&g, &[0], &[]);
         let m = DoamModel::default();
         assert_eq!(m.name(), "doam");
         let mut r1 = SmallRng::seed_from_u64(1);
         let mut r2 = SmallRng::seed_from_u64(999);
         assert_eq!(
-            m.run(&g, &s, &mut r1).statuses(),
-            m.run(&g, &s, &mut r2).statuses()
+            fresh_run(&m, &csr, &s, &mut r1).statuses(),
+            fresh_run(&m, &csr, &s, &mut r2).statuses()
         );
     }
 }

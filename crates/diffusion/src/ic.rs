@@ -12,12 +12,9 @@ use core::fmt;
 
 use rand::Rng;
 
-// xtask-allow: hotpath -- DiGraph is imported only for the documented one-off convenience wrapper
-use lcrb_graph::{CsrGraph, DiGraph, NodeId};
+use lcrb_graph::{CsrGraph, NodeId};
 
-use crate::{
-    derive_stream, splitmix64, DiffusionOutcome, SeedSets, SimWorkspace, Status, TwoCascadeModel,
-};
+use crate::{derive_stream, splitmix64, SeedSets, SimWorkspace, Status, TwoCascadeModel};
 
 /// Error returned when constructing a [`CompetitiveIcModel`] with an
 /// invalid probability.
@@ -129,29 +126,10 @@ impl IcRealization {
 
 impl CompetitiveIcModel {
     /// Runs the model deterministically against a pre-sampled
-    /// live-edge realization (see [`IcRealization`]). Marginally over
-    /// realizations this reproduces [`TwoCascadeModel::run`]'s
-    /// distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` refers to nodes outside `graph`.
-    #[must_use]
-    pub fn run_realized(
-        &self,
-        // xtask-allow: hotpath -- documented cold-path convenience wrapper; snapshots then delegates to run_realized_into
-        graph: &DiGraph,
-        seeds: &SeedSets,
-        realization: &IcRealization,
-    ) -> DiffusionOutcome {
-        let csr = CsrGraph::from(graph);
-        let mut ws = SimWorkspace::new();
-        self.run_realized_into(&csr, seeds, &mut ws, realization);
-        ws.to_outcome()
-    }
-
-    /// Allocation-free variant of [`CompetitiveIcModel::run_realized`]
-    /// against a frozen snapshot, writing the result into `ws`.
+    /// live-edge realization (see [`IcRealization`]) on a frozen
+    /// snapshot, writing the result into `ws`. Marginally over
+    /// realizations this reproduces the distribution of
+    /// [`TwoCascadeModel::run_into`].
     ///
     /// # Panics
     ///
@@ -263,17 +241,22 @@ fn run_csr_with_transmit<F>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcrb_graph::generators;
+    use crate::testutil::{fresh_run, seeds};
+    use crate::DiffusionOutcome;
+    use lcrb_graph::{generators, DiGraph};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn seeds(g: &DiGraph, r: &[usize], p: &[usize]) -> SeedSets {
-        SeedSets::new(
-            g,
-            r.iter().map(|&i| NodeId::new(i)).collect(),
-            p.iter().map(|&i| NodeId::new(i)).collect(),
-        )
-        .unwrap()
+    /// One realized run in a fresh workspace, as an owned outcome.
+    fn realized(
+        m: &CompetitiveIcModel,
+        g: &CsrGraph,
+        s: &SeedSets,
+        real: &IcRealization,
+    ) -> DiffusionOutcome {
+        let mut ws = SimWorkspace::new();
+        m.run_realized_into(g, s, &mut ws, real);
+        ws.to_outcome()
     }
 
     #[test]
@@ -288,9 +271,10 @@ mod tests {
     #[test]
     fn probability_one_is_doam_like_broadcast() {
         let g = generators::path_graph(5);
+        let csr = CsrGraph::from(&g);
         let m = CompetitiveIcModel::new(1.0).unwrap();
         let mut rng = SmallRng::seed_from_u64(0);
-        let o = m.run(&g, &seeds(&g, &[0], &[]), &mut rng);
+        let o = fresh_run(&m, &csr, &seeds(&g, &[0], &[]), &mut rng);
         assert_eq!(o.infected_count(), 5);
         assert_eq!(o.activation_hop(NodeId::new(4)), Some(4));
     }
@@ -298,9 +282,10 @@ mod tests {
     #[test]
     fn probability_zero_never_spreads() {
         let g = generators::complete_graph(6);
+        let csr = CsrGraph::from(&g);
         let m = CompetitiveIcModel::new(0.0).unwrap();
         let mut rng = SmallRng::seed_from_u64(1);
-        let o = m.run(&g, &seeds(&g, &[0], &[1]), &mut rng);
+        let o = fresh_run(&m, &csr, &seeds(&g, &[0], &[1]), &mut rng);
         assert_eq!(o.infected_count(), 1);
         assert_eq!(o.protected_count(), 1);
         assert!(o.is_quiescent());
@@ -309,10 +294,11 @@ mod tests {
     #[test]
     fn protector_priority_on_tie() {
         let g = DiGraph::from_edges(3, [(0, 2), (1, 2)]).unwrap();
+        let csr = CsrGraph::from(&g);
         let m = CompetitiveIcModel::new(1.0).unwrap();
         for s in 0..10 {
             let mut rng = SmallRng::seed_from_u64(s);
-            let o = m.run(&g, &seeds(&g, &[0], &[1]), &mut rng);
+            let o = fresh_run(&m, &csr, &seeds(&g, &[0], &[1]), &mut rng);
             assert_eq!(o.status(NodeId::new(2)), Status::Protected);
         }
     }
@@ -322,11 +308,12 @@ mod tests {
         // With p = 0.5 on a single edge, roughly half the runs infect
         // node 1 — and a failed attempt is never retried.
         let g = generators::path_graph(2);
+        let csr = CsrGraph::from(&g);
         let m = CompetitiveIcModel::new(0.5).unwrap();
         let mut hits = 0;
         for s in 0..400 {
             let mut rng = SmallRng::seed_from_u64(s);
-            let o = m.run(&g, &seeds(&g, &[0], &[]), &mut rng);
+            let o = fresh_run(&m, &csr, &seeds(&g, &[0], &[]), &mut rng);
             assert!(o.is_quiescent());
             if o.infected_count() == 2 {
                 hits += 1;
@@ -338,9 +325,10 @@ mod tests {
     #[test]
     fn hop_budget_truncates() {
         let g = generators::path_graph(10);
+        let csr = CsrGraph::from(&g);
         let m = CompetitiveIcModel::with_max_hops(1.0, 2).unwrap();
         let mut rng = SmallRng::seed_from_u64(3);
-        let o = m.run(&g, &seeds(&g, &[0], &[]), &mut rng);
+        let o = fresh_run(&m, &csr, &seeds(&g, &[0], &[]), &mut rng);
         assert_eq!(o.infected_count(), 3);
         assert!(!o.is_quiescent());
     }
@@ -350,23 +338,20 @@ mod tests {
         let g = generators::complete_graph(12);
         let m = CompetitiveIcModel::new(0.3).unwrap();
         let s = seeds(&g, &[0], &[1]);
+        let csr = CsrGraph::from(&g);
         let real = IcRealization::new(5);
-        let a = m.run_realized(&g, &s, &real);
-        let b = m.run_realized(&g, &s, &real);
+        let a = realized(&m, &csr, &s, &real);
+        let b = realized(&m, &csr, &s, &real);
         assert_eq!(a.statuses(), b.statuses());
         // Extremes behave like the stochastic model.
-        let all = CompetitiveIcModel::new(1.0)
-            .unwrap()
-            .run_realized(&g, &s, &real);
+        let all = realized(&CompetitiveIcModel::new(1.0).unwrap(), &csr, &s, &real);
         assert_eq!(all.infected_count() + all.protected_count(), 12);
-        let none = CompetitiveIcModel::new(0.0)
-            .unwrap()
-            .run_realized(&g, &s, &real);
+        let none = realized(&CompetitiveIcModel::new(0.0).unwrap(), &csr, &s, &real);
         assert_eq!(none.infected_count(), 1);
     }
 
     #[test]
-    fn realized_into_matches_wrapper_across_reuses() {
+    fn realized_into_matches_a_fresh_workspace_across_reuses() {
         let mut rng = SmallRng::seed_from_u64(8);
         let g = generators::gnm_directed(40, 160, &mut rng).unwrap();
         let csr = CsrGraph::from(&g);
@@ -376,7 +361,7 @@ mod tests {
         for i in 0..8 {
             let real = IcRealization::new(i);
             m.run_realized_into(&csr, &s, &mut ws, &real);
-            assert_eq!(ws.to_outcome(), m.run_realized(&g, &s, &real), "real {i}");
+            assert_eq!(ws.to_outcome(), realized(&m, &csr, &s, &real), "real {i}");
         }
     }
 
@@ -401,25 +386,23 @@ mod tests {
         // over many stochastic runs.
         let mut rng = SmallRng::seed_from_u64(4);
         let g = generators::gnm_directed(60, 240, &mut rng).unwrap();
+        let csr = CsrGraph::from(&g);
         let m = CompetitiveIcModel::new(0.2).unwrap();
         let s = seeds(&g, &[0, 1], &[2]);
         let runs = 400;
-        let realized: f64 = (0..runs)
-            .map(|i| {
-                m.run_realized(&g, &s, &IcRealization::new(i))
-                    .infected_count()
-            })
+        let coupled: f64 = (0..runs)
+            .map(|i| realized(&m, &csr, &s, &IcRealization::new(i)).infected_count())
             .sum::<usize>() as f64
             / runs as f64;
         let stochastic: f64 = (0..runs)
             .map(|i| {
                 let mut r = SmallRng::seed_from_u64(1000 + i);
-                m.run(&g, &s, &mut r).infected_count()
+                fresh_run(&m, &csr, &s, &mut r).infected_count()
             })
             .sum::<usize>() as f64
             / runs as f64;
-        let rel = (realized - stochastic).abs() / stochastic.max(1.0);
-        assert!(rel < 0.15, "realized {realized} vs stochastic {stochastic}");
+        let rel = (coupled - stochastic).abs() / stochastic.max(1.0);
+        assert!(rel < 0.15, "realized {coupled} vs stochastic {stochastic}");
     }
 
     #[test]
@@ -427,11 +410,12 @@ mod tests {
         // Live-edge coupling: protection can only grow.
         let mut rng = SmallRng::seed_from_u64(6);
         let g = generators::gnm_directed(40, 200, &mut rng).unwrap();
+        let csr = CsrGraph::from(&g);
         let m = CompetitiveIcModel::new(0.4).unwrap();
         for rs in 0..20u64 {
             let real = IcRealization::new(rs);
-            let base = m.run_realized(&g, &seeds(&g, &[0], &[]), &real);
-            let more = m.run_realized(&g, &seeds(&g, &[0], &[5, 9]), &real);
+            let base = realized(&m, &csr, &seeds(&g, &[0], &[]), &real);
+            let more = realized(&m, &csr, &seeds(&g, &[0], &[5, 9]), &real);
             for v in g.nodes() {
                 if more.status(v).is_infected() {
                     assert!(base.status(v).is_infected(), "node {v} newly infected");

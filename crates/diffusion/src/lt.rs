@@ -151,18 +151,22 @@ impl TwoCascadeModel for CompetitiveLtModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Status;
+    use crate::testutil::{fresh_run, seeds};
+    use crate::{DiffusionOutcome, Status};
     use lcrb_graph::{generators, DiGraph};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn seeds(g: &DiGraph, r: &[usize], p: &[usize]) -> SeedSets {
-        SeedSets::new(
-            g,
-            r.iter().map(|&i| NodeId::new(i)).collect(),
-            p.iter().map(|&i| NodeId::new(i)).collect(),
-        )
-        .unwrap()
+    /// One run of `m` on `g` with rumors `r` and protectors `p`, in a
+    /// fresh workspace.
+    fn run(
+        m: CompetitiveLtModel,
+        g: &DiGraph,
+        r: &[usize],
+        p: &[usize],
+        rng: &mut SmallRng,
+    ) -> DiffusionOutcome {
+        fresh_run(&m, &CsrGraph::from(g), &seeds(g, r, p), rng)
     }
 
     #[test]
@@ -171,7 +175,7 @@ mod tests {
         // is active, weight = 1 >= θ for any θ in (0, 1].
         let g = generators::path_graph(5);
         let mut rng = SmallRng::seed_from_u64(0);
-        let o = CompetitiveLtModel::default().run(&g, &seeds(&g, &[0], &[]), &mut rng);
+        let o = run(CompetitiveLtModel::default(), &g, &[0], &[], &mut rng);
         assert_eq!(o.infected_count(), 5);
         assert_eq!(o.activation_hop(NodeId::new(4)), Some(4));
         assert!(o.is_quiescent());
@@ -186,7 +190,7 @@ mod tests {
         let (mut protected, mut infected) = (0, 0);
         for s in 0..200 {
             let mut rng = SmallRng::seed_from_u64(s);
-            let o = CompetitiveLtModel::default().run(&g, &seeds(&g, &[0], &[1]), &mut rng);
+            let o = run(CompetitiveLtModel::default(), &g, &[0], &[1], &mut rng);
             match o.status(NodeId::new(2)) {
                 Status::Protected => protected += 1,
                 Status::Infected => infected += 1,
@@ -210,7 +214,7 @@ mod tests {
         let mut hits = 0;
         for s in 0..500 {
             let mut rng = SmallRng::seed_from_u64(s);
-            let o = CompetitiveLtModel::default().run(&g, &seeds(&g, &[1], &[]), &mut rng);
+            let o = run(CompetitiveLtModel::default(), &g, &[1], &[], &mut rng);
             if o.status(NodeId::new(0)).is_infected() {
                 hits += 1;
             }
@@ -222,7 +226,7 @@ mod tests {
     fn no_seeds_is_quiescent() {
         let g = generators::complete_graph(4);
         let mut rng = SmallRng::seed_from_u64(1);
-        let o = CompetitiveLtModel::default().run(&g, &seeds(&g, &[], &[]), &mut rng);
+        let o = run(CompetitiveLtModel::default(), &g, &[], &[], &mut rng);
         assert_eq!(o.infected_count(), 0);
         assert!(o.is_quiescent());
     }
@@ -231,13 +235,13 @@ mod tests {
     fn hop_budget_truncates() {
         let g = generators::path_graph(10);
         let mut rng = SmallRng::seed_from_u64(2);
-        let o = CompetitiveLtModel::new(3).run(&g, &seeds(&g, &[0], &[]), &mut rng);
+        let o = run(CompetitiveLtModel::new(3), &g, &[0], &[], &mut rng);
         assert_eq!(o.infected_count(), 4);
         assert!(!o.is_quiescent());
     }
 
     #[test]
-    fn workspace_reuse_matches_fresh_runs() {
+    fn workspace_reuse_matches_a_fresh_workspace() {
         let mut r = SmallRng::seed_from_u64(7);
         let g = generators::gnm_directed(40, 160, &mut r).unwrap();
         let csr = CsrGraph::from(&g);
@@ -248,7 +252,11 @@ mod tests {
             let mut a = SmallRng::seed_from_u64(seed);
             let mut b = SmallRng::seed_from_u64(seed);
             model.run_into(&csr, &s, &mut ws, &mut a);
-            assert_eq!(ws.to_outcome(), model.run(&g, &s, &mut b), "seed {seed}");
+            assert_eq!(
+                ws.to_outcome(),
+                fresh_run(&model, &csr, &s, &mut b),
+                "seed {seed}"
+            );
         }
     }
 

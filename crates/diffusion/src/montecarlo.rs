@@ -9,12 +9,12 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use lcrb_graph::{CsrGraph, DiGraph};
+use lcrb_graph::CsrGraph;
 
 use crate::budget::{StopReason, WorkMeter};
 use crate::{HopRecord, SeedSets, SimWorkspace, TwoCascadeModel};
 
-/// Configuration for [`monte_carlo`].
+/// Configuration for [`monte_carlo_csr`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MonteCarloConfig {
     /// Number of independent simulation runs.
@@ -176,51 +176,34 @@ fn run_seed(base: u64, run: usize) -> u64 {
     (base ^ (run as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_add(0x243F_6A88_85A3_08D3)
 }
 
-/// Runs `config.runs` independent simulations of `model` and averages
-/// the hop series.
-///
-/// Deterministic for a fixed `config` regardless of `threads`.
-///
-/// # Examples
-///
-/// ```
-/// use lcrb_diffusion::{monte_carlo, MonteCarloConfig, OpoaoModel, SeedSets};
-/// use lcrb_graph::generators::path_graph;
-/// use lcrb_graph::NodeId;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let g = path_graph(4);
-/// let seeds = SeedSets::rumors_only(&g, vec![NodeId::new(0)])?;
-/// let avg = monte_carlo(&OpoaoModel::default(), &g, &seeds, &MonteCarloConfig {
-///     runs: 10,
-///     ..MonteCarloConfig::default()
-/// });
-/// assert_eq!(avg.mean_final_infected(), 4.0); // path diffusion is forced
-/// # Ok(())
-/// # }
-/// ```
-#[must_use]
-pub fn monte_carlo<M>(
-    model: &M,
-    graph: &DiGraph,
-    seeds: &SeedSets,
-    config: &MonteCarloConfig,
-) -> AveragedOutcome
-where
-    M: TwoCascadeModel + Sync,
-{
-    let csr = CsrGraph::from(graph);
-    monte_carlo_csr(model, &csr, seeds, config)
-}
-
-/// [`monte_carlo`] against a pre-built snapshot — the hot path.
+/// Runs `config.runs` independent simulations of `model` on the
+/// snapshot `graph` and averages the hop series.
 ///
 /// Each worker thread owns one long-lived [`SimWorkspace`] reused for
 /// all of its runs and accumulates hop series straight from the
 /// workspace trace, so the steady-state loop performs no per-run heap
-/// allocation. Results are identical to [`monte_carlo`] on the source
-/// graph, and deterministic for a fixed `config` regardless of
+/// allocation. Deterministic for a fixed `config` regardless of
 /// `threads`.
+///
+/// # Examples
+///
+/// ```
+/// use lcrb_diffusion::{monte_carlo_csr, MonteCarloConfig, OpoaoModel, SeedSets};
+/// use lcrb_graph::generators::path_graph;
+/// use lcrb_graph::{CsrGraph, NodeId};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let g = path_graph(4);
+/// let seeds = SeedSets::rumors_only(&g, vec![NodeId::new(0)])?;
+/// let config = MonteCarloConfig {
+///     runs: 10,
+///     ..MonteCarloConfig::default()
+/// };
+/// let avg = monte_carlo_csr(&OpoaoModel::default(), &CsrGraph::from(&g), &seeds, &config);
+/// assert_eq!(avg.mean_final_infected(), 4.0); // path diffusion is forced
+/// # Ok(())
+/// # }
+/// ```
 #[must_use]
 pub fn monte_carlo_csr<M>(
     model: &M,
@@ -329,33 +312,30 @@ where
 mod tests {
     use super::*;
     use crate::budget::{CancelToken, RunBudget};
+    use crate::testutil::{fresh_run, seeds};
     use crate::{DoamModel, OpoaoModel};
-    use lcrb_graph::generators;
-    use lcrb_graph::NodeId;
-
-    fn seeds(g: &DiGraph, r: &[usize], p: &[usize]) -> SeedSets {
-        SeedSets::new(
-            g,
-            r.iter().map(|&i| NodeId::new(i)).collect(),
-            p.iter().map(|&i| NodeId::new(i)).collect(),
-        )
-        .unwrap()
-    }
+    use lcrb_graph::{generators, DiGraph};
 
     #[test]
     fn deterministic_model_average_equals_single_run() {
         let g = generators::path_graph(6);
+        let csr = CsrGraph::from(&g);
         let s = seeds(&g, &[0], &[3]);
-        let avg = monte_carlo(
+        let avg = monte_carlo_csr(
             &DoamModel::default(),
-            &g,
+            &csr,
             &s,
             &MonteCarloConfig {
                 runs: 7,
                 ..Default::default()
             },
         );
-        let single = DoamModel::default().run_deterministic(&g, &s);
+        let single = fresh_run(
+            &DoamModel::default(),
+            &csr,
+            &s,
+            &mut SmallRng::seed_from_u64(0),
+        );
         assert_eq!(avg.runs, 7);
         assert_eq!(avg.mean_final_infected(), single.infected_count() as f64);
         assert_eq!(avg.mean_final_protected(), single.protected_count() as f64);
@@ -365,6 +345,7 @@ mod tests {
     fn thread_count_does_not_change_results() {
         let mut rng = SmallRng::seed_from_u64(5);
         let g = generators::gnm_directed(60, 240, &mut rng).unwrap();
+        let csr = CsrGraph::from(&g);
         let s = seeds(&g, &[0, 1], &[2]);
         let model = OpoaoModel::new(12);
         let base = MonteCarloConfig {
@@ -372,8 +353,8 @@ mod tests {
             base_seed: 9,
             threads: 1,
         };
-        let a = monte_carlo(&model, &g, &s, &base);
-        let b = monte_carlo(&model, &g, &s, &MonteCarloConfig { threads: 4, ..base });
+        let a = monte_carlo_csr(&model, &csr, &s, &base);
+        let b = monte_carlo_csr(&model, &csr, &s, &MonteCarloConfig { threads: 4, ..base });
         assert_eq!(a.runs, b.runs);
         for (x, y) in a.mean_infected_by_hop.iter().zip(&b.mean_infected_by_hop) {
             assert!((x - y).abs() < 1e-9);
@@ -384,10 +365,11 @@ mod tests {
     fn series_is_monotone_nondecreasing() {
         let mut rng = SmallRng::seed_from_u64(6);
         let g = generators::gnm_directed(50, 200, &mut rng).unwrap();
+        let csr = CsrGraph::from(&g);
         let s = seeds(&g, &[0], &[1]);
-        let avg = monte_carlo(
+        let avg = monte_carlo_csr(
             &OpoaoModel::default(),
-            &g,
+            &csr,
             &s,
             &MonteCarloConfig {
                 runs: 20,
@@ -408,10 +390,11 @@ mod tests {
     #[test]
     fn std_of_deterministic_model_is_zero() {
         let g = generators::path_graph(5);
+        let csr = CsrGraph::from(&g);
         let s = seeds(&g, &[0], &[]);
-        let avg = monte_carlo(
+        let avg = monte_carlo_csr(
             &DoamModel::default(),
-            &g,
+            &csr,
             &s,
             &MonteCarloConfig {
                 runs: 6,
@@ -426,6 +409,7 @@ mod tests {
         // 0 -> {1, 2}; 2 -> 3: some OPOAO runs (hop budget 1) infect
         // node 1, others node 2 — final counts genuinely vary.
         let g = DiGraph::from_edges(4, [(0, 1), (0, 2), (2, 3)]).unwrap();
+        let csr = CsrGraph::from(&g);
         let s = seeds(&g, &[0], &[]);
         let model = OpoaoModel::new(2);
         let cfg = MonteCarloConfig {
@@ -433,35 +417,20 @@ mod tests {
             base_seed: 5,
             threads: 1,
         };
-        let a = monte_carlo(&model, &g, &s, &cfg);
+        let a = monte_carlo_csr(&model, &csr, &s, &cfg);
         assert!(a.std_final_infected > 0.0);
-        let b = monte_carlo(&model, &g, &s, &MonteCarloConfig { threads: 4, ..cfg });
+        let b = monte_carlo_csr(&model, &csr, &s, &MonteCarloConfig { threads: 4, ..cfg });
         assert!((a.std_final_infected - b.std_final_infected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn csr_path_matches_digraph_path() {
-        let mut rng = SmallRng::seed_from_u64(8);
-        let g = generators::gnm_directed(60, 240, &mut rng).unwrap();
-        let csr = lcrb_graph::CsrGraph::from(&g);
-        let s = seeds(&g, &[0, 1], &[2]);
-        let cfg = MonteCarloConfig {
-            runs: 32,
-            base_seed: 4,
-            threads: 2,
-        };
-        let a = monte_carlo(&OpoaoModel::new(12), &g, &s, &cfg);
-        let b = monte_carlo_csr(&OpoaoModel::new(12), &csr, &s, &cfg);
-        assert_eq!(a, b);
     }
 
     #[test]
     fn zero_runs() {
         let g = generators::path_graph(3);
+        let csr = CsrGraph::from(&g);
         let s = seeds(&g, &[0], &[]);
-        let avg = monte_carlo(
+        let avg = monte_carlo_csr(
             &OpoaoModel::default(),
-            &g,
+            &csr,
             &s,
             &MonteCarloConfig {
                 runs: 0,
@@ -477,10 +446,11 @@ mod tests {
         // A graph where some runs die fast (rumor picks the sink) and
         // others spread: 0 -> {1, 2}, 2 -> 3 -> 4.
         let g = DiGraph::from_edges(5, [(0, 1), (0, 2), (2, 3), (3, 4)]).unwrap();
+        let csr = CsrGraph::from(&g);
         let s = seeds(&g, &[0], &[]);
-        let avg = monte_carlo(
+        let avg = monte_carlo_csr(
             &OpoaoModel::new(20),
-            &g,
+            &csr,
             &s,
             &MonteCarloConfig {
                 runs: 200,
@@ -505,7 +475,7 @@ mod tests {
     fn budgeted_driver_matches_unbudgeted_when_the_batch_fits() {
         let mut rng = SmallRng::seed_from_u64(13);
         let g = generators::gnm_directed(40, 160, &mut rng).unwrap();
-        let csr = lcrb_graph::CsrGraph::from(&g);
+        let csr = CsrGraph::from(&g);
         let s = seeds(&g, &[0], &[1]);
         let cfg = MonteCarloConfig {
             runs: 16,
@@ -528,7 +498,7 @@ mod tests {
     #[test]
     fn budgeted_driver_rejects_an_oversized_batch_without_charging() {
         let g = generators::path_graph(4);
-        let csr = lcrb_graph::CsrGraph::from(&g);
+        let csr = CsrGraph::from(&g);
         let s = seeds(&g, &[0], &[]);
         let cfg = MonteCarloConfig {
             runs: 8,
@@ -546,7 +516,7 @@ mod tests {
     #[test]
     fn budgeted_driver_observes_cancellation_in_serial_and_threaded_paths() {
         let g = generators::path_graph(5);
-        let csr = lcrb_graph::CsrGraph::from(&g);
+        let csr = CsrGraph::from(&g);
         let s = seeds(&g, &[0], &[]);
         let token = CancelToken::new();
         token.cancel();

@@ -11,12 +11,9 @@
 
 use rand::Rng;
 
-// xtask-allow: hotpath -- DiGraph is imported only for the documented one-off convenience wrapper
-use lcrb_graph::{CsrGraph, DiGraph, NodeId};
+use lcrb_graph::{CsrGraph, NodeId};
 
-use crate::{
-    DiffusionOutcome, OpoaoRealization, SeedError, SeedSets, SimWorkspace, Status, TwoCascadeModel,
-};
+use crate::{OpoaoRealization, SeedError, SeedSets, SimWorkspace, Status, TwoCascadeModel};
 
 /// Number of hops the paper simulates in Figures 4–6.
 pub const PAPER_OPOAO_HOPS: u32 = 31;
@@ -51,31 +48,12 @@ impl OpoaoModel {
 
     /// Runs the model deterministically against a pre-sampled
     /// [`OpoaoRealization`] (common-random-numbers coupling; see
-    /// DESIGN.md §2). Two calls with the same realization and seeds
-    /// produce identical outcomes, and calls with different protector
-    /// sets share all rumor-side randomness.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` refers to nodes outside `graph`.
-    #[must_use]
-    pub fn run_realized(
-        &self,
-        // xtask-allow: hotpath -- documented cold-path convenience wrapper; snapshots then delegates to run_realized_into
-        graph: &DiGraph,
-        seeds: &SeedSets,
-        realization: &OpoaoRealization,
-    ) -> DiffusionOutcome {
-        let csr = CsrGraph::from(graph);
-        let mut ws = SimWorkspace::new();
-        self.run_realized_into(&csr, seeds, &mut ws, realization);
-        ws.to_outcome()
-    }
-
-    /// Allocation-free variant of [`OpoaoModel::run_realized`]: runs
-    /// against a frozen snapshot, writing the result into `ws`. This
-    /// is the inner loop of the greedy objective, which evaluates
-    /// thousands of protector sets against the same realizations.
+    /// DESIGN.md §2), writing the result into `ws` without allocating.
+    /// Two calls with the same realization and seeds produce identical
+    /// outcomes, and calls with different protector sets share all
+    /// rumor-side randomness. This is the inner loop of the greedy
+    /// objective, which evaluates thousands of protector sets against
+    /// the same realizations.
     ///
     /// # Panics
     ///
@@ -507,11 +485,36 @@ fn run_csr_with_choices<F>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::fresh_run;
+    use crate::DiffusionOutcome;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> SmallRng {
         SmallRng::seed_from_u64(seed)
+    }
+
+    /// One run of `model` on `g` in a fresh workspace, drawing from
+    /// `rng(seed)`.
+    fn run(
+        model: OpoaoModel,
+        g: &lcrb_graph::DiGraph,
+        seeds: &SeedSets,
+        seed: u64,
+    ) -> DiffusionOutcome {
+        fresh_run(&model, &CsrGraph::from(g), seeds, &mut rng(seed))
+    }
+
+    /// One realized run in a fresh workspace, as an owned outcome.
+    fn realized(
+        model: &OpoaoModel,
+        g: &CsrGraph,
+        seeds: &SeedSets,
+        real: &OpoaoRealization,
+    ) -> DiffusionOutcome {
+        let mut ws = SimWorkspace::new();
+        model.run_realized_into(g, seeds, &mut ws, real);
+        ws.to_outcome()
     }
 
     #[test]
@@ -520,7 +523,7 @@ mod tests {
         // "random" choice is forced and the rumor walks the path.
         let g = lcrb_graph::generators::path_graph(5);
         let seeds = SeedSets::rumors_only(&g, vec![NodeId::new(0)]).unwrap();
-        let o = OpoaoModel::new(10).run(&g, &seeds, &mut rng(0));
+        let o = run(OpoaoModel::new(10), &g, &seeds, 0);
         assert_eq!(o.infected_count(), 5);
         for i in 0..5 {
             assert_eq!(o.activation_hop(NodeId::new(i)), Some(i as u32));
@@ -534,7 +537,7 @@ mod tests {
         let g = lcrb_graph::DiGraph::from_edges(3, [(0, 2), (1, 2)]).unwrap();
         let seeds = SeedSets::new(&g, vec![NodeId::new(0)], vec![NodeId::new(1)]).unwrap();
         for seed in 0..20 {
-            let o = OpoaoModel::new(5).run(&g, &seeds, &mut rng(seed));
+            let o = run(OpoaoModel::new(5), &g, &seeds, seed);
             assert_eq!(o.status(NodeId::new(2)), Status::Protected);
             assert_eq!(o.activation_hop(NodeId::new(2)), Some(1));
         }
@@ -547,7 +550,7 @@ mod tests {
         // infected and 3 stays for P to claim.
         let g = lcrb_graph::generators::path_graph(4);
         let seeds = SeedSets::new(&g, vec![NodeId::new(0)], vec![NodeId::new(2)]).unwrap();
-        let o = OpoaoModel::new(10).run(&g, &seeds, &mut rng(1));
+        let o = run(OpoaoModel::new(10), &g, &seeds, 1);
         assert_eq!(o.status(NodeId::new(1)), Status::Infected);
         assert_eq!(o.status(NodeId::new(3)), Status::Protected);
         assert!(o.is_quiescent());
@@ -557,7 +560,7 @@ mod tests {
     fn hop_budget_truncates() {
         let g = lcrb_graph::generators::path_graph(10);
         let seeds = SeedSets::rumors_only(&g, vec![NodeId::new(0)]).unwrap();
-        let o = OpoaoModel::new(3).run(&g, &seeds, &mut rng(2));
+        let o = run(OpoaoModel::new(3), &g, &seeds, 2);
         assert_eq!(o.infected_count(), 4); // seed + 3 hops
         assert!(!o.is_quiescent());
     }
@@ -566,7 +569,7 @@ mod tests {
     fn no_seeds_is_immediately_quiescent() {
         let g = lcrb_graph::generators::path_graph(4);
         let seeds = SeedSets::new(&g, vec![], vec![]).unwrap();
-        let o = OpoaoModel::default().run(&g, &seeds, &mut rng(3));
+        let o = run(OpoaoModel::default(), &g, &seeds, 3);
         assert_eq!(o.infected_count(), 0);
         assert_eq!(o.protected_count(), 0);
         assert!(o.is_quiescent());
@@ -577,7 +580,7 @@ mod tests {
     fn sink_seed_cannot_spread() {
         let g = lcrb_graph::DiGraph::from_edges(3, [(0, 1), (1, 2)]).unwrap();
         let seeds = SeedSets::rumors_only(&g, vec![NodeId::new(2)]).unwrap();
-        let o = OpoaoModel::default().run(&g, &seeds, &mut rng(4));
+        let o = run(OpoaoModel::default(), &g, &seeds, 4);
         assert_eq!(o.infected_count(), 1);
         assert!(o.is_quiescent());
     }
@@ -592,7 +595,7 @@ mod tests {
             vec![NodeId::new(2)],
         )
         .unwrap();
-        let o = OpoaoModel::default().run(&g, &seeds, &mut r);
+        let o = fresh_run(&OpoaoModel::default(), &CsrGraph::from(&g), &seeds, &mut r);
         for v in g.nodes() {
             match o.status(v) {
                 Status::Inactive => assert_eq!(o.activation_hop(v), None),
@@ -614,14 +617,15 @@ mod tests {
         let seeds = SeedSets::new(&g, vec![NodeId::new(0)], vec![NodeId::new(1)]).unwrap();
         let real = OpoaoRealization::new(77);
         let model = OpoaoModel::default();
-        let a = model.run_realized(&g, &seeds, &real);
-        let b = model.run_realized(&g, &seeds, &real);
+        let csr = CsrGraph::from(&g);
+        let a = realized(&model, &csr, &seeds, &real);
+        let b = realized(&model, &csr, &seeds, &real);
         assert_eq!(a.statuses(), b.statuses());
         assert_eq!(a.trace(), b.trace());
     }
 
     #[test]
-    fn realized_into_reuses_workspace_and_matches_wrapper() {
+    fn realized_into_reuses_workspace_and_matches_a_fresh_workspace() {
         let mut r = rng(9);
         let g = lcrb_graph::generators::gnm_directed(40, 160, &mut r).unwrap();
         let csr = CsrGraph::from(&g);
@@ -631,7 +635,7 @@ mod tests {
         for s in 0..8 {
             let real = OpoaoRealization::new(s);
             model.run_realized_into(&csr, &seeds, &mut ws, &real);
-            let fresh = model.run_realized(&g, &seeds, &real);
+            let fresh = realized(&model, &csr, &seeds, &real);
             assert_eq!(ws.to_outcome(), fresh, "realization {s}");
         }
     }
@@ -641,13 +645,10 @@ mod tests {
         let mut r = rng(7);
         let g = lcrb_graph::generators::gnm_directed(40, 200, &mut r).unwrap();
         let seeds = SeedSets::rumors_only(&g, vec![NodeId::new(0)]).unwrap();
+        let csr = CsrGraph::from(&g);
         let model = OpoaoModel::new(8);
         let outcomes: Vec<usize> = (0..10)
-            .map(|s| {
-                model
-                    .run_realized(&g, &seeds, &OpoaoRealization::new(s))
-                    .infected_count()
-            })
+            .map(|s| realized(&model, &csr, &seeds, &OpoaoRealization::new(s)).infected_count())
             .collect();
         assert!(
             outcomes.iter().any(|&c| c != outcomes[0]),

@@ -4,8 +4,6 @@
 // xtask-allow-file: index -- status/activation arrays are node_count-sized by the workspace that assembles the outcome
 use lcrb_graph::NodeId;
 
-use crate::SeedSets;
-
 /// The status of a node during or after a two-cascade diffusion
 /// (§III of the paper: infected by the rumor cascade R, protected by
 /// the protector cascade P, or still inactive).
@@ -183,149 +181,52 @@ impl DiffusionOutcome {
     }
 }
 
-/// Incremental state shared by all model implementations in this
-/// crate. Tracks statuses, activation hops, and the trace while a
-/// simulation assigns activations hop by hop.
-#[derive(Clone, Debug)]
-pub(crate) struct StateTracker {
-    pub status: Vec<Status>,
-    pub activation_hop: Vec<Option<u32>>,
-    trace: Vec<HopRecord>,
-    total_infected: usize,
-    total_protected: usize,
-}
-
-impl StateTracker {
-    /// Initializes hop 0 from the seed sets.
-    pub fn from_seeds(node_count: usize, seeds: &SeedSets) -> Self {
-        let mut tracker = StateTracker {
-            status: vec![Status::Inactive; node_count],
-            activation_hop: vec![None; node_count],
-            trace: Vec::new(),
-            total_infected: 0,
-            total_protected: 0,
-        };
-        for &r in seeds.rumors() {
-            tracker.status[r.index()] = Status::Infected;
-            tracker.activation_hop[r.index()] = Some(0);
-        }
-        for &p in seeds.protectors() {
-            tracker.status[p.index()] = Status::Protected;
-            tracker.activation_hop[p.index()] = Some(0);
-        }
-        tracker.total_infected = seeds.rumors().len();
-        tracker.total_protected = seeds.protectors().len();
-        tracker.trace.push(HopRecord {
-            hop: 0,
-            new_infected: tracker.total_infected,
-            new_protected: tracker.total_protected,
-            total_infected: tracker.total_infected,
-            total_protected: tracker.total_protected,
-        });
-        tracker
-    }
-
-    #[inline]
-    pub fn is_inactive(&self, node: NodeId) -> bool {
-        self.status[node.index()] == Status::Inactive
-    }
-
-    /// Activates a batch of nodes at `hop` and appends a trace
-    /// record. Nodes must currently be inactive.
-    pub fn activate_hop(
-        &mut self,
-        hop: u32,
-        newly_protected: &[NodeId],
-        newly_infected: &[NodeId],
-    ) {
-        for &v in newly_protected {
-            debug_assert!(self.is_inactive(v));
-            self.status[v.index()] = Status::Protected;
-            self.activation_hop[v.index()] = Some(hop);
-        }
-        for &v in newly_infected {
-            debug_assert!(self.is_inactive(v));
-            self.status[v.index()] = Status::Infected;
-            self.activation_hop[v.index()] = Some(hop);
-        }
-        self.total_infected += newly_infected.len();
-        self.total_protected += newly_protected.len();
-        self.trace.push(HopRecord {
-            hop,
-            new_infected: newly_infected.len(),
-            new_protected: newly_protected.len(),
-            total_infected: self.total_infected,
-            total_protected: self.total_protected,
-        });
-    }
-
-    pub fn finish(self, quiescent: bool) -> DiffusionOutcome {
-        DiffusionOutcome::new(self.status, self.activation_hop, self.trace, quiescent)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SeedSets, SimWorkspace};
     use lcrb_graph::DiGraph;
 
-    fn seeds(g: &DiGraph) -> SeedSets {
-        SeedSets::new(g, vec![NodeId::new(0)], vec![NodeId::new(1)]).unwrap()
-    }
-
-    #[test]
-    fn tracker_initializes_from_seeds() {
-        let g = DiGraph::with_nodes(4);
-        let t = StateTracker::from_seeds(4, &seeds(&g));
-        assert_eq!(t.status[0], Status::Infected);
-        assert_eq!(t.status[1], Status::Protected);
-        assert_eq!(t.status[2], Status::Inactive);
-        assert_eq!(t.activation_hop[0], Some(0));
-        let outcome = t.finish(true);
-        assert_eq!(outcome.infected_count(), 1);
-        assert_eq!(outcome.protected_count(), 1);
-        assert!(outcome.is_quiescent());
-    }
-
-    #[test]
-    fn activate_hop_updates_trace() {
-        let g = DiGraph::with_nodes(5);
-        let mut t = StateTracker::from_seeds(5, &seeds(&g));
-        t.activate_hop(1, &[NodeId::new(2)], &[NodeId::new(3)]);
-        let outcome = t.finish(false);
-        assert_eq!(outcome.trace().len(), 2);
-        let rec = outcome.trace()[1];
-        assert_eq!(rec.hop, 1);
-        assert_eq!(rec.new_infected, 1);
-        assert_eq!(rec.new_protected, 1);
-        assert_eq!(rec.total_infected, 2);
-        assert_eq!(outcome.activation_hop(NodeId::new(3)), Some(1));
-        assert_eq!(outcome.activation_hop(NodeId::new(4)), None);
-        assert!(!outcome.is_quiescent());
+    /// An outcome on `n` isolated nodes: rumor 0 and protector 1 at
+    /// hop 0, then `protected` and `infected` at hop 1.
+    fn outcome(
+        n: usize,
+        protected: &[usize],
+        infected: &[usize],
+        quiescent: bool,
+    ) -> DiffusionOutcome {
+        let g = DiGraph::with_nodes(n);
+        let seeds = SeedSets::new(&g, vec![NodeId::new(0)], vec![NodeId::new(1)]).unwrap();
+        let mut ws = SimWorkspace::new();
+        ws.begin(n, &seeds);
+        ws.new_protected
+            .extend(protected.iter().map(|&i| NodeId::new(i)));
+        ws.new_infected
+            .extend(infected.iter().map(|&i| NodeId::new(i)));
+        ws.commit_hop(1);
+        ws.set_quiescent(quiescent);
+        ws.to_outcome()
     }
 
     #[test]
     fn infected_at_hop_carries_final_value_forward() {
-        let g = DiGraph::with_nodes(3);
-        let mut t = StateTracker::from_seeds(3, &seeds(&g));
-        t.activate_hop(1, &[], &[NodeId::new(2)]);
-        let outcome = t.finish(true);
-        assert_eq!(outcome.infected_at_hop(0), 1);
-        assert_eq!(outcome.infected_at_hop(1), 2);
-        assert_eq!(outcome.infected_at_hop(30), 2);
+        let o = outcome(3, &[], &[2], true);
+        assert_eq!(o.infected_at_hop(0), 1);
+        assert_eq!(o.infected_at_hop(1), 2);
+        assert_eq!(o.infected_at_hop(30), 2);
+        assert!(o.is_quiescent());
     }
 
     #[test]
     fn node_lists_are_sorted_and_complete() {
-        let g = DiGraph::with_nodes(6);
-        let mut t = StateTracker::from_seeds(6, &seeds(&g));
-        t.activate_hop(1, &[NodeId::new(5)], &[NodeId::new(3), NodeId::new(4)]);
-        let o = t.finish(true);
+        let o = outcome(6, &[5], &[3, 4], true);
         assert_eq!(
             o.infected_nodes(),
             vec![NodeId::new(0), NodeId::new(3), NodeId::new(4)]
         );
         assert_eq!(o.protected_nodes(), vec![NodeId::new(1), NodeId::new(5)]);
+        assert_eq!(o.infected_count(), 3);
+        assert_eq!(o.protected_count(), 2);
     }
 
     #[test]

@@ -78,7 +78,7 @@ use crate::realization::OpoaoRealization;
 /// }
 /// g.add_edge(NodeId::new(0), NodeId::new(1)).unwrap();
 /// g.add_edge(NodeId::new(1), NodeId::new(2)).unwrap();
-/// let csr = CsrGraph::from_digraph(&g);
+/// let csr = CsrGraph::from(&g);
 ///
 /// let mut scratch = RrScratch::new();
 /// let mut batch = SketchBatch::new();
@@ -519,7 +519,7 @@ mod tests {
             g.add_edge(NodeId::from_raw(i), NodeId::from_raw(i + 1))
                 .unwrap();
         }
-        CsrGraph::from_digraph(&g)
+        CsrGraph::from(&g)
     }
 
     /// Reference: forward temporal arrival of a single-source wave,
@@ -592,7 +592,7 @@ mod tests {
             g.add_node();
         }
         g.add_edge(NodeId::new(0), NodeId::new(1)).unwrap();
-        let csr = CsrGraph::from_digraph(&g);
+        let csr = CsrGraph::from(&g);
         let mut scratch = RrScratch::new();
         let mut batch = SketchBatch::new();
         let stored = rr_sketch_into(
@@ -651,7 +651,7 @@ mod tests {
                     }
                 }
             }
-            let csr = CsrGraph::from_digraph(&g);
+            let csr = CsrGraph::from(&g);
             let rumors = [NodeId::new(0)];
             let target = NodeId::from_raw(n - 1);
             let r = OpoaoRealization::new(trial);

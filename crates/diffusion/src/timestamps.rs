@@ -18,10 +18,9 @@
 // xtask-allow-file: index -- attribution/status arrays are node_count-sized at run start; nodes come from the same snapshot
 use std::collections::BTreeMap;
 
-use lcrb_graph::{DiGraph, NodeId};
+use lcrb_graph::{CsrGraph, NodeId};
 
-use crate::outcome::StateTracker;
-use crate::{DiffusionOutcome, OpoaoRealization, SeedSets, Status};
+use crate::{DiffusionOutcome, OpoaoRealization, SeedSets, SimWorkspace, Status};
 
 /// A single edge timestamp: the cascade originating at `seed` used
 /// the edge at step `hop` (the paper's `hop_seed` notation).
@@ -76,7 +75,7 @@ impl TimestampedOutcome {
     #[must_use]
     pub fn earliest_incoming(
         &self,
-        g: &DiGraph,
+        g: &CsrGraph,
         v: NodeId,
         seeds: &SeedSets,
         protector_cascade: bool,
@@ -102,37 +101,39 @@ impl TimestampedOutcome {
 
 /// Runs the OPOAO model against a fixed realization, recording the
 /// full timestamp assignment of §V-A. Identical diffusion semantics
-/// (and outcome) to [`crate::OpoaoModel::run_realized`] with the same
-/// arguments.
+/// (and outcome) to [`crate::OpoaoModel::run_realized_into`] with the
+/// same arguments; the per-node diffusion state lives in a
+/// [`SimWorkspace`], exactly as in the plain run.
 ///
 /// # Panics
 ///
 /// Panics if `seeds` refers to nodes outside `graph`.
 #[must_use]
 pub fn run_opoao_timestamped(
-    graph: &DiGraph,
+    graph: &CsrGraph,
     seeds: &SeedSets,
     max_hops: u32,
     realization: &OpoaoRealization,
 ) -> TimestampedOutcome {
     let n = graph.node_count();
-    let mut tracker = StateTracker::from_seeds(n, seeds);
+    let mut ws = SimWorkspace::with_capacity(n);
+    ws.begin(n, seeds);
     let mut attribution: Vec<Option<NodeId>> = vec![None; n];
     for &s in seeds.rumors().iter().chain(seeds.protectors()) {
         attribution[s.index()] = Some(s);
     }
     let mut stamps: BTreeMap<(NodeId, NodeId), Vec<EdgeStamp>> = BTreeMap::new();
 
-    let mut inactive_out: Vec<u32> = (0..n)
-        .map(|i| graph.out_degree(NodeId::new(i)) as u32)
-        .collect();
-    let retire = |w: NodeId, inactive_out: &mut Vec<u32>| {
+    // counters[u] = number of inactive out-neighbors of u.
+    ws.counters.clear();
+    ws.counters.extend_from_slice(graph.out_degrees());
+    let retire = |w: NodeId, counters: &mut Vec<u32>| {
         for &u in graph.in_neighbors(w) {
-            inactive_out[u.index()] -= 1;
+            counters[u.index()] -= 1;
         }
     };
     for &s in seeds.rumors().iter().chain(seeds.protectors()) {
-        retire(s, &mut inactive_out);
+        retire(s, &mut ws.counters);
     }
     // Unlike the plain engine, keep *every* out-capable active node
     // live: the paper stamps repeat selections of already-active
@@ -144,28 +145,30 @@ pub fn run_opoao_timestamped(
     // diffusion, and the smallest stamp per (edge, seed) is already
     // fixed by then unless a new seed's cascade arrives — impossible
     // once all its targets are active. Hence retiring preserves the
-    // simplified stamp set exactly.
-    let mut live: Vec<NodeId> = seeds
-        .rumors()
-        .iter()
-        .chain(seeds.protectors())
-        .copied()
-        .filter(|&v| graph.out_degree(v) > 0)
-        .collect();
+    // simplified stamp set exactly. `frontier` is the live set.
+    ws.frontier.clear();
+    ws.frontier.extend(
+        seeds
+            .rumors()
+            .iter()
+            .chain(seeds.protectors())
+            .copied()
+            .filter(|&v| graph.out_degree(v) > 0),
+    );
 
-    let mut claim: Vec<u8> = vec![0; n];
     let mut claim_attr: Vec<Option<NodeId>> = vec![None; n];
-    let mut claimed: Vec<NodeId> = Vec::new();
     let mut quiescent = false;
 
     for hop in 1..=max_hops {
-        live.retain(|&u| inactive_out[u.index()] > 0);
-        if live.is_empty() {
+        let counters = &ws.counters;
+        ws.frontier.retain(|&u| counters[u.index()] > 0);
+        if ws.frontier.is_empty() {
             quiescent = true;
             break;
         }
-        claimed.clear();
-        for &u in &live {
+        ws.claimed.clear();
+        for i in 0..ws.frontier.len() {
+            let u = ws.frontier[i];
             let degree = graph.out_degree(u);
             let idx = realization.choice(u, hop, degree);
             let target = graph.out_neighbors(u)[idx];
@@ -177,43 +180,45 @@ pub fn run_opoao_timestamped(
                 Some(st) => st.hop = st.hop.min(hop),
                 None => entry.push(EdgeStamp { seed, hop }),
             }
-            if !tracker.is_inactive(target) {
+            if !ws.is_inactive(target) {
                 continue;
             }
-            let cascade = if tracker.status[u.index()] == Status::Protected {
+            let cascade = if ws.status(u) == Status::Protected {
                 2
             } else {
                 1
             };
-            let slot = &mut claim[target.index()];
+            let slot = &mut ws.claim[target.index()];
             if *slot == 0 {
-                claimed.push(target);
+                ws.claimed.push(target);
             }
             if cascade > *slot {
                 *slot = cascade;
                 claim_attr[target.index()] = Some(seed);
             }
         }
-        let mut new_protected = Vec::new();
-        let mut new_infected = Vec::new();
-        for &w in &claimed {
-            let slot = claim[w.index()];
-            claim[w.index()] = 0;
+        ws.new_protected.clear();
+        ws.new_infected.clear();
+        for i in 0..ws.claimed.len() {
+            let w = ws.claimed[i];
+            let slot = ws.claim[w.index()];
+            ws.claim[w.index()] = 0;
             attribution[w.index()] = claim_attr[w.index()].take();
             if slot == 2 {
-                new_protected.push(w);
+                ws.new_protected.push(w);
             } else {
-                new_infected.push(w);
+                ws.new_infected.push(w);
             }
-            retire(w, &mut inactive_out);
+            retire(w, &mut ws.counters);
             if graph.out_degree(w) > 0 {
-                live.push(w);
+                ws.frontier.push(w);
             }
         }
-        tracker.activate_hop(hop, &new_protected, &new_infected);
+        ws.commit_hop(hop);
     }
+    ws.set_quiescent(quiescent);
     TimestampedOutcome {
-        outcome: tracker.finish(quiescent),
+        outcome: ws.to_outcome(),
         attribution,
         stamps,
     }
@@ -222,37 +227,30 @@ pub fn run_opoao_timestamped(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::seeds;
     use crate::OpoaoModel;
-    use lcrb_graph::generators;
+    use lcrb_graph::{generators, DiGraph};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-
-    fn seeds(g: &DiGraph, r: &[usize], p: &[usize]) -> SeedSets {
-        SeedSets::new(
-            g,
-            r.iter().map(|&i| NodeId::new(i)).collect(),
-            p.iter().map(|&i| NodeId::new(i)).collect(),
-        )
-        .unwrap()
-    }
 
     #[test]
     fn outcome_matches_plain_realized_run() {
         let mut rng = SmallRng::seed_from_u64(2);
         let g = generators::gnm_directed(60, 240, &mut rng).unwrap();
         let s = seeds(&g, &[0, 1], &[2]);
+        let csr = CsrGraph::from(&g);
         let real = OpoaoRealization::new(9);
-        let plain = OpoaoModel::new(20).run_realized(&g, &s, &real);
-        let stamped = run_opoao_timestamped(&g, &s, 20, &real);
-        assert_eq!(plain.statuses(), stamped.outcome.statuses());
-        assert_eq!(plain.trace(), stamped.outcome.trace());
+        let mut plain = SimWorkspace::new();
+        OpoaoModel::new(20).run_realized_into(&csr, &s, &mut plain, &real);
+        let stamped = run_opoao_timestamped(&csr, &s, 20, &real);
+        assert_eq!(plain.to_outcome(), stamped.outcome);
     }
 
     #[test]
     fn path_walk_stamps_each_edge_once() {
         let g = generators::path_graph(4);
         let s = seeds(&g, &[0], &[]);
-        let run = run_opoao_timestamped(&g, &s, 10, &OpoaoRealization::new(0));
+        let run = run_opoao_timestamped(&CsrGraph::from(&g), &s, 10, &OpoaoRealization::new(0));
         // Forced walk: edge (i, i+1) stamped by seed 0 at hop i+1.
         for i in 0..3u32 {
             let st = run.stamps_on(NodeId::new(i as usize), NodeId::new(i as usize + 1));
@@ -271,7 +269,7 @@ mod tests {
         // stamp, exactly the simplified Fig. 1(b) content.
         let g = DiGraph::from_edges(2, [(0, 1)]).unwrap();
         let s = seeds(&g, &[0], &[]);
-        let run = run_opoao_timestamped(&g, &s, 10, &OpoaoRealization::new(1));
+        let run = run_opoao_timestamped(&CsrGraph::from(&g), &s, 10, &OpoaoRealization::new(1));
         let st = run.stamps_on(NodeId::new(0), NodeId::new(1));
         assert_eq!(
             st,
@@ -290,7 +288,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         let g = generators::gnm_directed(50, 220, &mut rng).unwrap();
         let s = seeds(&g, &[0, 1], &[2, 3]);
-        let run = run_opoao_timestamped(&g, &s, 25, &OpoaoRealization::new(4));
+        let run = run_opoao_timestamped(&CsrGraph::from(&g), &s, 25, &OpoaoRealization::new(4));
         for (&(u, _v), stamps) in run.stamped_edges() {
             for st in stamps {
                 let hop_u = run.outcome.activation_hop(u).expect("stamper is active");
@@ -313,15 +311,16 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(graph_seed);
             let g = generators::gnm_directed(40, 200, &mut rng).unwrap();
             let s = seeds(&g, &[0, 1], &[2, 3]);
-            let run = run_opoao_timestamped(&g, &s, 25, &OpoaoRealization::new(graph_seed));
+            let csr = CsrGraph::from(&g);
+            let run = run_opoao_timestamped(&csr, &s, 25, &OpoaoRealization::new(graph_seed));
             for v in g.nodes() {
                 if !run.outcome.status(v).is_protected() || s.protectors().contains(&v) {
                     continue;
                 }
                 let p = run
-                    .earliest_incoming(&g, v, &s, true)
+                    .earliest_incoming(&csr, v, &s, true)
                     .expect("protected non-seed has a protector stamp");
-                if let Some(r) = run.earliest_incoming(&g, v, &s, false) {
+                if let Some(r) = run.earliest_incoming(&csr, v, &s, false) {
                     assert!(
                         p.1.hop <= r.1.hop,
                         "node {v}: protector stamp {} after rumor stamp {}",
@@ -340,7 +339,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         let g = generators::gnm_directed(50, 200, &mut rng).unwrap();
         let s = seeds(&g, &[0, 1], &[2]);
-        let run = run_opoao_timestamped(&g, &s, 20, &OpoaoRealization::new(11));
+        let run = run_opoao_timestamped(&CsrGraph::from(&g), &s, 20, &OpoaoRealization::new(11));
         for v in g.nodes() {
             match run.outcome.status(v) {
                 Status::Inactive => assert_eq!(run.attribution[v.index()], None),

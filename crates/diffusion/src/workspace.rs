@@ -338,7 +338,7 @@ mod tests {
     }
 
     #[test]
-    fn commit_hop_matches_state_tracker_semantics() {
+    fn commit_hop_appends_the_hop_record() {
         let g = DiGraph::with_nodes(5);
         let mut ws = SimWorkspace::new();
         ws.begin(5, &seeds(&g));

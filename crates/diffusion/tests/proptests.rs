@@ -5,12 +5,35 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use lcrb_diffusion::{
-    doam_analytic, doam_safe_targets, monte_carlo, rr_sketch_into, CompetitiveIcModel,
-    CompetitiveLtModel, CompetitiveSisModel, DoamModel, IcRealization, LaneWorkspace,
-    MonteCarloConfig, OpoaoModel, OpoaoRealization, RrScratch, SeedSets, SimWorkspace, SisState,
-    SketchBatch, Status, TwoCascadeModel, OPOAO_LANES,
+    doam_analytic_csr, doam_safe_targets_csr, monte_carlo_csr, rr_sketch_into, CompetitiveIcModel,
+    CompetitiveLtModel, CompetitiveSisModel, DiffusionOutcome, DoamModel, IcRealization,
+    LaneWorkspace, MonteCarloConfig, OpoaoModel, OpoaoRealization, RrScratch, SeedSets,
+    SimWorkspace, SisState, SketchBatch, Status, TwoCascadeModel, OPOAO_LANES,
 };
+use lcrb_graph::traversal::CsrBfsScratch;
 use lcrb_graph::{CsrGraph, DiGraph, NodeId};
+
+/// One run of `model` in a fresh workspace, as an owned outcome.
+fn fresh_run<M: TwoCascadeModel>(
+    model: &M,
+    csr: &CsrGraph,
+    seeds: &SeedSets,
+    rng: &mut SmallRng,
+) -> DiffusionOutcome {
+    let mut ws = SimWorkspace::new();
+    model.run_into(csr, seeds, &mut ws, rng);
+    ws.to_outcome()
+}
+
+/// The DOAM oracle with throwaway scratches.
+fn doam_oracle(csr: &CsrGraph, seeds: &SeedSets) -> DiffusionOutcome {
+    doam_analytic_csr(
+        csr,
+        seeds,
+        &mut CsrBfsScratch::new(),
+        &mut CsrBfsScratch::new(),
+    )
+}
 
 /// Strategy: a random graph plus disjoint rumor/protector seeds.
 fn arb_instance() -> impl Strategy<Value = (DiGraph, SeedSets)> {
@@ -42,8 +65,11 @@ fn arb_instance() -> impl Strategy<Value = (DiGraph, SeedSets)> {
 proptest! {
     #[test]
     fn doam_simulator_matches_analytic_oracle((g, seeds) in arb_instance()) {
-        let sim = DoamModel::default().run_deterministic(&g, &seeds);
-        let ana = doam_analytic(&g, &seeds);
+        let csr = CsrGraph::from(&g);
+        let mut ws = SimWorkspace::new();
+        DoamModel::default().run_deterministic_into(&csr, &seeds, &mut ws);
+        let sim = ws.to_outcome();
+        let ana = doam_oracle(&csr, &seeds);
         prop_assert_eq!(sim.statuses(), ana.statuses());
         for v in g.nodes() {
             prop_assert_eq!(sim.activation_hop(v), ana.activation_hop(v));
@@ -53,9 +79,11 @@ proptest! {
 
     #[test]
     fn doam_safe_targets_agree_with_statuses((g, seeds) in arb_instance()) {
-        let outcome = doam_analytic(&g, &seeds);
+        let csr = CsrGraph::from(&g);
+        let outcome = doam_oracle(&csr, &seeds);
         let targets: Vec<NodeId> = g.nodes().collect();
-        let safe = doam_safe_targets(&g, &seeds, &targets);
+        let (mut d_r, mut d_p) = (CsrBfsScratch::new(), CsrBfsScratch::new());
+        let safe = doam_safe_targets_csr(&csr, &seeds, &targets, &mut d_r, &mut d_p);
         for (v, &is_safe) in targets.iter().zip(&safe) {
             prop_assert_eq!(is_safe, !outcome.status(*v).is_infected());
         }
@@ -64,12 +92,13 @@ proptest! {
     #[test]
     fn seeds_keep_their_status_under_every_model((g, seeds) in arb_instance(), seed in 0u64..64) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        type ModelRun<'a> = Box<dyn Fn(&mut SmallRng) -> lcrb_diffusion::DiffusionOutcome + 'a>;
+        let csr = CsrGraph::from(&g);
+        type ModelRun<'a> = Box<dyn Fn(&mut SmallRng) -> DiffusionOutcome + 'a>;
         let models: Vec<ModelRun> = vec![
-            Box::new(|r| OpoaoModel::default().run(&g, &seeds, r)),
-            Box::new(|r| DoamModel::default().run(&g, &seeds, r)),
-            Box::new(|r| CompetitiveIcModel::new(0.4).unwrap().run(&g, &seeds, r)),
-            Box::new(|r| CompetitiveLtModel::default().run(&g, &seeds, r)),
+            Box::new(|r| fresh_run(&OpoaoModel::default(), &csr, &seeds, r)),
+            Box::new(|r| fresh_run(&DoamModel::default(), &csr, &seeds, r)),
+            Box::new(|r| fresh_run(&CompetitiveIcModel::new(0.4).unwrap(), &csr, &seeds, r)),
+            Box::new(|r| fresh_run(&CompetitiveLtModel::default(), &csr, &seeds, r)),
         ];
         for run in models {
             let o = run(&mut rng);
@@ -97,7 +126,7 @@ proptest! {
         // In every model, a node activated at hop t > 0 has an
         // in-neighbor activated strictly earlier.
         let mut rng = SmallRng::seed_from_u64(seed);
-        let o = OpoaoModel::default().run(&g, &seeds, &mut rng);
+        let o = fresh_run(&OpoaoModel::default(), &CsrGraph::from(&g), &seeds, &mut rng);
         for v in g.nodes() {
             if let Some(t) = o.activation_hop(v) {
                 if t > 0 {
@@ -113,12 +142,13 @@ proptest! {
 
     #[test]
     fn realized_opoao_is_deterministic((g, seeds) in arb_instance(), rseed in 0u64..256) {
+        let csr = CsrGraph::from(&g);
         let model = OpoaoModel::default();
         let real = OpoaoRealization::new(rseed);
-        let a = model.run_realized(&g, &seeds, &real);
-        let b = model.run_realized(&g, &seeds, &real);
-        prop_assert_eq!(a.statuses(), b.statuses());
-        prop_assert_eq!(a.trace(), b.trace());
+        let (mut a, mut b) = (SimWorkspace::new(), SimWorkspace::new());
+        model.run_realized_into(&csr, &seeds, &mut a, &real);
+        model.run_realized_into(&csr, &seeds, &mut b, &real);
+        prop_assert_eq!(a.to_outcome(), b.to_outcome());
     }
 
     #[test]
@@ -131,8 +161,9 @@ proptest! {
         let mut protectors = seeds.protectors().to_vec();
         protectors.push(extra);
         let bigger = seeds.with_protectors(&g, protectors).unwrap();
-        let base = doam_analytic(&g, &seeds);
-        let more = doam_analytic(&g, &bigger);
+        let csr = CsrGraph::from(&g);
+        let base = doam_oracle(&csr, &seeds);
+        let more = doam_oracle(&csr, &bigger);
         prop_assert!(more.infected_count() <= base.infected_count());
         // Every node protected before stays protected.
         for v in g.nodes() {
@@ -144,9 +175,10 @@ proptest! {
 
     #[test]
     fn monte_carlo_is_thread_invariant((g, seeds) in arb_instance()) {
+        let csr = CsrGraph::from(&g);
         let model = OpoaoModel::new(10);
-        let a = monte_carlo(&model, &g, &seeds, &MonteCarloConfig { runs: 8, base_seed: 4, threads: 1 });
-        let b = monte_carlo(&model, &g, &seeds, &MonteCarloConfig { runs: 8, base_seed: 4, threads: 3 });
+        let a = monte_carlo_csr(&model, &csr, &seeds, &MonteCarloConfig { runs: 8, base_seed: 4, threads: 1 });
+        let b = monte_carlo_csr(&model, &csr, &seeds, &MonteCarloConfig { runs: 8, base_seed: 4, threads: 3 });
         prop_assert_eq!(a.runs, b.runs);
         prop_assert_eq!(a.mean_infected_by_hop.len(), b.mean_infected_by_hop.len());
         for (x, y) in a.mean_infected_by_hop.iter().zip(&b.mean_infected_by_hop) {
@@ -156,10 +188,16 @@ proptest! {
 
     #[test]
     fn ic_realized_runs_are_deterministic_and_monotone((g, seeds) in arb_instance(), rseed in 0u64..128) {
+        let csr = CsrGraph::from(&g);
         let model = CompetitiveIcModel::new(0.45).unwrap();
         let real = IcRealization::new(rseed);
-        let a = model.run_realized(&g, &seeds, &real);
-        let b = model.run_realized(&g, &seeds, &real);
+        let realized = |s: &SeedSets| {
+            let mut ws = SimWorkspace::new();
+            model.run_realized_into(&csr, s, &mut ws, &real);
+            ws.to_outcome()
+        };
+        let a = realized(&seeds);
+        let b = realized(&seeds);
         prop_assert_eq!(a.statuses(), b.statuses());
         // Adding a protector never creates an infection under the
         // live-edge coupling.
@@ -170,7 +208,7 @@ proptest! {
             let mut protectors = seeds.protectors().to_vec();
             protectors.push(extra);
             let bigger = seeds.with_protectors(&g, protectors).unwrap();
-            let more = model.run_realized(&g, &bigger, &real);
+            let more = realized(&bigger);
             for v in g.nodes() {
                 if more.status(v).is_infected() {
                     prop_assert!(a.status(v).is_infected(), "node {v} newly infected");
@@ -183,7 +221,7 @@ proptest! {
     fn sis_trace_is_conserved_and_seeded_correctly((g, seeds) in arb_instance(), seed in 0u64..64) {
         let model = CompetitiveSisModel::new(0.3, 0.3, 0.2, 15).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed);
-        let o = model.run(&g, &seeds, &mut rng);
+        let o = model.run_into(&CsrGraph::from(&g), &seeds, &mut SimWorkspace::new(), &mut rng);
         prop_assert_eq!(o.trace.len(), 16);
         prop_assert_eq!(o.trace[0].infected, seeds.rumors().len());
         prop_assert_eq!(o.trace[0].protected, seeds.protectors().len());
@@ -200,11 +238,12 @@ proptest! {
 
     #[test]
     fn sis_is_deterministic_for_fixed_rng_seed((g, seeds) in arb_instance(), seed in 0u64..64) {
+        let csr = CsrGraph::from(&g);
         let model = CompetitiveSisModel::new(0.25, 0.35, 0.15, 12).unwrap();
         let mut r1 = SmallRng::seed_from_u64(seed);
         let mut r2 = SmallRng::seed_from_u64(seed);
-        let a = model.run(&g, &seeds, &mut r1);
-        let b = model.run(&g, &seeds, &mut r2);
+        let a = model.run_into(&csr, &seeds, &mut SimWorkspace::new(), &mut r1);
+        let b = model.run_into(&csr, &seeds, &mut SimWorkspace::new(), &mut r2);
         prop_assert_eq!(a.final_states, b.final_states);
         prop_assert_eq!(a.trace, b.trace);
     }
@@ -395,10 +434,9 @@ proptest! {
     }
 }
 
-// run_into ≡ run equivalence and workspace hygiene. `run` delegates
-// to `run_into` with a *fresh* workspace; comparing it against a
-// workspace reused across arbitrary earlier runs proves the epoch
-// reset leaks nothing between runs.
+// Workspace hygiene: a run in a workspace reused across arbitrary
+// earlier runs must equal the same run in a *fresh* workspace, which
+// proves the epoch reset leaks nothing between runs.
 proptest! {
     #[test]
     fn run_into_with_reused_workspace_matches_fresh_run_for_every_model(
@@ -420,7 +458,7 @@ proptest! {
                 let mut a = SmallRng::seed_from_u64(seed);
                 let mut b = SmallRng::seed_from_u64(seed);
                 $model.run_into(&csr, &seeds, &mut ws, &mut a);
-                let fresh = $model.run(&g, &seeds, &mut b);
+                let fresh = fresh_run(&$model, &csr, &seeds, &mut b);
                 prop_assert_eq!(ws.to_outcome(), fresh, $name);
             }};
         }
@@ -433,7 +471,8 @@ proptest! {
         let mut a = SmallRng::seed_from_u64(seed);
         let mut b = SmallRng::seed_from_u64(seed);
         let fast = sis.run_into(&csr, &seeds, &mut ws, &mut a);
-        prop_assert_eq!(fast, sis.run(&g, &seeds, &mut b), "sis");
+        let fresh = sis.run_into(&csr, &seeds, &mut SimWorkspace::new(), &mut b);
+        prop_assert_eq!(fast, fresh, "sis");
     }
 
     #[test]
@@ -453,11 +492,11 @@ proptest! {
             let mut b = SmallRng::seed_from_u64(s);
             if i % 2 == 0 {
                 OpoaoModel::new(8).run_into(&csr, &seeds, &mut ws, &mut a);
-                let fresh = OpoaoModel::new(8).run(&g, &seeds, &mut b);
+                let fresh = fresh_run(&OpoaoModel::new(8), &csr, &seeds, &mut b);
                 prop_assert_eq!(ws.to_outcome(), fresh);
             } else {
                 CompetitiveIcModel::new(0.5).unwrap().run_into(&csr, &seeds, &mut ws, &mut a);
-                let fresh = CompetitiveIcModel::new(0.5).unwrap().run(&g, &seeds, &mut b);
+                let fresh = fresh_run(&CompetitiveIcModel::new(0.5).unwrap(), &csr, &seeds, &mut b);
                 prop_assert_eq!(ws.to_outcome(), fresh);
             }
         }

@@ -14,7 +14,7 @@ use crate::{DiGraph, GraphError, NodeId};
 /// [`DiGraph`] and re-freeze if the network changes.
 ///
 /// This is the substrate of the simulation engine: build the snapshot
-/// once per problem instance (see [`CsrGraph::from_digraph`]), then run
+/// once per problem instance (`CsrGraph::from(&digraph)`), then run
 /// thousands of simulations against it with reusable workspaces.
 ///
 /// # Examples
@@ -42,15 +42,6 @@ pub struct CsrGraph {
 }
 
 impl CsrGraph {
-    /// Builds a snapshot from a [`DiGraph`]; alias of the
-    /// [`From<&DiGraph>`](#impl-From%3C%26DiGraph%3E-for-CsrGraph)
-    /// conversion that reads better at call sites building snapshots
-    /// explicitly.
-    #[must_use]
-    pub fn from_digraph(g: &DiGraph) -> Self {
-        CsrGraph::from(g)
-    }
-
     /// Number of nodes.
     #[inline]
     #[must_use]
@@ -137,8 +128,8 @@ impl CsrGraph {
     /// Builds a snapshot directly from raw CSR arrays, validating the
     /// structural invariants before accepting them. The degree arrays
     /// are derived from the offsets. This is the checked entry point
-    /// for deserialized or externally constructed snapshots;
-    /// [`CsrGraph::from_digraph`] remains the usual route.
+    /// for deserialized or externally constructed snapshots; freezing
+    /// a [`DiGraph`] with `CsrGraph::from` remains the usual route.
     ///
     /// # Errors
     ///
@@ -324,7 +315,7 @@ mod tests {
     #[test]
     fn degree_arrays_match_slice_lengths() {
         let g = DiGraph::from_edges(4, [(0, 1), (0, 2), (0, 3), (2, 0), (3, 0)]).unwrap();
-        let csr = CsrGraph::from_digraph(&g);
+        let csr = CsrGraph::from(&g);
         for v in g.nodes() {
             assert_eq!(
                 csr.out_degrees()[v.index()] as usize,

@@ -13,8 +13,10 @@
 //!   `u32` ids, maintained in both directions;
 //! - [`CsrGraph`]: a frozen compressed-sparse-row snapshot for hot
 //!   simulation loops;
-//! - [`traversal`]: multi-source / bounded / filtered BFS, BFS trees,
-//!   incremental distance relaxation, DFS, topological sort;
+//! - [`traversal`]: multi-source / bounded / filtered BFS (reusable
+//!   scratch over the snapshot, allocating reference over the
+//!   [`DiGraph`]), incremental distance relaxation, DFS, topological
+//!   sort;
 //! - [`components`]: weakly connected components (via [`UnionFind`])
 //!   and Tarjan strongly connected components;
 //! - [`generators`]: Erdős–Rényi, Barabási–Albert, Watts–Strogatz,

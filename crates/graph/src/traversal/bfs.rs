@@ -1,9 +1,13 @@
-//! Breadth-first search primitives.
+//! Breadth-first search primitives over [`DiGraph`].
 //!
 //! The paper's algorithms are BFS-heavy: Rumor Forward Search Trees
 //! (Algorithm 1/3 step 3), Bridge-end Backward Search Trees
 //! (Algorithm 3 step 4), and the analytic DOAM oracle all reduce to
 //! (multi-source, possibly depth-bounded, possibly filtered) BFS.
+//! The solvers run those searches on a [`crate::CsrGraph`] snapshot
+//! through [`super::CsrBfsScratch`]; the allocating functions here
+//! serve one-off queries on a mutable graph and are the reference the
+//! snapshot traversal is tested against.
 
 // xtask-allow-file: index -- distance arrays are node_count-sized and queues only hold NodeIds of the traversed graph
 use std::collections::VecDeque;
@@ -116,95 +120,6 @@ where
     dist
 }
 
-/// A BFS tree: distances plus one parent per reached non-source node.
-///
-/// Produced by [`bfs_tree`]. The parent pointers realize the paper's
-/// search trees (RFST/BBST) concretely.
-#[derive(Clone, Debug)]
-pub struct BfsTree {
-    /// `distance[v]` is the hop distance from the nearest source, or
-    /// `None` if unreached.
-    pub distance: Vec<Option<u32>>,
-    /// `parent[v]` is the BFS predecessor of `v`; `None` for sources
-    /// and unreached nodes.
-    pub parent: Vec<Option<NodeId>>,
-    /// All reached nodes in dequeue (level) order; sources first.
-    pub order: Vec<NodeId>,
-}
-
-impl BfsTree {
-    /// Reconstructs the path from the nearest source to `node`
-    /// (inclusive), or `None` if `node` was not reached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of bounds for the tree.
-    #[must_use]
-    pub fn path_to(&self, node: NodeId) -> Option<Vec<NodeId>> {
-        self.distance[node.index()]?;
-        let mut path = vec![node];
-        let mut cur = node;
-        while let Some(p) = self.parent[cur.index()] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        Some(path)
-    }
-}
-
-/// Runs a multi-source BFS and records the tree structure.
-///
-/// Same expansion semantics as [`bfs_distances_where`].
-///
-/// # Panics
-///
-/// Panics if any source id is not in the graph.
-#[must_use]
-pub fn bfs_tree<F>(
-    g: &DiGraph,
-    sources: &[NodeId],
-    direction: Direction,
-    max_depth: u32,
-    mut expand: F,
-) -> BfsTree
-where
-    F: FnMut(NodeId) -> bool,
-{
-    let mut dist: Vec<Option<u32>> = vec![None; g.node_count()];
-    let mut parent: Vec<Option<NodeId>> = vec![None; g.node_count()];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    for &s in sources {
-        assert!(s.index() < g.node_count(), "bfs source {s} out of bounds");
-        if dist[s.index()].is_none() {
-            dist[s.index()] = Some(0);
-            order.push(s);
-            queue.push_back(s);
-        }
-    }
-    while let Some(v) = queue.pop_front() {
-        // xtask-allow: panic -- BFS invariant: a distance is written before the node is enqueued
-        let d = dist[v.index()].expect("queued node has a distance");
-        if d >= max_depth || !expand(v) {
-            continue;
-        }
-        for &w in direction.neighbors(g, v) {
-            if dist[w.index()].is_none() {
-                dist[w.index()] = Some(d + 1);
-                parent[w.index()] = Some(v);
-                order.push(w);
-                queue.push_back(w);
-            }
-        }
-    }
-    BfsTree {
-        distance: dist,
-        parent,
-        order,
-    }
-}
-
 /// Relaxes an existing distance array with a new source.
 ///
 /// After the call, `dist[v]` is `min(old dist[v], hops from source)`.
@@ -238,88 +153,6 @@ pub fn relax_with_source(g: &DiGraph, dist: &mut [Option<u32>], source: NodeId) 
                 queue.push_back(w);
             }
         }
-    }
-}
-
-/// Multi-source BFS over a frozen [`CsrGraph`](crate::CsrGraph)
-/// snapshot — same semantics as [`bfs_distances`], but the packed
-/// adjacency keeps the traversal cache-friendly for repeated
-/// full-graph sweeps (see the `graph/bfs` benchmarks).
-///
-/// # Panics
-///
-/// Panics if any source id is not in the graph.
-#[must_use]
-pub fn bfs_distances_csr(g: &crate::CsrGraph, sources: &[NodeId]) -> Vec<Option<u32>> {
-    let mut dist: Vec<Option<u32>> = vec![None; g.node_count()];
-    let mut queue = VecDeque::new();
-    for &s in sources {
-        assert!(s.index() < g.node_count(), "bfs source {s} out of bounds");
-        if dist[s.index()].is_none() {
-            dist[s.index()] = Some(0);
-            queue.push_back(s);
-        }
-    }
-    while let Some(v) = queue.pop_front() {
-        // xtask-allow: panic -- BFS invariant: a distance is written before the node is enqueued
-        let d = dist[v.index()].expect("queued node has a distance");
-        for &w in g.out_neighbors(v) {
-            if dist[w.index()].is_none() {
-                dist[w.index()] = Some(d + 1);
-                queue.push_back(w);
-            }
-        }
-    }
-    dist
-}
-
-/// An iterator-flavored single-source BFS yielding `(node, depth)`
-/// pairs in visit order, created by [`Bfs::new`].
-#[derive(Clone, Debug)]
-pub struct Bfs<'a> {
-    graph: &'a DiGraph,
-    direction: Direction,
-    queue: VecDeque<(NodeId, u32)>,
-    seen: Vec<bool>,
-}
-
-impl<'a> Bfs<'a> {
-    /// Starts a BFS from `source`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` is not in the graph.
-    #[must_use]
-    pub fn new(graph: &'a DiGraph, source: NodeId, direction: Direction) -> Self {
-        assert!(
-            source.index() < graph.node_count(),
-            "bfs source {source} out of bounds"
-        );
-        let mut seen = vec![false; graph.node_count()];
-        seen[source.index()] = true;
-        let mut queue = VecDeque::new();
-        queue.push_back((source, 0));
-        Bfs {
-            graph,
-            direction,
-            queue,
-            seen,
-        }
-    }
-}
-
-impl Iterator for Bfs<'_> {
-    type Item = (NodeId, u32);
-
-    fn next(&mut self) -> Option<(NodeId, u32)> {
-        let (v, d) = self.queue.pop_front()?;
-        for &w in self.direction.neighbors(self.graph, v) {
-            if !self.seen[w.index()] {
-                self.seen[w.index()] = true;
-                self.queue.push_back((w, d + 1));
-            }
-        }
-        Some((v, d))
     }
 }
 
@@ -390,40 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_parents_and_paths() {
-        let g = DiGraph::from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]).unwrap();
-        let t = bfs_tree(&g, &[NodeId::new(0)], Direction::Forward, u32::MAX, |_| {
-            true
-        });
-        assert_eq!(t.distance[4], Some(3));
-        let path = t.path_to(NodeId::new(4)).unwrap();
-        assert_eq!(path.len(), 4);
-        assert_eq!(path[0], NodeId::new(0));
-        assert_eq!(*path.last().unwrap(), NodeId::new(4));
-        // Consecutive path entries are edges.
-        for w in path.windows(2) {
-            assert!(g.has_edge(w[0], w[1]));
-        }
-        assert!(t.path_to(NodeId::new(0)).unwrap() == vec![NodeId::new(0)]);
-    }
-
-    #[test]
-    fn tree_order_is_level_order() {
-        let g = line(4);
-        let t = bfs_tree(&g, &[NodeId::new(0)], Direction::Forward, u32::MAX, |_| {
-            true
-        });
-        let depths: Vec<u32> = t
-            .order
-            .iter()
-            .map(|v| t.distance[v.index()].unwrap())
-            .collect();
-        let mut sorted = depths.clone();
-        sorted.sort_unstable();
-        assert_eq!(depths, sorted);
-    }
-
-    #[test]
     fn relax_with_source_matches_fresh_bfs() {
         let mut rng = SmallRng::seed_from_u64(7);
         let g = generators::gnm_directed(60, 180, &mut rng).unwrap();
@@ -441,39 +240,6 @@ mod tests {
         let before = dist.clone();
         relax_with_source(&g, &mut dist, NodeId::new(0));
         assert_eq!(dist, before);
-    }
-
-    #[test]
-    fn bfs_iterator_visits_each_node_once() {
-        let g = DiGraph::from_edges(4, [(0, 1), (1, 2), (2, 0), (1, 3)]).unwrap();
-        let visited: Vec<_> = Bfs::new(&g, NodeId::new(0), Direction::Forward).collect();
-        assert_eq!(visited.len(), 4);
-        assert_eq!(visited[0], (NodeId::new(0), 0));
-        let mut ids: Vec<_> = visited.iter().map(|(v, _)| v.index()).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn csr_bfs_matches_adjacency_bfs() {
-        let mut rng = SmallRng::seed_from_u64(9);
-        let g = generators::gnm_directed(80, 320, &mut rng).unwrap();
-        let csr = crate::CsrGraph::from(&g);
-        for src in [0usize, 17, 42] {
-            let a = bfs_distances(&g, &[NodeId::new(src)]);
-            let b = bfs_distances_csr(&csr, &[NodeId::new(src)]);
-            assert_eq!(a, b, "source {src}");
-        }
-        let multi = [NodeId::new(3), NodeId::new(70)];
-        assert_eq!(bfs_distances(&g, &multi), bfs_distances_csr(&csr, &multi));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn csr_bfs_panics_on_bad_source() {
-        let g = line(2);
-        let csr = crate::CsrGraph::from(&g);
-        let _ = bfs_distances_csr(&csr, &[NodeId::new(5)]);
     }
 
     #[test]

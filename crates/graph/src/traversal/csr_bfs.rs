@@ -15,9 +15,10 @@ use crate::{CsrGraph, NodeId};
 
 /// Reusable state for repeated BFS runs over a [`CsrGraph`].
 ///
-/// A traversal is started with [`CsrBfsScratch::run`] (or
-/// [`CsrBfsScratch::begin`] + [`CsrBfsScratch::relax_forward`] for
-/// incremental multi-source relaxation); results stay readable via
+/// A traversal is started with [`CsrBfsScratch::run`] or
+/// [`CsrBfsScratch::run_where`] (or [`CsrBfsScratch::begin`] +
+/// [`CsrBfsScratch::relax_forward`] for incremental multi-source
+/// relaxation); results stay readable via
 /// [`CsrBfsScratch::distance`] and [`CsrBfsScratch::order`] until the
 /// next traversal starts.
 ///
@@ -74,14 +75,38 @@ impl CsrBfsScratch {
     }
 
     /// Multi-source BFS from `sources`, traversing `direction`, never
-    /// deeper than `max_depth`. Same semantics as
-    /// [`bfs_distances_where`](super::bfs_distances_where) with an
+    /// deeper than `max_depth`: [`CsrBfsScratch::run_where`] with an
     /// always-true expansion predicate.
     ///
     /// # Panics
     ///
     /// Panics if any source id is not in the graph.
     pub fn run(&mut self, g: &CsrGraph, sources: &[NodeId], direction: Direction, max_depth: u32) {
+        self.run_where(g, sources, direction, max_depth, |_| true);
+    }
+
+    /// Multi-source BFS that only *expands* nodes for which `expand`
+    /// returns `true`: a node failing the predicate still gets its
+    /// distance and a place in [`CsrBfsScratch::order`] when first
+    /// reached, but its neighbors are not enqueued. Same semantics as
+    /// [`bfs_distances_where`](super::bfs_distances_where); confining
+    /// expansion to the rumor community yields the paper's Rumor
+    /// Forward Search Tree, whose leaves outside it are the bridge
+    /// ends.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any source id is not in the graph.
+    pub fn run_where<F>(
+        &mut self,
+        g: &CsrGraph,
+        sources: &[NodeId],
+        direction: Direction,
+        max_depth: u32,
+        mut expand: F,
+    ) where
+        F: FnMut(NodeId) -> bool,
+    {
         let n = g.node_count();
         self.begin(n);
         for &s in sources {
@@ -97,7 +122,7 @@ impl CsrBfsScratch {
             let v = self.order[head];
             head += 1;
             let d = self.dist[v.index()];
-            if d >= max_depth {
+            if d >= max_depth || !expand(v) {
                 continue;
             }
             let neighbors = match direction {
@@ -175,8 +200,9 @@ impl CsrBfsScratch {
         self.distance(v).is_some()
     }
 
-    /// Nodes reached by the last [`CsrBfsScratch::run`] in level
-    /// (dequeue) order, sources first.
+    /// Nodes reached by the last [`CsrBfsScratch::run`] or
+    /// [`CsrBfsScratch::run_where`] in level (dequeue) order, sources
+    /// first.
     #[inline]
     #[must_use]
     pub fn order(&self) -> &[NodeId] {
@@ -226,6 +252,23 @@ mod tests {
             for v in g.nodes() {
                 assert_eq!(scratch.distance(v), fresh[v.index()]);
             }
+        }
+    }
+
+    #[test]
+    fn predicated_runs_match_reference_across_reuses() {
+        let (g, csr) = random_pair(17);
+        let mut scratch = CsrBfsScratch::new();
+        for (src, modulus, depth) in [(0usize, 2usize, u32::MAX), (7, 3, u32::MAX), (4, 2, 2)] {
+            let expand = |v: NodeId| !v.index().is_multiple_of(modulus);
+            let sources = [NodeId::new(src), NodeId::new(src + 30)];
+            scratch.run_where(&csr, &sources, Direction::Forward, depth, expand);
+            let fresh = bfs_distances_where(&g, &sources, Direction::Forward, depth, expand);
+            for v in g.nodes() {
+                assert_eq!(scratch.distance(v), fresh[v.index()], "src {src} node {v}");
+            }
+            let reached = fresh.iter().filter(|d| d.is_some()).count();
+            assert_eq!(scratch.order().len(), reached);
         }
     }
 

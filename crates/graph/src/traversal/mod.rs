@@ -6,8 +6,7 @@ mod csr_bfs;
 mod dfs;
 
 pub use bfs::{
-    bfs_distances, bfs_distances_csr, bfs_distances_where, bfs_tree, relax_with_source,
-    reverse_bfs_distances, Bfs, BfsTree, Direction,
+    bfs_distances, bfs_distances_where, relax_with_source, reverse_bfs_distances, Direction,
 };
 pub use csr_bfs::CsrBfsScratch;
 pub use dfs::{dfs_preorder, is_reachable, topological_sort, CycleError};

@@ -4,9 +4,9 @@
 //! [`point`]`("name")`. Under the default std backend — and under the
 //! `sched` backend when no model run is active — a point is a no-op.
 //! Inside a model run, a test can arm a point with
-//! [`sched::arm_fault`](crate::sched::arm_fault)`("name", n)` so that
-//! the `n`-th execution of that point panics with a recognizable
-//! payload, exercising the drop-guard recovery path around it.
+//! `sched::arm_fault("name", n)` (`sched` feature) so that the `n`-th
+//! execution of that point panics with a recognizable payload,
+//! exercising the drop-guard recovery path around it.
 //!
 //! Point names used by the workspace:
 //!

@@ -22,14 +22,14 @@
 //!   test make a chosen code path panic on its Nth execution to
 //!   exercise drop-guard recovery paths. Every failing exploration
 //!   reports a replay seed plus decision string that reproduces the
-//!   schedule deterministically (see [`sched`]).
+//!   schedule deterministically (see the `sched` module).
 //!
 //! With the `sched` feature enabled but **no model run active**, every
 //! operation falls through to the plain std behaviour after one
 //! thread-local check. This matters because cargo feature unification
 //! turns the feature on for entire test builds: ordinary tests keep
 //! their ordinary semantics, and only code executed inside
-//! [`sched::explore_dfs`] / [`sched::explore_seeds`] / [`sched::replay`]
+//! `sched::explore_dfs` / `sched::explore_seeds` / `sched::replay`
 //! is scheduled by the model.
 //!
 //! [`Solver`]: ../lcrb/engine/struct.Solver.html

@@ -27,24 +27,18 @@ fn containment<M: TwoCascadeModel + Sync>(
         base_seed: 5,
         threads: 0,
     };
-    let without = monte_carlo(model, instance.graph(), &instance.seed_sets(vec![])?, &mc);
-    let with = monte_carlo(
-        model,
-        instance.graph(),
-        &instance.seed_sets(protectors.to_vec())?,
-        &mc,
-    );
+    let snapshot = instance.snapshot();
+    let protected = instance.seed_sets(protectors.to_vec())?;
+    let without = monte_carlo_csr(model, snapshot, &instance.seed_sets(vec![])?, &mc);
+    let with = monte_carlo_csr(model, snapshot, &protected, &mc);
     // How many bridge ends stay safe on average is what LCRB cares
     // about; re-run one representative simulation to count them.
     let mut rng = SmallRng::seed_from_u64(11);
-    let outcome = model.run(
-        instance.graph(),
-        &instance.seed_sets(protectors.to_vec())?,
-        &mut rng,
-    );
+    let mut ws = SimWorkspace::new();
+    model.run_into(snapshot, &protected, &mut ws, &mut rng);
     let safe = bridge_ends
         .iter()
-        .filter(|&&v| !outcome.status(v).is_infected())
+        .filter(|&&v| !ws.status(v).is_infected())
         .count();
     println!(
         "{name:>15}: mean infected {:7.1} -> {:7.1}  (bridge ends safe in sample run: {safe}/{})",
@@ -109,12 +103,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // work) — prevalence with and without the protector campaign.
     let sis = CompetitiveSisModel::new(0.2, 0.35, 0.25, 60)?;
     let mut rng = SmallRng::seed_from_u64(17);
-    let quiet = sis.run(instance.graph(), &instance.seed_sets(vec![])?, &mut rng);
-    let fought = sis.run(
-        instance.graph(),
-        &instance.seed_sets(protectors.to_vec())?,
-        &mut rng,
-    );
+    let mut ws = SimWorkspace::new();
+    let snapshot = instance.snapshot();
+    let quiet = sis.run_into(snapshot, &instance.seed_sets(vec![])?, &mut ws, &mut rng);
+    let protected = instance.seed_sets(protectors.to_vec())?;
+    let fought = sis.run_into(snapshot, &protected, &mut ws, &mut rng);
     println!(
         "{:>15}: endemic infected {:>7} -> {:>7}  (non-progressive prevalence after 60 steps)",
         "competitive-sis",

@@ -77,21 +77,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Verify: simulate DOAM with and without protection.
     let instance = solver.instance();
-    let unprotected =
-        DoamModel::default().run_deterministic(instance.graph(), &instance.seed_sets(vec![])?);
-    let protected = DoamModel::default().run_deterministic(
-        instance.graph(),
-        &instance.seed_sets(report.protectors.clone())?,
-    );
+    let snapshot = instance.snapshot();
+    let mut unprotected = SimWorkspace::new();
+    let seeds = instance.seed_sets(vec![])?;
+    DoamModel::default().run_deterministic_into(snapshot, &seeds, &mut unprotected);
+    let mut protected = SimWorkspace::new();
+    let seeds = instance.seed_sets(report.protectors.clone())?;
+    DoamModel::default().run_deterministic_into(snapshot, &seeds, &mut protected);
     println!(
         "infected without protection: {} / {}",
         unprotected.infected_count(),
-        instance.graph().node_count()
+        snapshot.node_count()
     );
     println!(
         "infected with protection:    {} / {}",
         protected.infected_count(),
-        instance.graph().node_count()
+        snapshot.node_count()
     );
     for v in &bridges.nodes {
         assert!(!protected.status(*v).is_infected());

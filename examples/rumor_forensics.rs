@@ -30,9 +30,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &mut rng,
     )?;
     let true_source = instance.rumor_seeds()[0];
-    let outbreak = lcrb_repro::diffusion::DoamModel::new(3)
-        .run_deterministic(instance.graph(), &instance.seed_sets(vec![])?);
-    let snapshot = outbreak.infected_nodes();
+    let mut ws = SimWorkspace::new();
+    DoamModel::new(3).run_deterministic_into(
+        instance.snapshot(),
+        &instance.seed_sets(vec![])?,
+        &mut ws,
+    );
+    let snapshot = ws.to_outcome().infected_nodes();
     println!(
         "observed snapshot: {} infected nodes after 3 hops (true source hidden: node {true_source})",
         snapshot.len()
@@ -41,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Forensics: rank the suspected community's members by how well
     // they explain the snapshot.
     let suspects = instance.rumor_community_members();
-    let ranking = rank_sources(instance.graph(), &snapshot, &suspects);
+    let ranking = rank_sources(instance.snapshot(), &snapshot, &suspects);
     let best = ranking.best().expect("candidates were supplied");
     let rank_of_truth = ranking
         .rank_of(true_source)
@@ -72,21 +76,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         vec![best],
     )?;
     let plan = scbg(&inferred_instance, &ScbgConfig::default());
-    let replay = DoamModel::default().run_deterministic(
-        instance.graph(),
-        &instance.seed_sets(
-            plan.protectors
-                .iter()
-                .copied()
-                .filter(|p| *p != true_source)
-                .collect(),
-        )?,
-    );
+    let replay = instance.seed_sets(
+        plan.protectors
+            .iter()
+            .copied()
+            .filter(|p| *p != true_source)
+            .collect(),
+    )?;
+    DoamModel::default().run_deterministic_into(instance.snapshot(), &replay, &mut ws);
     let true_bridges = find_bridge_ends(&instance, BridgeEndRule::WithinCommunity);
     let saved = true_bridges
         .nodes
         .iter()
-        .filter(|&&v| !replay.status(v).is_infected())
+        .filter(|&&v| !ws.status(v).is_infected())
         .count();
     println!(
         "containment planned from the inferred source protects {saved}/{} of the real bridge ends",

@@ -51,9 +51,10 @@
 //!
 //! // 4. ...and the DOAM simulation certifies containment.
 //! let seeds = solver.instance().seed_sets(report.protectors.clone())?;
-//! let outcome = DoamModel::default().run_deterministic(solver.instance().graph(), &seeds);
+//! let mut ws = SimWorkspace::new();
+//! DoamModel::default().run_deterministic_into(solver.instance().snapshot(), &seeds, &mut ws);
 //! for v in &solution.bridge_ends.nodes {
-//!     assert!(!outcome.status(*v).is_infected());
+//!     assert!(!ws.status(*v).is_infected());
 //! }
 //! # Ok(())
 //! # }
@@ -81,8 +82,8 @@ pub mod prelude {
     pub use lcrb_community::{louvain, LouvainConfig, Partition};
     pub use lcrb_datasets::{enron_like, hep_like, DatasetConfig};
     pub use lcrb_diffusion::{
-        doam_analytic, monte_carlo, DoamModel, MonteCarloConfig, OpoaoModel, SeedSets, Status,
-        TwoCascadeModel,
+        doam_analytic_csr, monte_carlo_csr, DoamModel, MonteCarloConfig, OpoaoModel, SeedSets,
+        SimWorkspace, Status, TwoCascadeModel,
     };
     pub use lcrb_graph::{DiGraph, NodeId};
 }

@@ -3,6 +3,7 @@
 
 use lcrb_repro::community::metrics::{mixing_parameter, normalized_mutual_information};
 use lcrb_repro::diffusion::OpoaoRealization;
+use lcrb_repro::graph::traversal::CsrBfsScratch;
 use lcrb_repro::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -20,8 +21,11 @@ fn doam_oracle_matches_simulator_on_dataset_graphs() {
     )
     .unwrap();
     let seeds = inst.seed_sets(vec![]).unwrap();
-    let sim = DoamModel::default().run_deterministic(inst.graph(), &seeds);
-    let ana = doam_analytic(inst.graph(), &seeds);
+    let mut ws = SimWorkspace::new();
+    DoamModel::default().run_deterministic_into(inst.snapshot(), &seeds, &mut ws);
+    let sim = ws.to_outcome();
+    let (mut d_r, mut d_p) = (CsrBfsScratch::new(), CsrBfsScratch::new());
+    let ana = doam_analytic_csr(inst.snapshot(), &seeds, &mut d_r, &mut d_p);
     assert_eq!(sim.statuses(), ana.statuses());
     assert_eq!(sim.trace(), ana.trace());
 }
@@ -43,8 +47,10 @@ fn bridge_ends_are_exactly_the_first_escapes_under_doam() {
     )
     .unwrap();
     let bridges = find_bridge_ends(&inst, BridgeEndRule::WithinCommunity);
-    let outcome =
-        DoamModel::default().run_deterministic(inst.graph(), &inst.seed_sets(vec![]).unwrap());
+    let mut ws = SimWorkspace::new();
+    let seeds = inst.seed_sets(vec![]).unwrap();
+    DoamModel::default().run_deterministic_into(inst.snapshot(), &seeds, &mut ws);
+    let outcome = ws.to_outcome();
     // All bridge ends get infected when nothing is done.
     for &v in &bridges.nodes {
         assert!(outcome.status(v).is_infected());
@@ -94,7 +100,13 @@ fn coupled_realizations_share_rumor_randomness() {
     .unwrap();
     let model = OpoaoModel::new(15);
     let real = OpoaoRealization::new(99);
-    let base = model.run_realized(inst.graph(), &inst.seed_sets(vec![]).unwrap(), &real);
+    let realized = |protectors: Vec<NodeId>| {
+        let mut ws = SimWorkspace::new();
+        let seeds = inst.seed_sets(protectors).unwrap();
+        model.run_realized_into(inst.snapshot(), &seeds, &mut ws, &real);
+        ws.to_outcome()
+    };
+    let base = realized(vec![]);
     // Pick a protector far from the action: an isolated-ish node in
     // another community (any non-rumor node works for the coupling
     // property we check).
@@ -103,11 +115,7 @@ fn coupled_realizations_share_rumor_randomness() {
         .nodes()
         .find(|&v| !inst.in_rumor_community(v) && !base.status(v).is_active())
         .expect("some node stays inactive in 15 hops");
-    let with = model.run_realized(
-        inst.graph(),
-        &inst.seed_sets(vec![protector]).unwrap(),
-        &real,
-    );
+    let with = realized(vec![protector]);
     // Coupling: infections can only shrink, never move around.
     for v in inst.graph().nodes() {
         if with.status(v).is_infected() {

@@ -6,6 +6,17 @@ use lcrb_repro::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+/// The DOAM step simulation of `protectors` on the instance's snapshot.
+fn doam(
+    inst: &RumorBlockingInstance,
+    protectors: Vec<NodeId>,
+) -> lcrb_repro::diffusion::DiffusionOutcome {
+    let mut ws = SimWorkspace::new();
+    let seeds = inst.seed_sets(protectors).unwrap();
+    DoamModel::default().run_deterministic_into(inst.snapshot(), &seeds, &mut ws);
+    ws.to_outcome()
+}
+
 fn hep_instance(scale: f64, seed: u64, rumors: usize) -> RumorBlockingInstance {
     let ds = hep_like(&DatasetConfig::new(scale, seed));
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -28,8 +39,7 @@ fn scbg_contains_the_rumor_end_to_end() {
 
     // Without protection the rumor escapes: every bridge end is
     // infected under DOAM (they are reachable by construction).
-    let unprotected =
-        DoamModel::default().run_deterministic(inst.graph(), &inst.seed_sets(vec![]).unwrap());
+    let unprotected = doam(&inst, vec![]);
     for &v in &solution.bridge_ends.nodes {
         assert!(
             unprotected.status(v).is_infected(),
@@ -38,10 +48,7 @@ fn scbg_contains_the_rumor_end_to_end() {
     }
 
     // With the SCBG protectors, none is.
-    let protected = DoamModel::default().run_deterministic(
-        inst.graph(),
-        &inst.seed_sets(solution.protectors.clone()).unwrap(),
-    );
+    let protected = doam(&inst, solution.protectors.clone());
     for &v in &solution.bridge_ends.nodes {
         assert!(!protected.status(v).is_infected());
     }
@@ -73,10 +80,7 @@ fn pipeline_works_with_detected_communities() {
     .unwrap();
     let solution = scbg(&inst, &ScbgConfig::default());
     assert!(solution.is_complete());
-    let outcome = DoamModel::default().run_deterministic(
-        inst.graph(),
-        &inst.seed_sets(solution.protectors.clone()).unwrap(),
-    );
+    let outcome = doam(&inst, solution.protectors.clone());
     for &v in &solution.bridge_ends.nodes {
         assert!(!outcome.status(v).is_infected());
     }
@@ -101,13 +105,18 @@ fn greedy_beats_no_blocking_under_opoao() {
         threads: 0,
     };
     let model = OpoaoModel::default();
-    let blocked = monte_carlo(
+    let blocked = monte_carlo_csr(
         &model,
-        inst.graph(),
+        inst.snapshot(),
         &inst.seed_sets(selection.protectors.clone()).unwrap(),
         &mc,
     );
-    let unblocked = monte_carlo(&model, inst.graph(), &inst.seed_sets(vec![]).unwrap(), &mc);
+    let unblocked = monte_carlo_csr(
+        &model,
+        inst.snapshot(),
+        &inst.seed_sets(vec![]).unwrap(),
+        &mc,
+    );
     assert!(
         blocked.mean_final_infected() < unblocked.mean_final_infected(),
         "greedy protection did not reduce infections: {} vs {}",
@@ -177,13 +186,13 @@ fn greedy_generalizes_to_competitive_ic() {
         base_seed: 3,
         threads: 0,
     };
-    let blocked = monte_carlo(
+    let blocked = monte_carlo_csr(
         &ic,
-        inst.graph(),
+        inst.snapshot(),
         &inst.seed_sets(sel.protectors.clone()).unwrap(),
         &mc,
     );
-    let unblocked = monte_carlo(&ic, inst.graph(), &inst.seed_sets(vec![]).unwrap(), &mc);
+    let unblocked = monte_carlo_csr(&ic, inst.snapshot(), &inst.seed_sets(vec![]).unwrap(), &mc);
     assert!(blocked.mean_final_infected() < unblocked.mean_final_infected());
     // Variance tracking is populated for stochastic models.
     assert!(unblocked.std_final_infected > 0.0);

@@ -16,6 +16,7 @@
 //!    interval plus the sketch's ε·|B| accuracy budget.
 
 use lcrb_repro::diffusion::{AveragedOutcome, PAPER_OPOAO_HOPS};
+use lcrb_repro::graph::traversal::CsrBfsScratch;
 use lcrb_repro::lcrb::ProtectionObjective;
 use lcrb_repro::prelude::*;
 use rand::rngs::SmallRng;
@@ -55,9 +56,9 @@ fn select(inst: &RumorBlockingInstance, estimator: Estimator) -> Vec<NodeId> {
 /// (fresh seed, disjoint from both estimators' sampling seeds).
 fn judge(inst: &RumorBlockingInstance, protectors: Vec<NodeId>) -> AveragedOutcome {
     let seeds = inst.seed_sets(protectors).expect("selection is valid");
-    monte_carlo(
+    monte_carlo_csr(
         &OpoaoModel::default(),
-        inst.graph(),
+        inst.snapshot(),
         &seeds,
         &MonteCarloConfig {
             runs: JUDGE_RUNS,
@@ -115,9 +116,11 @@ fn doam_analytic_oracle_anchors_both_selections() {
     let sk_sel = select(&inst, Estimator::Sketch(SketchParams::default()));
 
     let count = |protectors: Vec<NodeId>| {
-        doam_analytic(
-            inst.graph(),
+        doam_analytic_csr(
+            inst.snapshot(),
             &inst.seed_sets(protectors).expect("selection is valid"),
+            &mut CsrBfsScratch::new(),
+            &mut CsrBfsScratch::new(),
         )
         .infected_count()
     };
