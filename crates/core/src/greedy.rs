@@ -21,6 +21,7 @@ use lcrb_diffusion::{
 use lcrb_graph::traversal::{CsrBfsScratch, Direction};
 use lcrb_graph::NodeId;
 
+use crate::scbg::BbstWalker;
 use crate::{
     find_bridge_ends, BridgeEndRule, BridgeEnds, CoverageScratch, LcrbError, ObjectiveModel,
     ProtectionObjective, RumorBlockingInstance, SketchObjective, SketchParams,
@@ -607,22 +608,15 @@ fn candidate_pool(
                 .collect()
         }
         CandidatePool::BbstUnion => {
-            let mut d_r = CsrBfsScratch::new();
-            d_r.run(csr, instance.rumor_seeds(), Direction::Forward, u32::MAX);
             // xtask-allow: hotpath -- one-time pool construction per greedy run, outside the evaluation loop
             let mut in_pool = vec![false; csr.node_count()];
-            let mut back = CsrBfsScratch::new();
+            let mut walker = BbstWalker::new(instance, None);
             for &v in &bridge_ends.nodes {
-                // xtask-allow: panic -- bridge ends are discovered by forward BFS from the rumor seeds, so a distance exists
-                let depth = d_r.distance(v).expect("bridge ends are reachable");
-                back.run(csr, &[v], Direction::Backward, depth);
-                for &u in back.order() {
+                for u in walker.members(v) {
                     in_pool[u.index()] = true;
                 }
             }
-            csr.nodes()
-                .filter(|&v| in_pool[v.index()] && !instance.is_rumor_seed(v))
-                .collect()
+            csr.nodes().filter(|&v| in_pool[v.index()]).collect()
         }
     };
     nodes.sort_unstable();

@@ -11,7 +11,10 @@
 //!    under DOAM, because seeding a protector at `u ∈ Q_v` gives
 //!    `d_P(v) ≤ d_R(v)` and ties favor P (step 4);
 //! 3. invert the trees into the 1-hop star sets `SW_u = {v : u ∈
-//!    Q_v}` (step 5);
+//!    Q_v}` (step 5), stored as one CSR table built in two passes of
+//!    the same searches: the first counts `|SW_u|` per node, a prefix
+//!    sum over the nodes in ascending id places the rows, and the
+//!    second writes each bridge-end index into its row;
 //! 4. run greedy set cover (Algorithm 2) over the `SW_u` to cover `B`
 //!    (step 6).
 //!
@@ -20,13 +23,11 @@
 //! provably protected. The approximation factor is `H(|B|) = O(ln
 //! |B|)` by the set-cover reduction (Theorems 2–3).
 
-use std::collections::BTreeMap;
-
 use lcrb_diffusion::{StopReason, WorkMeter};
 use lcrb_graph::traversal::{CsrBfsScratch, Direction};
-use lcrb_graph::NodeId;
+use lcrb_graph::{CsrGraph, NodeId};
 
-use crate::setcover::greedy_set_cover_metered;
+use crate::setcover::{greedy_set_cover_metered, SetTable};
 use crate::{find_bridge_ends, BridgeEndRule, BridgeEnds, RumorBlockingInstance};
 
 /// Tuning knobs for [`scbg`].
@@ -97,13 +98,13 @@ pub fn scbg(instance: &RumorBlockingInstance, config: &ScbgConfig) -> ScbgSoluti
     solution
 }
 
-/// [`scbg`] under a [`WorkMeter`]: the star-set build polls once per
-/// bridge end and the cover loop once per pick.
+/// [`scbg`] under a [`WorkMeter`]: each of the star table's two passes
+/// polls once per bridge end, and the cover loop once per pick.
 ///
 /// A deadline stop during the *cover* keeps the selection prefix (a
 /// valid partial cover, reported via `Some(reason)` and a `covered`
-/// count below `bridge_ends.len()`); a stop during the *star-set
-/// build* has no salvageable prefix and surfaces as an error.
+/// count below `bridge_ends.len()`); a stop during either *star-table
+/// pass* has no salvageable prefix and surfaces as an error.
 /// Work-unit caps never stop SCBG — it runs no simulations and no
 /// sketches, matching the deterministic-checkpoint discipline.
 ///
@@ -131,54 +132,122 @@ pub(crate) fn scbg_metered(
     ))
 }
 
-/// Steps 4–5 of Algorithm 3 on the instance's CSR snapshot: one
-/// backward BFS per bridge end `v` (depth `d_R(v)`, optionally
-/// capped) through a single reused [`CsrBfsScratch`], inverted on the
-/// fly into the star sets `SW_u = {v : u ∈ Q_v}`. Returns the
-/// candidate nodes in ascending id order (for reproducible covers)
-/// and their sets. Polls `meter` once per bridge end; any stop
-/// surfaces as an error because a partial star-set collection cannot
-/// seed a meaningful cover.
+/// Step 4 of Algorithm 3 on the instance's CSR snapshot: the
+/// Bridge-end Backward Search Trees, walked one bridge end at a time
+/// through one reused [`CsrBfsScratch`]. SCBG's two star-table passes
+/// and the greedy's `CandidatePool::BbstUnion` all walk with it.
+pub(crate) struct BbstWalker<'a> {
+    csr: &'a CsrGraph,
+    /// Infection times: hop distance from the nearest rumor originator
+    /// in the full graph.
+    d_r: CsrBfsScratch,
+    back: CsrBfsScratch,
+    is_rumor: Vec<bool>,
+    max_depth: Option<u32>,
+}
+
+impl<'a> BbstWalker<'a> {
+    /// A walker whose searches stop at `d_R(v)`, or at `max_depth` when
+    /// that is smaller.
+    pub(crate) fn new(instance: &'a RumorBlockingInstance, max_depth: Option<u32>) -> Self {
+        let csr = instance.snapshot();
+        let mut d_r = CsrBfsScratch::new();
+        d_r.run(csr, instance.rumor_seeds(), Direction::Forward, u32::MAX);
+        // xtask-allow: hotpath -- one-time setup per walker, sized to the snapshot
+        let mut is_rumor = vec![false; csr.node_count()];
+        for &r in instance.rumor_seeds() {
+            is_rumor[r.index()] = true;
+        }
+        Self {
+            csr,
+            d_r,
+            back: CsrBfsScratch::new(),
+            is_rumor,
+            max_depth,
+        }
+    }
+
+    /// `Q_v` minus the rumor seeds, each node once, in BFS order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is unreachable from the rumor originators, which
+    /// no bridge end is.
+    pub(crate) fn members(&mut self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let depth = self
+            .d_r
+            .distance(v)
+            // xtask-allow: panic -- bridge ends are discovered by forward BFS from the rumor seeds, so a distance exists
+            .expect("bridge ends are reachable from the rumor originators by definition");
+        let depth = self.max_depth.map_or(depth, |cap| depth.min(cap));
+        self.back.run(self.csr, &[v], Direction::Backward, depth);
+        let is_rumor = &self.is_rumor;
+        self.back
+            .order()
+            .iter()
+            .copied()
+            .filter(move |u| !is_rumor[u.index()])
+    }
+}
+
+/// Steps 4–5 of Algorithm 3: the star sets `SW_u = {v : u ∈ Q_v \
+/// S_R}` as one CSR [`SetTable`] over bridge-end indices, built in two
+/// passes of the same searches. Pass 1 counts `|SW_u|` per node. A
+/// prefix sum over the nodes in ascending id makes every node with a
+/// nonempty star set the next row, so the candidates come out in
+/// ascending id. Pass 2 writes each bridge-end index into its
+/// candidate's next free slot, so every row is in ascending index
+/// order. The cover's tie-breaks depend on both orders.
+///
+/// Polls `meter` once per bridge end in each pass; any stop surfaces
+/// as an error because a partial table cannot seed a meaningful
+/// cover.
 fn build_star_sets(
     instance: &RumorBlockingInstance,
     bridge_ends: &BridgeEnds,
     max_bbst_depth: Option<u32>,
     meter: &WorkMeter,
-) -> Result<(Vec<NodeId>, Vec<Vec<u32>>), StopReason> {
+) -> Result<(Vec<NodeId>, SetTable), StopReason> {
     let csr = instance.snapshot();
-    // Infection times: hop distance from the nearest rumor originator
-    // in the full graph.
-    let mut d_r = CsrBfsScratch::new();
-    d_r.run(csr, instance.rumor_seeds(), Direction::Forward, u32::MAX);
+    let mut walker = BbstWalker::new(instance, max_bbst_depth);
 
-    // xtask-allow: hotpath -- one-time setup per SCBG run, sized to the snapshot
-    let mut is_rumor = vec![false; csr.node_count()];
-    for &r in instance.rumor_seeds() {
-        is_rumor[r.index()] = true;
-    }
-
-    // A BTreeMap keyed by NodeId makes the candidate order (and thus
-    // the cover tie-breaks) deterministic by construction.
-    // xtask-allow: hotpath -- one star-set map per SCBG run, built outside the cover loop
-    let mut sw: BTreeMap<NodeId, Vec<u32>> = BTreeMap::new();
-    let mut back = CsrBfsScratch::new();
-    for (b_idx, &v) in bridge_ends.nodes.iter().enumerate() {
+    // Pass 1: `next[u]` counts |SW_u|.
+    // xtask-allow: hotpath -- one n-sized count-then-cursor buffer per SCBG run
+    let mut next = vec![0usize; csr.node_count()];
+    for &v in &bridge_ends.nodes {
         meter.poll()?;
-        let depth = d_r
-            .distance(v)
-            // xtask-allow: panic -- bridge ends are discovered by forward BFS from the rumor seeds, so a distance exists
-            .expect("bridge ends are reachable from the rumor originators by definition");
-        let depth = max_bbst_depth.map_or(depth, |cap| depth.min(cap));
-        back.run(csr, &[v], Direction::Backward, depth);
-        for &u in back.order() {
-            if !is_rumor[u.index()] {
-                sw.entry(u).or_default().push(b_idx as u32);
-            }
+        for u in walker.members(v) {
+            next[u.index()] += 1;
         }
     }
 
-    // BTreeMap iteration is already in ascending NodeId order.
-    Ok(sw.into_iter().unzip())
+    // Prefix sum: `next[u]` becomes the first slot of u's row.
+    // xtask-allow: hotpath -- the candidate list, one per SCBG run
+    let mut candidates = Vec::new();
+    // xtask-allow: hotpath -- the table's row offsets, one per SCBG run
+    let mut offsets = vec![0];
+    let mut total = 0;
+    for u in csr.nodes() {
+        let count = std::mem::replace(&mut next[u.index()], total);
+        if count > 0 {
+            total += count;
+            candidates.push(u);
+            offsets.push(total);
+        }
+    }
+
+    // Pass 2: fill each row in bridge-end order.
+    // xtask-allow: hotpath -- the table's entries, sized exactly by pass 1, one per SCBG run
+    let mut items = vec![0; total];
+    for (b_idx, &v) in bridge_ends.nodes.iter().enumerate() {
+        meter.poll()?;
+        for u in walker.members(v) {
+            let slot = &mut next[u.index()];
+            items[*slot] = b_idx as u32;
+            *slot += 1;
+        }
+    }
+    Ok((candidates, SetTable { offsets, items }))
 }
 
 #[cfg(test)]
@@ -187,10 +256,13 @@ mod tests {
     use lcrb_community::Partition;
     use lcrb_diffusion::{doam_analytic_csr, DoamModel, SimWorkspace};
     use lcrb_graph::generators;
-    use lcrb_graph::traversal::CsrBfsScratch;
     use lcrb_graph::DiGraph;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    use crate::greedy::candidate_pool_for;
+    use crate::CandidatePool;
 
     fn instance(g: DiGraph, labels: Vec<usize>, seeds: Vec<usize>) -> RumorBlockingInstance {
         let p = Partition::from_labels(labels);
@@ -329,5 +401,108 @@ mod tests {
         let a = scbg(&inst, &ScbgConfig::default());
         let b = scbg(&inst, &ScbgConfig::default());
         assert_eq!(a.protectors, b.protectors);
+    }
+
+    #[test]
+    fn bbst_union_pool_equals_the_star_table_candidates() {
+        for seed in 0..10u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (g, labels) =
+                generators::planted_partition(&[25, 25, 25], 0.3, 0.03, false, &mut rng).unwrap();
+            let p = Partition::from_labels(labels);
+            let inst = RumorBlockingInstance::with_random_seeds(g, p, 0, 3, &mut rng).unwrap();
+            let bridges = find_bridge_ends(&inst, BridgeEndRule::default());
+            let (candidates, _) =
+                build_star_sets(&inst, &bridges, None, &WorkMeter::unlimited()).unwrap();
+            let pool = candidate_pool_for(&inst, &bridges, CandidatePool::BbstUnion);
+            assert!(!pool.is_empty(), "seed {seed}: empty pool");
+            assert_eq!(pool, candidates, "seed {seed}");
+        }
+    }
+
+    /// A random two-community instance with one or two rumor seeds in
+    /// community 0, as in the integration proptests' `arb_instance`.
+    fn arb_instance() -> impl Strategy<Value = RumorBlockingInstance> {
+        (4usize..14, 4usize..14).prop_flat_map(|(a, b)| {
+            let n = a + b;
+            (
+                proptest::collection::vec((0..n, 0..n), n..(4 * n)),
+                proptest::collection::btree_set(0..a, 1..3),
+            )
+                .prop_map(move |(pairs, seeds)| {
+                    let mut g = DiGraph::with_nodes(n);
+                    for (u, v) in pairs {
+                        if u != v {
+                            let _ = g.add_edge(NodeId::new(u), NodeId::new(v));
+                        }
+                    }
+                    let labels = (0..n).map(|i| usize::from(i >= a)).collect();
+                    instance(g, labels, seeds.into_iter().collect())
+                })
+        })
+    }
+
+    /// The star sets from their definition: `Q_v` from a fresh
+    /// backward BFS per bridge end, to depth `d_R(v)` (capped), and
+    /// row `u` the ascending indices `v` with `u ∈ Q_v \ S_R`, for
+    /// every node `u` in ascending id whose row is nonempty.
+    fn star_sets_by_definition(
+        inst: &RumorBlockingInstance,
+        bridge_ends: &BridgeEnds,
+        cap: Option<u32>,
+    ) -> (Vec<NodeId>, Vec<Vec<u32>>) {
+        let csr = inst.snapshot();
+        let mut d_r = CsrBfsScratch::new();
+        d_r.run(csr, inst.rumor_seeds(), Direction::Forward, u32::MAX);
+        let trees: Vec<CsrBfsScratch> = bridge_ends
+            .nodes
+            .iter()
+            .map(|&v| {
+                let depth = d_r.distance(v).unwrap();
+                let mut q_v = CsrBfsScratch::new();
+                q_v.run(
+                    csr,
+                    &[v],
+                    Direction::Backward,
+                    cap.map_or(depth, |c| depth.min(c)),
+                );
+                q_v
+            })
+            .collect();
+        let mut candidates = Vec::new();
+        let mut rows = Vec::new();
+        for u in csr.nodes().filter(|&u| !inst.is_rumor_seed(u)) {
+            let row: Vec<u32> = (0..trees.len())
+                .filter(|&b| trees[b].is_reached(u))
+                .map(|b| b as u32)
+                .collect();
+            if !row.is_empty() {
+                candidates.push(u);
+                rows.push(row);
+            }
+        }
+        (candidates, rows)
+    }
+
+    proptest! {
+        /// The two-pass star table equals its definition at every BBST
+        /// depth cap: the same candidates in ascending id, and each
+        /// row the same bridge-end indices in ascending order.
+        #[test]
+        fn star_table_matches_its_definition(inst in arb_instance(), cap in 0u32..4) {
+            let bridges = find_bridge_ends(&inst, BridgeEndRule::default());
+            // Draw 0 is the paper's full depth; draw k caps at k − 1.
+            let cap = cap.checked_sub(1);
+            let (candidates, table) =
+                build_star_sets(&inst, &bridges, cap, &WorkMeter::unlimited()).unwrap();
+            let (want_candidates, want_rows) = star_sets_by_definition(&inst, &bridges, cap);
+            prop_assert_eq!(&candidates, &want_candidates);
+            prop_assert_eq!(table.offsets.first(), Some(&0));
+            prop_assert_eq!(table.offsets.last(), Some(&table.items.len()));
+            prop_assert_eq!(table.len(), want_rows.len());
+            for (i, want) in want_rows.iter().enumerate() {
+                prop_assert_eq!(table.row(i), want.as_slice(), "row of {}", candidates[i]);
+            }
+        }
     }
 }

@@ -4,6 +4,14 @@
 //! Theorem 2/3 of the paper reduce LCRB-D to set cover: greedy gives
 //! the optimal-up-to-constants `O(ln n)` factor, and no polynomial
 //! algorithm does asymptotically better unless P = NP (Feige).
+//!
+//! The cover runs on one CSR set table: row offsets plus one flat
+//! `u32` element array, each row free of repeats. SCBG fills the table
+//! directly from its Bridge-end Backward Search Trees (two passes, see
+//! `crate::scbg`); [`greedy_set_cover`] flattens a `&[Vec<u32>]` into
+//! the same table, sorting and deduplicating each set. A set's gain is
+//! therefore the number of *distinct* uncovered elements it holds, as
+//! Algorithm 2 defines it.
 
 // xtask-allow-file: index -- element and set ids are dense indices assigned by this module's own builder over one arena
 use std::cmp::Reverse;
@@ -20,15 +28,41 @@ pub struct SetCoverSolution {
     pub covered: usize,
 }
 
+/// A set system in CSR form: set `i` holds the elements
+/// `items[offsets[i]..offsets[i + 1]]`.
+///
+/// Invariants, upheld by every builder: `offsets` starts at 0, never
+/// decreases and ends at `items.len()`; no row repeats an element.
+#[derive(Debug)]
+pub(crate) struct SetTable {
+    /// Row boundaries, one more than the number of sets.
+    pub(crate) offsets: Vec<usize>,
+    /// Every row's elements, back to back.
+    pub(crate) items: Vec<u32>,
+}
+
+impl SetTable {
+    /// The number of sets.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The elements of set `i`.
+    pub(crate) fn row(&self, i: usize) -> &[u32] {
+        &self.items[self.offsets[i]..self.offsets[i + 1]]
+    }
+}
+
 /// Classic greedy set cover: repeatedly pick the set covering the
 /// most uncovered elements, until the universe is covered or no set
-/// adds coverage.
+/// adds coverage. Ties go to the lowest set index.
 ///
 /// Elements are integers in `0..universe_size`; `sets[i]` lists the
-/// elements of set `i` (duplicates tolerated). Implemented with lazy
-/// (CELF-style) evaluation: stale heap entries are re-scored on pop,
-/// which is sound because coverage gain only shrinks as elements get
-/// covered.
+/// elements of set `i`. A repeated element counts once: a set's gain
+/// is the number of distinct uncovered elements it holds. Implemented
+/// with lazy (CELF-style) evaluation: stale heap entries are
+/// re-scored on pop, which is sound because coverage gain only
+/// shrinks as elements get covered.
 ///
 /// If some elements appear in no set, they stay uncovered and
 /// `covered < universe_size` on return.
@@ -49,29 +83,11 @@ pub struct SetCoverSolution {
 /// ```
 #[must_use]
 pub fn greedy_set_cover(universe_size: usize, sets: &[Vec<u32>]) -> SetCoverSolution {
-    let (solution, _) = greedy_set_cover_metered(universe_size, sets, &WorkMeter::unlimited())
-        // xtask-allow: panic -- an unlimited meter's poll never stops the cover loop
-        .expect("unlimited meter cannot stop the cover");
-    solution
-}
-
-/// [`greedy_set_cover`] under a [`WorkMeter`]: the meter is polled
-/// before each heap pop, so a deadline stop keeps the selection
-/// prefix built so far (a valid partial cover) while a cancellation
-/// aborts.
-///
-/// Returns `Some(reason)` alongside the (then partial) solution when
-/// a deadline stopped the loop; work-unit caps do not apply to set
-/// cover.
-///
-/// # Errors
-///
-/// [`StopReason::Cancelled`] when a poll observes cancellation.
-pub(crate) fn greedy_set_cover_metered(
-    universe_size: usize,
-    sets: &[Vec<u32>],
-    meter: &WorkMeter,
-) -> Result<(SetCoverSolution, Option<StopReason>), StopReason> {
+    let mut table = SetTable {
+        offsets: vec![0],
+        items: Vec::new(),
+    };
+    let mut row = Vec::new();
     for (i, s) in sets.iter().enumerate() {
         for &e in s {
             assert!(
@@ -79,21 +95,51 @@ pub(crate) fn greedy_set_cover_metered(
                 "set {i} contains element {e} outside universe of size {universe_size}"
             );
         }
+        row.clone_from(s);
+        row.sort_unstable();
+        row.dedup();
+        table.items.extend_from_slice(&row);
+        table.offsets.push(table.items.len());
     }
+    let (solution, _) = greedy_set_cover_metered(universe_size, &table, &WorkMeter::unlimited())
+        // xtask-allow: panic -- an unlimited meter's poll never stops the cover loop
+        .expect("unlimited meter cannot stop the cover");
+    solution
+}
+
+/// [`greedy_set_cover`] on a [`SetTable`] under a [`WorkMeter`]: the
+/// meter is polled before each heap pop, so a deadline stop keeps the
+/// selection prefix built so far (a valid partial cover) while a
+/// cancellation aborts.
+///
+/// Returns `Some(reason)` alongside the (then partial) solution when
+/// a deadline stopped the loop; work-unit caps do not apply to set
+/// cover. Every element of `sets` must be below `universe_size`.
+///
+/// # Errors
+///
+/// [`StopReason::Cancelled`] when a poll observes cancellation.
+pub(crate) fn greedy_set_cover_metered(
+    universe_size: usize,
+    sets: &SetTable,
+    meter: &WorkMeter,
+) -> Result<(SetCoverSolution, Option<StopReason>), StopReason> {
     let mut covered = vec![false; universe_size];
     let mut covered_count = 0usize;
     let mut selected = Vec::new();
     let mut stop = None;
 
     // Heap of (gain, set index); gains may be stale and are re-scored
-    // on pop.
-    let mut heap: BinaryHeap<(usize, Reverse<usize>)> = sets
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.len(), Reverse(i)))
+    // on pop. Rows hold no repeats, so a row's length is its gain.
+    let mut heap: BinaryHeap<(usize, Reverse<usize>)> = (0..sets.len())
+        .map(|i| (sets.row(i).len(), Reverse(i)))
         .collect();
-    let fresh_gain =
-        |i: usize, covered: &[bool]| sets[i].iter().filter(|&&e| !covered[e as usize]).count();
+    let fresh_gain = |i: usize, covered: &[bool]| {
+        sets.row(i)
+            .iter()
+            .filter(|&&e| !covered[e as usize])
+            .count()
+    };
 
     while covered_count < universe_size {
         match meter.poll() {
@@ -118,7 +164,7 @@ pub(crate) fn greedy_set_cover_metered(
             continue;
         }
         selected.push(i);
-        for &e in &sets[i] {
+        for &e in sets.row(i) {
             if !covered[e as usize] {
                 covered[e as usize] = true;
                 covered_count += 1;
@@ -189,6 +235,16 @@ mod tests {
         let sets = vec![vec![0, 0, 1, 1]];
         let sol = greedy_set_cover(2, &sets);
         assert_eq!(sol.covered, 2);
+    }
+
+    #[test]
+    fn repeated_elements_count_once_in_the_gain() {
+        // Set 0 repeats one element five times; set 1 alone covers
+        // the universe and must be the only pick.
+        let sets = vec![vec![0, 0, 0, 0, 0], vec![0, 1, 2, 3]];
+        let sol = greedy_set_cover(4, &sets);
+        assert_eq!(sol.selected, vec![1]);
+        assert_eq!(sol.covered, 4);
     }
 
     #[test]
