@@ -3,9 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use lcrb_community::{
-    label_propagation, louvain, modularity, LabelPropagationConfig, LouvainConfig,
-};
+use lcrb_community::{louvain, modularity, LouvainConfig};
 use lcrb_datasets::{hep_like, DatasetConfig};
 
 fn bench_detection(c: &mut Criterion) {
@@ -17,13 +15,6 @@ fn bench_detection(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("louvain", nodes), &ds.graph, |b, g| {
             b.iter(|| louvain(g, &LouvainConfig::default()));
         });
-        group.bench_with_input(
-            BenchmarkId::new("label_propagation", nodes),
-            &ds.graph,
-            |b, g| {
-                b.iter(|| label_propagation(g, &LabelPropagationConfig::default()));
-            },
-        );
         group.bench_with_input(
             BenchmarkId::new("modularity", nodes),
             &(&ds.graph, &ds.planted),

@@ -1,13 +1,13 @@
-//! Benchmarks for the graph substrate: construction, traversal, and
-//! generators — the primitives every LCRB stage is built from.
+//! Benchmarks for the graph substrate: construction, the CSR freeze,
+//! and generators — the primitives every LCRB stage is built from.
+//! BFS is timed by perfbench's `graph.csr_bfs` probe.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use lcrb_graph::generators::{gnm_directed, planted_partition};
-use lcrb_graph::traversal::{bfs_distances, relax_with_source};
-use lcrb_graph::{CsrGraph, DiGraph, NodeId};
+use lcrb_graph::{CsrGraph, DiGraph};
 
 fn graph_of(n: usize, avg_degree: usize, seed: u64) -> DiGraph {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -27,29 +27,6 @@ fn bench_construction(c: &mut Criterion) {
         let g = graph_of(n, 10, 1);
         group.bench_with_input(BenchmarkId::new("csr_freeze", n), &g, |b, g| {
             b.iter(|| CsrGraph::from(g));
-        });
-    }
-    group.finish();
-}
-
-fn bench_bfs(c: &mut Criterion) {
-    let mut group = c.benchmark_group("graph/bfs");
-    for &n in &[1_000usize, 10_000, 36_692] {
-        let g = graph_of(n, 10, 2);
-        group.bench_with_input(BenchmarkId::new("single_source", n), &g, |b, g| {
-            b.iter(|| bfs_distances(g, &[NodeId::new(0)]));
-        });
-        let sources: Vec<NodeId> = (0..16).map(NodeId::new).collect();
-        group.bench_with_input(BenchmarkId::new("multi_source_16", n), &g, |b, g| {
-            b.iter(|| bfs_distances(g, &sources));
-        });
-        group.bench_with_input(BenchmarkId::new("incremental_relax", n), &g, |b, g| {
-            let base = bfs_distances(g, &[NodeId::new(0)]);
-            b.iter(|| {
-                let mut d = base.clone();
-                relax_with_source(g, &mut d, NodeId::new(n as u32 as usize / 2));
-                d
-            });
         });
     }
     group.finish();
@@ -76,5 +53,5 @@ fn bench_generators(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_construction, bench_bfs, bench_generators);
+criterion_group!(benches, bench_construction, bench_generators);
 criterion_main!(benches);

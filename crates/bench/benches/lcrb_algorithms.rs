@@ -1,7 +1,7 @@
 //! Benchmarks for the paper's algorithms, one group per experiment
-//! family: bridge-end detection (stage 1 of Algorithms 1 and 3),
-//! SCBG / coverage heuristics (Table I, Figs 7–9), the greedy
-//! (Figs 4–6), and the underlying set-cover engine.
+//! family: SCBG / coverage heuristics (Table I, Figs 7–9), the greedy
+//! (Figs 4–6), and the underlying set-cover engine. Bridge-end
+//! detection is timed by perfbench's `core.bridge` probe.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
@@ -9,8 +9,8 @@ use rand::SeedableRng;
 
 use lcrb::setcover::greedy_set_cover;
 use lcrb::{
-    find_bridge_ends, greedy_with_budget, max_degree_ordering, protectors_to_cover_all, scbg,
-    BridgeEndRule, CandidatePool, GreedyConfig, RumorBlockingInstance, ScbgConfig,
+    greedy_with_budget, max_degree_ordering, protectors_to_cover_all, scbg, BridgeEndRule,
+    CandidatePool, GreedyConfig, RumorBlockingInstance, ScbgConfig,
 };
 use lcrb_datasets::{enron_like, hep_like, DatasetConfig};
 
@@ -38,18 +38,6 @@ fn enron_instance(scale: f64, pinned: usize, rumors: usize) -> RumorBlockingInst
         &mut rng,
     )
     .unwrap()
-}
-
-fn bench_bridge_ends(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lcrb/bridge_ends");
-    let inst = hep_instance(1.0, 15);
-    group.bench_function("hep_full/within_community", |b| {
-        b.iter(|| find_bridge_ends(&inst, BridgeEndRule::WithinCommunity));
-    });
-    group.bench_function("hep_full/any_path", |b| {
-        b.iter(|| find_bridge_ends(&inst, BridgeEndRule::AnyPath));
-    });
-    group.finish();
 }
 
 fn bench_scbg_table1(c: &mut Criterion) {
@@ -126,7 +114,6 @@ fn bench_set_cover(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_bridge_ends,
     bench_scbg_table1,
     bench_greedy_figures,
     bench_set_cover

@@ -1,24 +1,22 @@
 //! The `sketches` group: RR-sketch estimator vs Monte-Carlo
-//! estimator, head to head on the LCRB-P greedy's two cost centers —
-//! the end-to-end budgeted greedy (CELF + initial gain sweep) and a
-//! single σ̂ query for a fixed protector set. The sketch arm pays a
-//! one-time sampling pass (the adaptive `(ε, δ)` schedule) and then
-//! answers every σ̂ query by counting covered sketches in an inverted
-//! index; the MC arm replays the protector cascade on every stored
+//! estimator, head to head on the end-to-end budgeted LCRB-P greedy
+//! (CELF + initial gain sweep). The sketch arm pays a one-time
+//! sampling pass (the adaptive `(ε, δ)` schedule) and then answers
+//! every σ̂ query by counting covered sketches in an inverted index;
+//! the MC arm replays the protector cascade on every stored
 //! realization per query. The observed ratios are recorded in
-//! EXPERIMENTS.md.
+//! EXPERIMENTS.md. A single σ̂ query is timed by perfbench's
+//! `core.objective.sigma_us` and `core.sketch_objective.sigma_us`
+//! probes.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use lcrb::{
-    find_bridge_ends, greedy_with_budget, BridgeEndRule, CandidatePool, CoverageScratch, Estimator,
-    GreedyConfig, ProtectionObjective, RumorBlockingInstance, SketchObjective, SketchParams,
+    greedy_with_budget, CandidatePool, Estimator, GreedyConfig, RumorBlockingInstance, SketchParams,
 };
 use lcrb_datasets::{hep_like, DatasetConfig};
-use lcrb_diffusion::{SimWorkspace, PAPER_OPOAO_HOPS};
-use lcrb_graph::NodeId;
 
 /// A ~1.2k-node hep-like instance with two rumor originators — the
 /// same shape as the `protection_budget` example and the fig4 cells.
@@ -67,39 +65,5 @@ fn bench_greedy_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
-/// A single σ̂(P) query for a fixed 4-protector set, estimator
-/// structures prebuilt — the unit of work CELF performs thousands of
-/// times per greedy run.
-fn bench_sigma_query(c: &mut Criterion) {
-    let inst = fixture();
-    let n = inst.graph().node_count();
-    let bridges = find_bridge_ends(&inst, BridgeEndRule::default());
-    let protectors: Vec<NodeId> = bridges.nodes.iter().copied().take(BUDGET).collect();
-    let mut group = c.benchmark_group("sketches/sigma_query");
-    group.sample_size(30);
-
-    group.bench_with_input(BenchmarkId::new("mc_16_realizations", n), &(), |b, ()| {
-        let objective =
-            ProtectionObjective::new(&inst, bridges.nodes.clone(), 16, 9, PAPER_OPOAO_HOPS)
-                .expect("realization count is positive");
-        let mut ws = SimWorkspace::new();
-        b.iter(|| black_box(objective.sigma_with(&protectors, &mut ws).unwrap()));
-    });
-
-    group.bench_with_input(BenchmarkId::new("sketch_default", n), &(), |b, ()| {
-        let objective = SketchObjective::build(
-            &inst,
-            bridges.nodes.clone(),
-            SketchParams::default(),
-            9,
-            PAPER_OPOAO_HOPS,
-        )
-        .expect("default sketch params are valid");
-        let mut scratch = CoverageScratch::new();
-        b.iter(|| black_box(objective.sigma_with(&protectors, &mut scratch).unwrap()));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_greedy_end_to_end, bench_sigma_query);
+criterion_group!(benches, bench_greedy_end_to_end);
 criterion_main!(benches);

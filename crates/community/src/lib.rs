@@ -13,11 +13,9 @@
 //!   paper's Definition 1;
 //! - [`louvain`]: the directed Louvain method (local modularity
 //!   moves + aggregation levels);
-//! - [`label_propagation`]: a fast alternative detector used as a
-//!   cross-check;
 //! - [`modularity`]: directed (Leicht–Newman) modularity;
-//! - [`metrics`]: cut edges, mixing parameter, conductance, and NMI
-//!   for validating detected structure against planted ground truth.
+//! - [`metrics`]: cut edges, mixing parameter, and NMI for validating
+//!   detected structure against planted ground truth.
 //!
 //! ## Example
 //!
@@ -37,13 +35,11 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod label_propagation;
 mod louvain;
 pub mod metrics;
 mod modularity;
 mod partition;
 
-pub use label_propagation::{label_propagation, LabelPropagationConfig};
 pub use louvain::{louvain, LouvainConfig, LouvainResult};
 pub use modularity::modularity;
 pub use partition::{Partition, PartitionSizeError};

@@ -138,18 +138,8 @@ impl Partition {
         sizes
     }
 
-    /// Members of every community, indexed by community id; members
-    /// are in increasing node-id order.
-    #[must_use]
-    pub fn communities(&self) -> Vec<Vec<NodeId>> {
-        let mut out: Vec<Vec<NodeId>> = vec![Vec::new(); self.count];
-        for (i, &l) in self.labels.iter().enumerate() {
-            out[l].push(NodeId::new(i));
-        }
-        out
-    }
-
-    /// Members of the community with id `community`.
+    /// Members of the community with id `community`, in increasing
+    /// node-id order.
     ///
     /// # Panics
     ///
@@ -169,11 +159,13 @@ impl Partition {
             .collect()
     }
 
-    /// Id of the community whose size is closest to `target`
-    /// (smallest id on ties), or `None` for an empty partition.
+    /// Id of the community whose size is closest to `target`, or
+    /// `None` for an empty partition. Ties go to the smaller
+    /// community, then to the lower id.
     ///
-    /// Used by the experiment harness to pick rumor communities
-    /// matching the paper's reported `|C|` values (308, 80, 2631).
+    /// Used by the `misinformation_campaign` example and
+    /// `tests/end_to_end.rs` to pick a rumor community of a given size
+    /// from a detected partition.
     #[must_use]
     pub fn community_closest_to_size(&self, target: usize) -> Option<usize> {
         self.community_sizes()
@@ -225,14 +217,15 @@ mod tests {
     #[test]
     fn members_and_communities_agree() {
         let p = Partition::from_labels(vec![0, 1, 0, 1, 2]);
-        let comms = p.communities();
-        assert_eq!(comms.len(), 3);
-        for (c, members) in comms.iter().enumerate() {
-            assert_eq!(&p.members(c), members);
-            for &v in members {
+        let mut listed = vec![0usize; p.node_count()];
+        for c in 0..p.community_count() {
+            for v in p.members(c) {
                 assert_eq!(p.community_of(v), c);
+                listed[v.index()] += 1;
             }
         }
+        assert_eq!(listed, vec![1; 5]);
+        assert_eq!(p.members(0), vec![NodeId::new(0), NodeId::new(2)]);
     }
 
     #[test]
@@ -249,6 +242,12 @@ mod tests {
         assert_eq!(p.community_closest_to_size(3), Some(0));
         assert_eq!(p.community_closest_to_size(1), Some(2));
         assert_eq!(p.community_closest_to_size(100), Some(0));
+        // sizes [5, 3], target 4: both are 1 away; the smaller wins.
+        let tie = Partition::from_labels(vec![0, 0, 0, 0, 0, 1, 1, 1]);
+        assert_eq!(tie.community_closest_to_size(4), Some(1));
+        // Equal sizes and distances: the lower id wins.
+        let even = Partition::from_labels(vec![0, 0, 1, 1]);
+        assert_eq!(even.community_closest_to_size(1), Some(0));
         assert_eq!(
             Partition::from_labels(vec![]).community_closest_to_size(1),
             None
@@ -271,6 +270,6 @@ mod tests {
         assert!(p.is_empty());
         assert_eq!(p.node_count(), 0);
         assert_eq!(p.community_count(), 0);
-        assert!(p.communities().is_empty());
+        assert!(p.community_sizes().is_empty());
     }
 }

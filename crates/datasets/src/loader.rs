@@ -2,8 +2,11 @@
 //!
 //! The Enron email network and the arXiv Hep collaboration network
 //! are both distributed by SNAP as whitespace edge lists. Drop them
-//! anywhere on disk and point [`load_edge_list`] at the file; the
-//! experiments accept either a synthetic stand-in or a loaded trace.
+//! anywhere on disk and point [`load_edge_list`] at the file. The
+//! `experiments` binary always runs on the synthetic stand-ins; a
+//! loaded trace is for library callers, who can detect its
+//! communities with Louvain and build a `RumorBlockingInstance` on
+//! it.
 
 use std::fs::File;
 use std::path::Path;

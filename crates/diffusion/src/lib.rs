@@ -71,7 +71,6 @@ mod outcome;
 mod pool;
 mod realization;
 mod seeds;
-mod sis;
 mod sketch;
 mod timestamps;
 mod workspace;
@@ -90,7 +89,6 @@ pub use outcome::{DiffusionOutcome, HopRecord, Status};
 pub use pool::{ScratchLease, ScratchPool};
 pub use realization::OpoaoRealization;
 pub use seeds::{derive_stream, splitmix64, SeedError, SeedSets};
-pub use sis::{CompetitiveSisModel, SisOutcome, SisRecord, SisState};
 pub use sketch::{rr_sketch_batch_into, rr_sketch_into, RrScratch, SketchBatch};
 pub use timestamps::{run_opoao_timestamped, EdgeStamp, TimestampedOutcome};
 pub use workspace::SimWorkspace;

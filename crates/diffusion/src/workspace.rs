@@ -13,11 +13,9 @@
 
 use lcrb_graph::NodeId;
 
-use crate::sis::SisState;
 use crate::{DiffusionOutcome, HopRecord, SeedSets, Status};
 
-/// Reusable scratch state for [`TwoCascadeModel::run_into`]
-/// (and [`CompetitiveSisModel::run_into`]).
+/// Reusable scratch state for [`TwoCascadeModel::run_into`].
 ///
 /// One workspace serves every model in this crate; buffers a model
 /// does not need stay empty. After a run, the workspace *is* the
@@ -28,7 +26,6 @@ use crate::{DiffusionOutcome, HopRecord, SeedSets, Status};
 /// next run begins.
 ///
 /// [`TwoCascadeModel::run_into`]: crate::TwoCascadeModel::run_into
-/// [`CompetitiveSisModel::run_into`]: crate::CompetitiveSisModel::run_into
 ///
 /// # Examples
 ///
@@ -83,9 +80,6 @@ pub struct SimWorkspace {
     pub(crate) weight_r: Vec<f64>,
     pub(crate) thresholds: Vec<f64>,
     pub(crate) flags: Vec<bool>,
-    // Competitive-SIS double-buffered node states.
-    pub(crate) sis_state: Vec<SisState>,
-    pub(crate) sis_next: Vec<SisState>,
 }
 
 impl SimWorkspace {

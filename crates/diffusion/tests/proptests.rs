@@ -6,9 +6,9 @@ use rand::SeedableRng;
 
 use lcrb_diffusion::{
     doam_analytic_csr, doam_safe_targets_csr, monte_carlo_csr, rr_sketch_into, CompetitiveIcModel,
-    CompetitiveLtModel, CompetitiveSisModel, DiffusionOutcome, DoamModel, IcRealization,
-    LaneWorkspace, MonteCarloConfig, OpoaoModel, OpoaoRealization, RrScratch, SeedSets,
-    SimWorkspace, SisState, SketchBatch, Status, TwoCascadeModel, OPOAO_LANES,
+    CompetitiveLtModel, DiffusionOutcome, DoamModel, IcRealization, LaneWorkspace,
+    MonteCarloConfig, OpoaoModel, OpoaoRealization, RrScratch, SeedSets, SimWorkspace, SketchBatch,
+    Status, TwoCascadeModel, OPOAO_LANES,
 };
 use lcrb_graph::traversal::CsrBfsScratch;
 use lcrb_graph::{CsrGraph, DiGraph, NodeId};
@@ -215,37 +215,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sis_trace_is_conserved_and_seeded_correctly((g, seeds) in arb_instance(), seed in 0u64..64) {
-        let model = CompetitiveSisModel::new(0.3, 0.3, 0.2, 15).unwrap();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let o = model.run_into(&CsrGraph::from(&g), &seeds, &mut SimWorkspace::new(), &mut rng);
-        prop_assert_eq!(o.trace.len(), 16);
-        prop_assert_eq!(o.trace[0].infected, seeds.rumors().len());
-        prop_assert_eq!(o.trace[0].protected, seeds.protectors().len());
-        let n = g.node_count();
-        for r in &o.trace {
-            prop_assert!(r.infected + r.protected <= n);
-        }
-        // Final states match the final trace record.
-        let fi = o.final_states.iter().filter(|&&s| s == SisState::Infected).count();
-        let fp = o.final_states.iter().filter(|&&s| s == SisState::Protected).count();
-        prop_assert_eq!(fi, o.final_infected());
-        prop_assert_eq!(fp, o.final_protected());
-    }
-
-    #[test]
-    fn sis_is_deterministic_for_fixed_rng_seed((g, seeds) in arb_instance(), seed in 0u64..64) {
-        let csr = CsrGraph::from(&g);
-        let model = CompetitiveSisModel::new(0.25, 0.35, 0.15, 12).unwrap();
-        let mut r1 = SmallRng::seed_from_u64(seed);
-        let mut r2 = SmallRng::seed_from_u64(seed);
-        let a = model.run_into(&csr, &seeds, &mut SimWorkspace::new(), &mut r1);
-        let b = model.run_into(&csr, &seeds, &mut SimWorkspace::new(), &mut r2);
-        prop_assert_eq!(a.final_states, b.final_states);
-        prop_assert_eq!(a.trace, b.trace);
     }
 }
 
@@ -466,13 +435,6 @@ proptest! {
         check!(doam, "doam");
         check!(ic, "competitive-ic");
         check!(lt, "competitive-lt");
-
-        let sis = CompetitiveSisModel::new(0.3, 0.2, 0.1, 12).unwrap();
-        let mut a = SmallRng::seed_from_u64(seed);
-        let mut b = SmallRng::seed_from_u64(seed);
-        let fast = sis.run_into(&csr, &seeds, &mut ws, &mut a);
-        let fresh = sis.run_into(&csr, &seeds, &mut SimWorkspace::new(), &mut b);
-        prop_assert_eq!(fast, fresh, "sis");
     }
 
     #[test]

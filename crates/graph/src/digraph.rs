@@ -290,20 +290,6 @@ impl DiGraph {
         }
     }
 
-    /// Returns the reversed graph (every edge `(u, v)` becomes
-    /// `(v, u)`).
-    #[must_use]
-    pub fn reversed(&self) -> DiGraph {
-        DiGraph {
-            out: self.ins.clone(),
-            ins: self.out.clone(),
-            edge_count: self.edge_count,
-            // Rebuilt from adjacency order rather than by iterating
-            // the old hash set, so construction is deterministic.
-            edge_set: self.edges().map(|(u, v)| edge_key(v, u)).collect(),
-        }
-    }
-
     /// Returns the symmetrized graph: for every edge `(u, v)` the
     /// reciprocal `(v, u)` is also present. Used to treat undirected
     /// datasets (e.g. the Hep collaboration network, §VI-A of the
@@ -316,55 +302,6 @@ impl DiGraph {
             let _ = g.add_edge(v, u);
         }
         g
-    }
-
-    /// Extracts the subgraph induced by `nodes`.
-    ///
-    /// Returns the subgraph together with the mapping from subgraph
-    /// ids back to ids of `self` (see [`Subgraph`]). Duplicate entries
-    /// in `nodes` are an error in the caller's bookkeeping and cause a
-    /// panic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` contains an unknown id or a duplicate.
-    #[must_use]
-    pub fn induced_subgraph(&self, nodes: &[NodeId]) -> Subgraph {
-        let mut to_sub = vec![u32::MAX; self.node_count()];
-        for (i, &v) in nodes.iter().enumerate() {
-            assert!(
-                to_sub[v.index()] == u32::MAX,
-                "duplicate node {v} passed to induced_subgraph"
-            );
-            to_sub[v.index()] = i as u32;
-        }
-        let mut g = DiGraph::with_nodes(nodes.len());
-        for (i, &v) in nodes.iter().enumerate() {
-            for &w in self.out_neighbors(v) {
-                let j = to_sub[w.index()];
-                if j != u32::MAX {
-                    let _ = g.add_edge(NodeId::new(i), NodeId::from_raw(j));
-                }
-            }
-        }
-        Subgraph {
-            graph: g,
-            to_parent: nodes.to_vec(),
-        }
-    }
-
-    /// Rebuilds the duplicate-edge index from the adjacency lists.
-    ///
-    /// Useful after reconstructing a graph from external storage that
-    /// does not carry the internal hash index; call this before
-    /// mutating the graph or calling [`DiGraph::has_edge`].
-    pub fn rebuild_edge_index(&mut self) {
-        self.edge_set = self
-            .out
-            .iter()
-            .enumerate()
-            .flat_map(|(u, nbrs)| nbrs.iter().map(move |&v| edge_key(NodeId::new(u), v)))
-            .collect();
     }
 }
 
@@ -414,29 +351,6 @@ impl Iterator for Edges<'_> {
             self.offset = 0;
         }
         None
-    }
-}
-
-/// An induced subgraph plus the mapping back to the parent graph,
-/// returned by [`DiGraph::induced_subgraph`].
-#[derive(Clone, Debug)]
-pub struct Subgraph {
-    /// The induced subgraph with dense ids `0..nodes.len()`.
-    pub graph: DiGraph,
-    /// `to_parent[i]` is the parent-graph id of subgraph node `i`.
-    pub to_parent: Vec<NodeId>,
-}
-
-impl Subgraph {
-    /// Translates a subgraph node id back to the parent graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not a valid subgraph id.
-    #[inline]
-    #[must_use]
-    pub fn parent_id(&self, node: NodeId) -> NodeId {
-        self.to_parent[node.index()]
     }
 }
 
@@ -536,18 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn reversed_flips_all_edges() {
-        let g = diamond();
-        let r = g.reversed();
-        assert_eq!(r.edge_count(), g.edge_count());
-        for (u, v) in g.edges() {
-            assert!(r.has_edge(v, u));
-            assert!(!r.has_edge(u, v) || g.has_edge(v, u));
-        }
-        assert_eq!(r.out_degree(NodeId::new(3)), 2);
-    }
-
-    #[test]
     fn symmetrized_contains_both_directions() {
         let g = DiGraph::from_edges(3, [(0, 1), (1, 2)]).unwrap();
         let s = g.symmetrized();
@@ -559,38 +461,9 @@ mod tests {
     }
 
     #[test]
-    fn induced_subgraph_keeps_internal_edges_only() {
-        let g = diamond();
-        let sub = g.induced_subgraph(&[NodeId::new(0), NodeId::new(1), NodeId::new(3)]);
-        assert_eq!(sub.graph.node_count(), 3);
-        // 0->1 and 1->3 survive; edges through node 2 are dropped.
-        assert_eq!(sub.graph.edge_count(), 2);
-        assert!(sub.graph.has_edge(NodeId::new(0), NodeId::new(1)));
-        assert!(sub.graph.has_edge(NodeId::new(1), NodeId::new(2)));
-        assert_eq!(sub.parent_id(NodeId::new(2)), NodeId::new(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate node")]
-    fn induced_subgraph_rejects_duplicates() {
-        let g = diamond();
-        let _ = g.induced_subgraph(&[NodeId::new(0), NodeId::new(0)]);
-    }
-
-    #[test]
     fn from_edges_out_of_bounds() {
         let err = DiGraph::from_edges(2, [(0, 2)]).unwrap_err();
         assert!(matches!(err, GraphError::NodeOutOfBounds { .. }));
-    }
-
-    #[test]
-    fn rebuild_edge_index_restores_has_edge() {
-        let mut g = diamond();
-        g.edge_set.clear();
-        assert!(!g.has_edge(NodeId::new(0), NodeId::new(1)));
-        g.rebuild_edge_index();
-        assert!(g.has_edge(NodeId::new(0), NodeId::new(1)));
-        assert!(!g.has_edge(NodeId::new(1), NodeId::new(0)));
     }
 
     #[test]

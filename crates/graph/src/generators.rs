@@ -29,8 +29,8 @@ pub enum GeneratorError {
         /// Maximum possible for the given node count.
         maximum: usize,
     },
-    /// A structural parameter was invalid (e.g. Barabási–Albert with
-    /// `m == 0`, Watts–Strogatz with odd `k`).
+    /// A structural parameter was invalid (e.g. an empty block, a
+    /// Chung–Lu tail exponent `<= 1`).
     InvalidParameter {
         /// Human-readable description of the violated constraint.
         message: &'static str,
@@ -132,53 +132,6 @@ fn unordered_pair(n: usize, idx: usize) -> (usize, usize) {
     }
 }
 
-/// Erdős–Rényi `G(n, p)` directed graph: every ordered non-loop pair
-/// is an edge independently with probability `p`. Runs in expected
-/// `O(n + m)` time via geometric skip sampling.
-///
-/// # Errors
-///
-/// Returns [`GeneratorError::InvalidProbability`] if `p` is not a
-/// probability.
-pub fn gnp_directed<R: Rng + ?Sized>(
-    n: usize,
-    p: f64,
-    rng: &mut R,
-) -> Result<DiGraph, GeneratorError> {
-    check_probability(p)?;
-    let mut g = DiGraph::with_nodes(n);
-    if n >= 2 {
-        skip_sample(n * (n - 1), p, rng, |idx| {
-            let (u, v) = ordered_pair(n, idx);
-            let _ = g.add_edge(NodeId::new(u), NodeId::new(v));
-        });
-    }
-    Ok(g)
-}
-
-/// Erdős–Rényi `G(n, p)` undirected graph, returned in symmetrized
-/// directed form (both arcs for every sampled pair).
-///
-/// # Errors
-///
-/// Returns [`GeneratorError::InvalidProbability`] if `p` is not a
-/// probability.
-pub fn gnp_undirected<R: Rng + ?Sized>(
-    n: usize,
-    p: f64,
-    rng: &mut R,
-) -> Result<DiGraph, GeneratorError> {
-    check_probability(p)?;
-    let mut g = DiGraph::with_nodes(n);
-    if n >= 2 {
-        skip_sample(n * (n - 1) / 2, p, rng, |idx| {
-            let (u, v) = unordered_pair(n, idx);
-            let _ = g.add_edge_symmetric(NodeId::new(u), NodeId::new(v));
-        });
-    }
-    Ok(g)
-}
-
 /// `G(n, m)` directed graph: exactly `m` distinct non-loop directed
 /// edges chosen uniformly.
 ///
@@ -203,143 +156,6 @@ pub fn gnm_directed<R: Rng + ?Sized>(
         let v = rng.gen_range(0..n);
         if u != v {
             let _ = g.add_edge(NodeId::new(u), NodeId::new(v));
-        }
-    }
-    Ok(g)
-}
-
-/// `G(n, m)` undirected graph in symmetrized directed form: exactly
-/// `m` distinct unordered pairs, hence `2m` arcs.
-///
-/// # Errors
-///
-/// Returns [`GeneratorError::TooManyEdges`] if `m > n*(n-1)/2`.
-pub fn gnm_undirected<R: Rng + ?Sized>(
-    n: usize,
-    m: usize,
-    rng: &mut R,
-) -> Result<DiGraph, GeneratorError> {
-    let maximum = n.saturating_mul(n.saturating_sub(1)) / 2;
-    if m > maximum {
-        return Err(GeneratorError::TooManyEdges {
-            requested: m,
-            maximum,
-        });
-    }
-    let mut g = DiGraph::with_nodes(n);
-    let mut pairs = 0usize;
-    while pairs < m {
-        let u = rng.gen_range(0..n);
-        let v = rng.gen_range(0..n);
-        if u != v && !g.has_edge(NodeId::new(u), NodeId::new(v)) {
-            let _ = g.add_edge_symmetric(NodeId::new(u), NodeId::new(v));
-            pairs += 1;
-        }
-    }
-    Ok(g)
-}
-
-/// Barabási–Albert preferential attachment: starts from a clique of
-/// `m + 1` nodes, then each new node attaches to `m` distinct
-/// existing nodes with probability proportional to degree. Returned
-/// in symmetrized directed form.
-///
-/// # Errors
-///
-/// Returns [`GeneratorError::InvalidParameter`] if `m == 0` or
-/// `n <= m`.
-pub fn barabasi_albert<R: Rng + ?Sized>(
-    n: usize,
-    m: usize,
-    rng: &mut R,
-) -> Result<DiGraph, GeneratorError> {
-    if m == 0 {
-        return Err(GeneratorError::InvalidParameter {
-            message: "barabási–albert requires m >= 1",
-        });
-    }
-    if n <= m {
-        return Err(GeneratorError::InvalidParameter {
-            message: "barabási–albert requires n > m",
-        });
-    }
-    let mut g = DiGraph::with_nodes(n);
-    // `targets` holds one entry per edge endpoint, so sampling a
-    // uniform element is degree-proportional sampling.
-    let mut targets: Vec<usize> = Vec::new();
-    for u in 0..=m {
-        for v in (u + 1)..=m {
-            let _ = g.add_edge_symmetric(NodeId::new(u), NodeId::new(v));
-            targets.push(u);
-            targets.push(v);
-        }
-    }
-    let mut chosen = Vec::with_capacity(m);
-    for new in (m + 1)..n {
-        chosen.clear();
-        while chosen.len() < m {
-            let t = targets[rng.gen_range(0..targets.len())];
-            if !chosen.contains(&t) {
-                chosen.push(t);
-            }
-        }
-        for &t in &chosen {
-            let _ = g.add_edge_symmetric(NodeId::new(new), NodeId::new(t));
-            targets.push(new);
-            targets.push(t);
-        }
-    }
-    Ok(g)
-}
-
-/// Watts–Strogatz small world: ring lattice where each node connects
-/// to its `k/2` nearest neighbors on each side, then each lattice
-/// edge is rewired with probability `beta`. Returned in symmetrized
-/// directed form.
-///
-/// # Errors
-///
-/// Returns [`GeneratorError::InvalidParameter`] if `k` is odd, zero,
-/// or `k >= n`, and [`GeneratorError::InvalidProbability`] for a bad
-/// `beta`.
-pub fn watts_strogatz<R: Rng + ?Sized>(
-    n: usize,
-    k: usize,
-    beta: f64,
-    rng: &mut R,
-) -> Result<DiGraph, GeneratorError> {
-    check_probability(beta)?;
-    if k == 0 || !k.is_multiple_of(2) {
-        return Err(GeneratorError::InvalidParameter {
-            message: "watts–strogatz requires a positive even k",
-        });
-    }
-    if k >= n {
-        return Err(GeneratorError::InvalidParameter {
-            message: "watts–strogatz requires k < n",
-        });
-    }
-    let mut g = DiGraph::with_nodes(n);
-    for u in 0..n {
-        for step in 1..=(k / 2) {
-            let mut v = (u + step) % n;
-            if rng.gen_bool(beta) {
-                // Rewire to a uniform non-self target; skip on the
-                // (rare) failure to find a free slot.
-                let mut attempts = 0;
-                loop {
-                    let candidate = rng.gen_range(0..n);
-                    if candidate != u && !g.has_edge(NodeId::new(u), NodeId::new(candidate)) {
-                        v = candidate;
-                        break;
-                    }
-                    attempts += 1;
-                    if attempts > 32 {
-                        break;
-                    }
-                }
-            }
-            let _ = g.add_edge_symmetric(NodeId::new(u), NodeId::new(v));
         }
     }
     Ok(g)
@@ -825,57 +641,22 @@ mod tests {
     }
 
     #[test]
-    fn gnp_zero_and_one() {
-        let mut r = rng(1);
-        let g0 = gnp_directed(10, 0.0, &mut r).unwrap();
-        assert_eq!(g0.edge_count(), 0);
-        let g1 = gnp_directed(10, 1.0, &mut r).unwrap();
-        assert_eq!(g1.edge_count(), 90);
-    }
-
-    #[test]
-    fn gnp_rejects_bad_probability() {
+    fn planted_partition_rejects_bad_probability() {
         let mut r = rng(1);
         assert!(matches!(
-            gnp_directed(5, 1.5, &mut r),
-            Err(GeneratorError::InvalidProbability { .. })
+            planted_partition(&[3, 2], 1.5, 0.1, false, &mut r),
+            Err(GeneratorError::InvalidProbability { value }) if value == 1.5
         ));
         assert!(matches!(
-            gnp_directed(5, f64::NAN, &mut r),
-            Err(GeneratorError::InvalidProbability { .. })
+            planted_partition(&[3, 2], 0.5, f64::NAN, false, &mut r),
+            Err(GeneratorError::InvalidProbability { value }) if value.is_nan()
         ));
-    }
-
-    #[test]
-    fn gnp_edge_count_near_expectation() {
-        let mut r = rng(42);
-        let n = 300;
-        let p = 0.02;
-        let g = gnp_directed(n, p, &mut r).unwrap();
-        let expected = (n * (n - 1)) as f64 * p;
-        let got = g.edge_count() as f64;
-        assert!(
-            (got - expected).abs() < 5.0 * expected.sqrt(),
-            "got {got}, expected {expected}"
-        );
-    }
-
-    #[test]
-    fn gnp_undirected_is_symmetric() {
-        let mut r = rng(3);
-        let g = gnp_undirected(60, 0.1, &mut r).unwrap();
-        assert_eq!(g.edge_count() % 2, 0);
-        for (u, v) in g.edges() {
-            assert!(g.has_edge(v, u));
-        }
     }
 
     #[test]
     fn gnm_exact_edge_count() {
         let mut r = rng(4);
         let g = gnm_directed(50, 200, &mut r).unwrap();
-        assert_eq!(g.edge_count(), 200);
-        let g = gnm_undirected(50, 100, &mut r).unwrap();
         assert_eq!(g.edge_count(), 200);
     }
 
@@ -886,64 +667,6 @@ mod tests {
             gnm_directed(3, 7, &mut r),
             Err(GeneratorError::TooManyEdges { maximum: 6, .. })
         ));
-        assert!(matches!(
-            gnm_undirected(3, 4, &mut r),
-            Err(GeneratorError::TooManyEdges { maximum: 3, .. })
-        ));
-    }
-
-    #[test]
-    fn barabasi_albert_shape() {
-        let mut r = rng(5);
-        let n = 200;
-        let m = 3;
-        let g = barabasi_albert(n, m, &mut r).unwrap();
-        assert_eq!(g.node_count(), n);
-        // Each of the n - m - 1 later nodes adds m pairs; the seed
-        // clique has m*(m+1)/2 pairs; each pair is two arcs.
-        let pairs = m * (m + 1) / 2 + (n - m - 1) * m;
-        assert_eq!(g.edge_count(), 2 * pairs);
-        // Symmetry.
-        for (u, v) in g.edges() {
-            assert!(g.has_edge(v, u));
-        }
-    }
-
-    #[test]
-    fn barabasi_albert_rejects_bad_params() {
-        let mut r = rng(5);
-        assert!(barabasi_albert(10, 0, &mut r).is_err());
-        assert!(barabasi_albert(3, 3, &mut r).is_err());
-    }
-
-    #[test]
-    fn barabasi_albert_is_heavy_tailed() {
-        let mut r = rng(6);
-        let g = barabasi_albert(500, 2, &mut r).unwrap();
-        let max_deg = g.nodes().map(|v| g.out_degree(v)).max().unwrap();
-        let avg = g.edge_count() as f64 / g.node_count() as f64;
-        assert!(
-            (max_deg as f64) > 4.0 * avg,
-            "hub degree {max_deg} vs avg {avg}"
-        );
-    }
-
-    #[test]
-    fn watts_strogatz_zero_beta_is_lattice() {
-        let mut r = rng(7);
-        let g = watts_strogatz(20, 4, 0.0, &mut r).unwrap();
-        assert_eq!(g.edge_count(), 20 * 4);
-        assert!(g.has_edge(NodeId::new(0), NodeId::new(1)));
-        assert!(g.has_edge(NodeId::new(0), NodeId::new(2)));
-        assert!(g.has_edge(NodeId::new(19), NodeId::new(0)));
-    }
-
-    #[test]
-    fn watts_strogatz_rejects_bad_k() {
-        let mut r = rng(7);
-        assert!(watts_strogatz(10, 3, 0.1, &mut r).is_err());
-        assert!(watts_strogatz(10, 0, 0.1, &mut r).is_err());
-        assert!(watts_strogatz(4, 4, 0.1, &mut r).is_err());
     }
 
     #[test]
@@ -1049,8 +772,8 @@ mod tests {
 
     #[test]
     fn generators_are_deterministic_given_seed() {
-        let g1 = gnp_directed(80, 0.05, &mut rng(99)).unwrap();
-        let g2 = gnp_directed(80, 0.05, &mut rng(99)).unwrap();
+        let g1 = gnm_directed(80, 320, &mut rng(99)).unwrap();
+        let g2 = gnm_directed(80, 320, &mut rng(99)).unwrap();
         let e1: Vec<_> = g1.edges().collect();
         let e2: Vec<_> = g2.edges().collect();
         assert_eq!(e1, e2);

@@ -15,16 +15,14 @@
 //!   simulation loops;
 //! - [`traversal`]: multi-source / bounded / filtered BFS (reusable
 //!   scratch over the snapshot, allocating reference over the
-//!   [`DiGraph`]), incremental distance relaxation, DFS, topological
-//!   sort;
-//! - [`components`]: weakly connected components (via [`UnionFind`])
-//!   and Tarjan strongly connected components;
-//! - [`generators`]: Erdős–Rényi, Barabási–Albert, Watts–Strogatz,
-//!   planted-partition and exact-budget community graphs, plus
-//!   deterministic fixtures;
+//!   [`DiGraph`]) and incremental distance relaxation;
+//! - [`generators`]: planted-partition and exact-budget community
+//!   graphs, uniform `G(n, m)`, plus deterministic fixtures;
 //! - [`io`]: SNAP-style edge-list reading and writing;
-//! - [`metrics`]: density, degree statistics, reciprocity,
-//!   clustering — used to calibrate the synthetic datasets.
+//! - [`metrics`]: density, degree statistics and reciprocity — used
+//!   to calibrate the synthetic datasets;
+//! - [`pagerank`]: PageRank, the basis of the PageRank
+//!   protector-selection baseline in the `lcrb` crate.
 //!
 //! ## Example
 //!
@@ -48,23 +46,17 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod betweenness;
-pub mod components;
 mod csr;
 mod digraph;
-pub mod distance;
 mod error;
 pub mod generators;
 pub mod io;
-pub mod kcore;
 pub mod metrics;
 mod node;
 pub mod pagerank;
 pub mod traversal;
-mod union_find;
 
 pub use csr::CsrGraph;
-pub use digraph::{DiGraph, Edges, Nodes, Subgraph};
+pub use digraph::{DiGraph, Edges, Nodes};
 pub use error::{GraphError, ParseEdgeListError};
 pub use node::NodeId;
-pub use union_find::UnionFind;

@@ -2,7 +2,6 @@
 //! synthetic datasets against the statistics the paper reports
 //! (average node degree, density, etc.).
 
-// xtask-allow-file: index -- degree histograms are indexed by degrees, which are bounded by node_count
 use crate::DiGraph;
 
 /// Average out-degree, `m / n` (0 for the empty graph).
@@ -31,18 +30,6 @@ pub fn density(g: &DiGraph) -> f64 {
     }
 }
 
-/// Histogram of out-degrees: entry `k` counts nodes with out-degree
-/// `k`.
-#[must_use]
-pub fn out_degree_histogram(g: &DiGraph) -> Vec<usize> {
-    let max = g.nodes().map(|v| g.out_degree(v)).max().unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for v in g.nodes() {
-        hist[g.out_degree(v)] += 1;
-    }
-    hist
-}
-
 /// Fraction of edges `(u, v)` whose reciprocal `(v, u)` also exists
 /// (1.0 for symmetrized graphs, 0 for graphs without edges).
 #[must_use]
@@ -52,39 +39,6 @@ pub fn reciprocity(g: &DiGraph) -> f64 {
     }
     let mutual = g.edges().filter(|&(u, v)| g.has_edge(v, u)).count();
     mutual as f64 / g.edge_count() as f64
-}
-
-/// Global clustering coefficient (transitivity) of the symmetrized
-/// graph: `3 * triangles / connected triples`.
-///
-/// Exact triangle counting costs `O(sum of d^2)`; intended for the
-/// small-to-medium graphs used in tests and calibration, not for
-/// per-step simulation loops.
-#[must_use]
-pub fn global_clustering_coefficient(g: &DiGraph) -> f64 {
-    let s = g.symmetrized();
-    let mut closed = 0usize; // ordered paths u-v-w with edge u-w
-    let mut triples = 0usize; // ordered paths u-v-w, u != w
-    for v in s.nodes() {
-        let nbrs = s.out_neighbors(v);
-        let d = nbrs.len();
-        if d < 2 {
-            continue;
-        }
-        triples += d * (d - 1);
-        for (i, &u) in nbrs.iter().enumerate() {
-            for &w in &nbrs[i + 1..] {
-                if s.has_edge(u, w) {
-                    closed += 2; // both orderings of the path
-                }
-            }
-        }
-    }
-    if triples == 0 {
-        0.0
-    } else {
-        closed as f64 / triples as f64
-    }
 }
 
 /// A one-struct summary of the metrics above, convenient for logging
@@ -156,16 +110,6 @@ mod tests {
         assert_eq!(average_out_degree(&g), 0.0);
         assert_eq!(density(&g), 0.0);
         assert_eq!(reciprocity(&g), 0.0);
-        assert_eq!(global_clustering_coefficient(&g), 0.0);
-        assert_eq!(out_degree_histogram(&g), vec![0]);
-    }
-
-    #[test]
-    fn histogram_counts_nodes() {
-        let g = star_graph(4); // hub out-degree 3, leaves out-degree 1
-        let h = out_degree_histogram(&g);
-        assert_eq!(h, vec![0, 3, 0, 1]);
-        assert_eq!(h.iter().sum::<usize>(), 4);
     }
 
     #[test]
@@ -175,24 +119,6 @@ mod tests {
         // A 2-cycle is fully reciprocal.
         let g = DiGraph::from_edges(2, [(0, 1), (1, 0)]).unwrap();
         assert_eq!(reciprocity(&g), 1.0);
-    }
-
-    #[test]
-    fn clustering_of_triangle_and_star() {
-        let tri = DiGraph::from_edges(3, [(0, 1), (1, 2), (2, 0)]).unwrap();
-        assert!((global_clustering_coefficient(&tri) - 1.0).abs() < 1e-12);
-        assert_eq!(global_clustering_coefficient(&star_graph(5)), 0.0);
-    }
-
-    #[test]
-    fn clustering_of_square_with_diagonal() {
-        // Square 0-1-2-3 plus diagonal 0-2: 2 triangles, 8 + 2*... compute:
-        // degrees: 0:3, 1:2, 2:3, 3:2 -> triples = 3*2+2*1+3*2+2*1 = 16
-        // triangles = 2, closed ordered paths = 2 * 3! = ... formula: 3*2*2=12? Use
-        // transitivity = 3*T*2 / triples = 6*2/16 = 0.75.
-        let g = DiGraph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]).unwrap();
-        let c = global_clustering_coefficient(&g);
-        assert!((c - 0.75).abs() < 1e-12, "got {c}");
     }
 
     #[test]

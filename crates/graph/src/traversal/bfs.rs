@@ -61,16 +61,6 @@ pub fn bfs_distances(g: &DiGraph, sources: &[NodeId]) -> Vec<Option<u32>> {
     bfs_distances_where(g, sources, Direction::Forward, u32::MAX, |_| true)
 }
 
-/// Hop distances traversing edges backwards (along in-neighbors).
-///
-/// # Panics
-///
-/// Panics if any source id is not in the graph.
-#[must_use]
-pub fn reverse_bfs_distances(g: &DiGraph, sources: &[NodeId]) -> Vec<Option<u32>> {
-    bfs_distances_where(g, sources, Direction::Backward, u32::MAX, |_| true)
-}
-
 /// The fully general multi-source BFS.
 ///
 /// Explores in `direction`, never deeper than `max_depth`, and only
@@ -199,7 +189,9 @@ mod tests {
     #[test]
     fn reverse_bfs_follows_in_edges() {
         let g = line(4);
-        let d = reverse_bfs_distances(&g, &[NodeId::new(3)]);
+        let d = bfs_distances_where(&g, &[NodeId::new(3)], Direction::Backward, u32::MAX, |_| {
+            true
+        });
         assert_eq!(d, vec![Some(3), Some(2), Some(1), Some(0)]);
     }
 

@@ -4,15 +4,10 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use lcrb_graph::components::{strongly_connected_components, weakly_connected_labels};
-use lcrb_graph::distance::{eccentricity, harmonic_closeness_in};
 use lcrb_graph::generators;
-use lcrb_graph::kcore::core_decomposition;
 use lcrb_graph::pagerank::{pagerank, PageRankConfig};
-use lcrb_graph::traversal::{
-    bfs_distances, is_reachable, relax_with_source, reverse_bfs_distances,
-};
-use lcrb_graph::{CsrGraph, DiGraph, GraphError, NodeId, UnionFind};
+use lcrb_graph::traversal::{bfs_distances, bfs_distances_where, relax_with_source, Direction};
+use lcrb_graph::{CsrGraph, DiGraph, GraphError, NodeId};
 
 /// Strategy: a random directed graph as (node count, edge pairs).
 fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = DiGraph> {
@@ -58,8 +53,9 @@ proptest! {
     #[test]
     fn reverse_bfs_matches_forward_on_reversed_graph(g in arb_graph(30, 120), src in 0usize..30) {
         let src = src % g.node_count();
-        let rev = g.reversed();
-        let a = reverse_bfs_distances(&g, &[NodeId::new(src)]);
+        let swapped = g.edges().map(|(u, v)| (v.index(), u.index()));
+        let rev = DiGraph::from_edges(g.node_count(), swapped).unwrap();
+        let a = bfs_distances_where(&g, &[NodeId::new(src)], Direction::Backward, u32::MAX, |_| true);
         let b = bfs_distances(&rev, &[NodeId::new(src)]);
         prop_assert_eq!(a, b);
     }
@@ -74,97 +70,6 @@ proptest! {
         }
         let batch = bfs_distances(&g, &srcs);
         prop_assert_eq!(incremental, batch);
-    }
-
-    #[test]
-    fn weak_components_agree_with_symmetric_reachability(g in arb_graph(20, 60)) {
-        let labels = weakly_connected_labels(&g);
-        let s = g.symmetrized();
-        for u in g.nodes() {
-            for v in g.nodes() {
-                let connected = is_reachable(&s, u, v);
-                prop_assert_eq!(labels[u.index()] == labels[v.index()], connected);
-            }
-        }
-    }
-
-    #[test]
-    fn scc_partition_and_mutual_reachability(g in arb_graph(16, 60)) {
-        let sccs = strongly_connected_components(&g);
-        let total: usize = sccs.iter().map(Vec::len).sum();
-        prop_assert_eq!(total, g.node_count());
-        // Nodes in the same SCC are mutually reachable.
-        for c in &sccs {
-            for &u in c {
-                for &v in c {
-                    prop_assert!(is_reachable(&g, u, v));
-                }
-            }
-        }
-        // Representatives of different SCCs are not mutually reachable.
-        for (i, a) in sccs.iter().enumerate() {
-            for b in sccs.iter().skip(i + 1) {
-                let (u, v) = (a[0], b[0]);
-                prop_assert!(!(is_reachable(&g, u, v) && is_reachable(&g, v, u)));
-            }
-        }
-    }
-
-    #[test]
-    fn union_find_labels_are_an_equivalence(ops in proptest::collection::vec((0usize..20, 0usize..20), 0..40)) {
-        let mut uf = UnionFind::new(20);
-        let mut naive: Vec<usize> = (0..20).collect();
-        for (a, b) in ops {
-            uf.union(a, b);
-            // Naive merge for cross-checking.
-            let (ra, rb) = (naive[a], naive[b]);
-            if ra != rb {
-                for x in naive.iter_mut() {
-                    if *x == rb {
-                        *x = ra;
-                    }
-                }
-            }
-        }
-        let labels = uf.labels();
-        for a in 0..20 {
-            for b in 0..20 {
-                prop_assert_eq!(labels[a] == labels[b], naive[a] == naive[b]);
-            }
-        }
-    }
-
-    #[test]
-    fn reversed_preserves_edge_count_and_flips(g in arb_graph(25, 80)) {
-        let r = g.reversed();
-        prop_assert_eq!(r.edge_count(), g.edge_count());
-        for (u, v) in g.edges() {
-            prop_assert!(r.has_edge(v, u));
-        }
-    }
-
-    #[test]
-    fn induced_subgraph_edges_subset(g in arb_graph(20, 60), keep in proptest::collection::btree_set(0usize..20, 1..10)) {
-        let keep: Vec<NodeId> = keep
-            .into_iter()
-            .filter(|&i| i < g.node_count())
-            .map(NodeId::new)
-            .collect();
-        prop_assume!(!keep.is_empty());
-        let sub = g.induced_subgraph(&keep);
-        for (u, v) in sub.graph.edges() {
-            prop_assert!(g.has_edge(sub.parent_id(u), sub.parent_id(v)));
-        }
-        // Every parent edge between kept nodes survives.
-        let mut expected = 0usize;
-        for &u in &keep {
-            for &v in &keep {
-                if g.has_edge(u, v) {
-                    expected += 1;
-                }
-            }
-        }
-        prop_assert_eq!(sub.graph.edge_count(), expected);
     }
 
     #[test]
@@ -190,63 +95,11 @@ proptest! {
     }
 
     #[test]
-    fn core_numbers_match_peeling_definition(g in arb_graph(25, 100)) {
-        let d = core_decomposition(&g);
-        let und = g.symmetrized();
-        // Naive verification: iteratively peel nodes with undirected
-        // degree < k; survivors are exactly the k-core.
-        for k in 1..=d.degeneracy {
-            let mut alive: Vec<bool> = vec![true; g.node_count()];
-            loop {
-                let mut changed = false;
-                for v in und.nodes() {
-                    if alive[v.index()] {
-                        let deg = und
-                            .out_neighbors(v)
-                            .iter()
-                            .filter(|w| alive[w.index()])
-                            .count();
-                        if deg < k as usize {
-                            alive[v.index()] = false;
-                            changed = true;
-                        }
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-            for v in g.nodes() {
-                prop_assert_eq!(
-                    alive[v.index()],
-                    d.core_of(v) >= k,
-                    "node {} at k = {}", v, k
-                );
-            }
-        }
-    }
-
-    #[test]
     fn pagerank_is_a_probability_distribution(g in arb_graph(25, 100)) {
         let pr = pagerank(&g, &PageRankConfig::default());
         let total: f64 = pr.scores.iter().sum();
         prop_assert!((total - 1.0).abs() < 1e-6, "sum = {total}");
         prop_assert!(pr.scores.iter().all(|&s| s >= 0.0));
-    }
-
-    #[test]
-    fn eccentricity_is_max_bfs_distance(g in arb_graph(20, 60), src in 0usize..20) {
-        let src = NodeId::new(src % g.node_count());
-        let d = bfs_distances(&g, &[src]);
-        let expected = d.iter().flatten().copied().filter(|&x| x > 0).max();
-        prop_assert_eq!(eccentricity(&g, src), expected);
-    }
-
-    #[test]
-    fn harmonic_closeness_is_bounded(g in arb_graph(20, 80), v in 0usize..20) {
-        let v = NodeId::new(v % g.node_count());
-        let c = harmonic_closeness_in(&g, v);
-        prop_assert!((0.0..=1.0 + 1e-12).contains(&c), "closeness {c}");
     }
 
     #[test]

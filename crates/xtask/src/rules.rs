@@ -75,13 +75,12 @@ const DETERMINISM_CRATES: [&str; 4] = ["graph", "community", "diffusion", "core"
 /// the CSR traversal and objective/greedy/SCBG layers ported to the
 /// snapshot API in PR 2. Allocation and legacy `DiGraph` use here is
 /// flagged so the zero-allocation invariant cannot regress unnoticed.
-pub(crate) const HOT_FILES: [&str; 13] = [
+pub(crate) const HOT_FILES: [&str; 12] = [
     "crates/diffusion/src/model.rs",
     "crates/diffusion/src/opoao.rs",
     "crates/diffusion/src/doam.rs",
     "crates/diffusion/src/ic.rs",
     "crates/diffusion/src/lt.rs",
-    "crates/diffusion/src/sis.rs",
     "crates/diffusion/src/sketch.rs",
     "crates/diffusion/src/workspace.rs",
     "crates/graph/src/traversal/csr_bfs.rs",

@@ -10,7 +10,7 @@
 //! protector set achieves under all four models implemented here:
 //! OPOAO, DOAM, competitive IC, and competitive LT.
 
-use lcrb_repro::diffusion::{CompetitiveIcModel, CompetitiveLtModel, CompetitiveSisModel};
+use lcrb_repro::diffusion::{CompetitiveIcModel, CompetitiveLtModel};
 use lcrb_repro::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -98,22 +98,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         protectors,
         bridge_ends,
     )?;
-
-    // Bonus: the non-progressive SIS view (Trpevski et al., related
-    // work) — prevalence with and without the protector campaign.
-    let sis = CompetitiveSisModel::new(0.2, 0.35, 0.25, 60)?;
-    let mut rng = SmallRng::seed_from_u64(17);
-    let mut ws = SimWorkspace::new();
-    let snapshot = instance.snapshot();
-    let quiet = sis.run_into(snapshot, &instance.seed_sets(vec![])?, &mut ws, &mut rng);
-    let protected = instance.seed_sets(protectors.to_vec())?;
-    let fought = sis.run_into(snapshot, &protected, &mut ws, &mut rng);
-    println!(
-        "{:>15}: endemic infected {:>7} -> {:>7}  (non-progressive prevalence after 60 steps)",
-        "competitive-sis",
-        quiet.final_infected(),
-        fought.final_infected()
-    );
 
     println!(
         "\nthe scbg cover is provably exact under DOAM; under the stochastic models\n\

@@ -4,10 +4,9 @@
 //! in Social Networks* (Fan, Lu, Wu, Thuraisingham, Ma, Bi — ICDCS
 //! 2013). It re-exports the workspace libraries under one roof:
 //!
-//! - [`graph`] — directed-graph substrate (storage, BFS/DFS,
-//!   components, generators, I/O, metrics);
-//! - [`community`] — Louvain / label propagation / modularity /
-//!   partition metrics;
+//! - [`graph`] — directed-graph substrate (storage, BFS, generators,
+//!   I/O, metrics, PageRank);
+//! - [`community`] — Louvain / modularity / partition metrics;
 //! - [`diffusion`] — the OPOAO and DOAM two-cascade models, coupled
 //!   realizations, Monte Carlo, RR sketches, competitive IC/LT;
 //! - [`lcrb`] — the paper's algorithms: bridge ends, the LCRB-P
