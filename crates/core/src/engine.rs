@@ -673,9 +673,11 @@ pub struct SolverConfig {
 /// A clock read for stage timings. Observability metadata only: the
 /// solver's *selections* never read the clock, so determinism of the
 /// outputs is preserved.
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "stage timings are observability metadata; selections never read the clock"
+)]
 fn now() -> std::time::Instant {
-    // xtask-allow: determinism -- stage timings are observability metadata; selections never read the clock
     std::time::Instant::now()
 }
 

@@ -177,7 +177,6 @@ pub fn greedy_with_budget(
     config: &GreedyConfig,
 ) -> Result<GreedySelection, LcrbError> {
     let bridge_ends = find_bridge_ends(instance, config.rule);
-    // xtask-allow: bufclone -- one-time handoff of the bridge-end list to the estimator, outside the query loop
     let backend = build_backend(instance, config, bridge_ends.nodes.clone())?;
     let mut traj = GreedyTrajectory::new(candidate_pool(instance, &bridge_ends, config.candidates));
     // A one-shot pool: the sequential CELF loop leases one long-lived
@@ -337,9 +336,7 @@ impl GreedyTrajectory {
     pub(crate) fn new(candidates: Vec<NodeId>) -> Self {
         GreedyTrajectory {
             candidates,
-            // xtask-allow: hotpath -- empty constructor state, one per trajectory; picks grow it incrementally
             selected: Vec::new(),
-            // xtask-allow: hotpath -- empty constructor state, one per trajectory; picks grow it incrementally
             sigma_history: Vec::new(),
             sigma_empty: 0.0,
             sigma_current: 0.0,
@@ -349,7 +346,6 @@ impl GreedyTrajectory {
             started: false,
             swept: false,
             exhausted: false,
-            // xtask-allow: hotpath -- empty constructor state; the probe loop reuses it clear-and-refill
             trial: Vec::new(),
         }
     }
@@ -455,7 +451,7 @@ pub(crate) fn advance_trajectory(
                 .iter()
                 .enumerate()
                 .map(|(i, &g)| (FiniteF64(g), i, 0))
-                // xtask-allow: collect -- runs once per trajectory (guarded by `swept`), not per pick
+                // xtask-allow: hotreach -- runs once per trajectory (guarded by `swept`), not per pick
                 .collect();
             traj.swept = true;
         }
@@ -567,9 +563,7 @@ pub(crate) fn selection_from_trajectory(
         traj.sigma_history[len - 1]
     };
     GreedySelection {
-        // xtask-allow: bufclone -- per-solve result materialization: at most `cap` picks copied out of the cached trajectory
         protectors: traj.selected[..len].to_vec(),
-        // xtask-allow: bufclone -- per-solve result materialization: at most `cap` picks copied out of the cached trajectory
         sigma_history: traj.sigma_history[..len].to_vec(),
         target,
         achieved,
@@ -608,7 +602,6 @@ fn candidate_pool(
                 .collect()
         }
         CandidatePool::BbstUnion => {
-            // xtask-allow: hotpath -- one-time pool construction per greedy run, outside the evaluation loop
             let mut in_pool = vec![false; csr.node_count()];
             let mut walker = BbstWalker::new(instance, None);
             for &v in &bridge_ends.nodes {
@@ -654,7 +647,7 @@ fn parallel_initial_gains(
                 threads,
                 pool,
                 meter,
-                // xtask-allow: hotpath -- one accumulator per worker thread for the whole sweep
+                // xtask-allow: hotreach -- one accumulator per worker thread for the whole sweep
                 || vec![0; candidates.len()],
                 |unit, scratch, totals| {
                     let lo = unit / realizations * OPOAO_LANES;
@@ -667,7 +660,7 @@ fn parallel_initial_gains(
                     )
                 },
             )?;
-            // xtask-allow: hotpath -- once-per-sweep result buffer sized to the candidate pool
+            // xtask-allow: hotreach -- once-per-sweep result buffer sized to the candidate pool
             let mut totals = vec![0; candidates.len()];
             for partial in partials {
                 for (total, saved) in totals.iter_mut().zip(partial) {
@@ -677,6 +670,7 @@ fn parallel_initial_gains(
             return Ok(totals
                 .into_iter()
                 .map(|total| obj.average(total) - sigma_empty)
+                // xtask-allow: hotreach -- the σ̂ gains of one sweep, one Vec sized to the candidate pool
                 .collect());
         }
     }
@@ -685,14 +679,14 @@ fn parallel_initial_gains(
         threads,
         pool,
         meter,
-        // xtask-allow: hotpath -- one accumulator per worker thread for the whole sweep
+        // xtask-allow: hotreach -- one accumulator per worker thread for the whole sweep
         Vec::new,
         |i, scratch, sigmas| {
             sigmas.push((i, objective.sigma_with(&[candidates[i]], scratch)?));
             Ok(())
         },
     )?;
-    // xtask-allow: hotpath -- once-per-sweep result buffer sized to the candidate pool
+    // xtask-allow: hotreach -- once-per-sweep result buffer sized to the candidate pool
     let mut gains = vec![0.0; candidates.len()];
     for (i, sigma) in partials.into_iter().flatten() {
         gains[i] = sigma - sigma_empty;
@@ -745,24 +739,27 @@ where
         Ok(acc)
     };
     let results = if workers == 1 {
-        // xtask-allow: hotpath -- the single worker's accumulator, once per sweep
+        // xtask-allow: hotreach -- the single worker's accumulator, once per sweep
         vec![worker(0)]
     } else {
         std::thread::scope(|scope| {
             let worker = &worker;
             let handles: Vec<_> = (0..workers)
                 .map(|t| scope.spawn(move || worker(t)))
+                // xtask-allow: hotreach -- one join handle per worker, once per sweep
                 .collect();
             handles
                 .into_iter()
                 // xtask-allow: panic -- re-raising a worker panic on the coordinating thread is the intended behavior
                 .map(|h| h.join().expect("gain worker panicked"))
+                // xtask-allow: hotreach -- one accumulator slot per worker, gathered once per sweep
                 .collect::<Vec<_>>()
         })
     };
     meter
         .poll()
         .map_err(|reason| LcrbError::Interrupted { reason })?;
+    // xtask-allow: hotreach -- the per-worker results unwrapped once per sweep
     results.into_iter().collect()
 }
 

@@ -258,7 +258,6 @@ impl<'a> ProtectionObjective<'a> {
                 .collect();
         };
         let mut lanes = LaneWorkspace::new();
-        // xtask-allow: hotpath -- one-off batch entry point: one total per set, returned as σ̂
         let mut totals = vec![0; protector_sets.len()];
         for (sets, totals) in protector_sets
             .chunks(OPOAO_LANES)
@@ -288,7 +287,7 @@ impl<'a> ProtectionObjective<'a> {
     ) -> Result<f64, LcrbError> {
         let seeds = match seeds {
             Some(s) => s,
-            // xtask-allow: hotpath -- lazy one-time seed-set construction; later calls refill in place
+            // xtask-allow: hotreach -- lazy one-time seed-set construction; later calls refill in place
             None => seeds.insert(self.instance.seed_sets(Vec::new())?),
         };
         seeds.set_protectors(self.instance.snapshot().node_count(), protectors)?;
@@ -318,7 +317,7 @@ impl<'a> ProtectionObjective<'a> {
     }
 
     fn seed_sets(&self, protectors: &[NodeId]) -> Result<SeedSets, LcrbError> {
-        // xtask-allow: bufclone -- one-off convenience entry; the CELF loop goes through sigma_with_cached_seeds
+        // xtask-allow: hotreach -- one-off convenience entry; the CELF loop goes through sigma_with_cached_seeds
         self.instance.seed_sets(protectors.to_vec())
     }
 

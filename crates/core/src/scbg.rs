@@ -153,7 +153,6 @@ impl<'a> BbstWalker<'a> {
         let csr = instance.snapshot();
         let mut d_r = CsrBfsScratch::new();
         d_r.run(csr, instance.rumor_seeds(), Direction::Forward, u32::MAX);
-        // xtask-allow: hotpath -- one-time setup per walker, sized to the snapshot
         let mut is_rumor = vec![false; csr.node_count()];
         for &r in instance.rumor_seeds() {
             is_rumor[r.index()] = true;
@@ -212,7 +211,6 @@ fn build_star_sets(
     let mut walker = BbstWalker::new(instance, max_bbst_depth);
 
     // Pass 1: `next[u]` counts |SW_u|.
-    // xtask-allow: hotpath -- one n-sized count-then-cursor buffer per SCBG run
     let mut next = vec![0usize; csr.node_count()];
     for &v in &bridge_ends.nodes {
         meter.poll()?;
@@ -222,9 +220,7 @@ fn build_star_sets(
     }
 
     // Prefix sum: `next[u]` becomes the first slot of u's row.
-    // xtask-allow: hotpath -- the candidate list, one per SCBG run
     let mut candidates = Vec::new();
-    // xtask-allow: hotpath -- the table's row offsets, one per SCBG run
     let mut offsets = vec![0];
     let mut total = 0;
     for u in csr.nodes() {
@@ -237,7 +233,6 @@ fn build_star_sets(
     }
 
     // Pass 2: fill each row in bridge-end order.
-    // xtask-allow: hotpath -- the table's entries, sized exactly by pass 1, one per SCBG run
     let mut items = vec![0; total];
     for (b_idx, &v) in bridge_ends.nodes.iter().enumerate() {
         meter.poll()?;

@@ -337,9 +337,7 @@ impl SketchIndex {
 
         let mut batch = SketchBatch::new();
         let mut scratch = RrScratch::new();
-        // xtask-allow: hotpath -- build-phase singleton-coverage counts, one u32 per node
         let mut cover = vec![0u32; n];
-        // xtask-allow: hotpath -- build-phase rumor-seed mask for the p̂ scan
         let mut is_rumor = vec![false; n];
         for &r in rumors {
             is_rumor[r.index()] = true;
@@ -405,12 +403,10 @@ impl SketchIndex {
         // it. `cover` already holds the per-node counts. Runs for
         // truncated builds too: the generated prefix is a valid
         // (smaller) sample.
-        // xtask-allow: hotpath -- build-phase index construction, once per objective
         let mut index_offsets = vec![0u32; n + 1];
         for v in 0..n {
             index_offsets[v + 1] = index_offsets[v] + cover[v];
         }
-        // xtask-allow: hotpath -- build-phase index construction, once per objective
         let mut index_ids = vec![0u32; index_offsets[n] as usize];
         // Reuse `cover` as per-node write cursors.
         cover.fill(0);
@@ -532,7 +528,7 @@ impl<'a> SketchObjective<'a> {
         {
             // Delegate to the canonical validator so the error value
             // matches the Monte-Carlo objective exactly.
-            // xtask-allow: bufclone -- cold error path only: valid protector sets never reach this copy
+            // xtask-allow: hotreach -- cold error path only: valid protector sets never reach this copy
             self.instance.seed_sets(protectors.to_vec())?;
         }
         let index = &*self.index;

@@ -182,12 +182,11 @@ impl WorkMeter {
         cancel: Option<CancelToken>,
         batch_cancel: Option<CancelToken>,
     ) -> Self {
-        #[allow(clippy::disallowed_methods)]
-        let started = budget
-            .deadline
-            .is_some()
-            // xtask-allow: determinism -- the deadline clock is the one sanctioned wall-clock source; deadlines are advisory and resolve to checkpoint boundaries (see module docs)
-            .then(Instant::now);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the deadline clock is the one sanctioned wall-clock source; deadlines are advisory and resolve to checkpoint boundaries (see module docs)"
+        )]
+        let started = budget.deadline.is_some().then(Instant::now);
         WorkMeter {
             budget,
             cancel,

@@ -153,6 +153,7 @@ impl SeedSets {
     ///
     /// Returns [`SeedError::OutOfBounds`] for unknown nodes and
     /// [`SeedError::Overlap`] if the two sets intersect.
+    // xtask-allow: hotreach -- one-time seed validation reads only the node count; the kernels run on the CSR snapshot
     pub fn new(
         graph: &DiGraph,
         rumors: Vec<NodeId>,

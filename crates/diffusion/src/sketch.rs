@@ -114,13 +114,9 @@ impl SketchBatch {
     #[must_use]
     pub fn new() -> Self {
         SketchBatch {
-            // xtask-allow: hotpath -- one-time construction; generation appends into these retained buffers
             offsets: vec![0],
-            // xtask-allow: hotpath -- one-time construction; generation appends into these retained buffers
             members: Vec::new(),
-            // xtask-allow: hotpath -- one-time construction; generation appends into these retained buffers
             targets: Vec::new(),
-            // xtask-allow: hotpath -- one-time construction; generation appends into these retained buffers
             arrivals: Vec::new(),
             always_saved: 0,
             total: 0,
@@ -249,7 +245,7 @@ impl RrScratch {
         }
         let spine = max_hops as usize + 1;
         if self.buckets.len() < spine {
-            // xtask-allow: hotpath -- bucket spine grows once per hop-budget increase, then is reused
+            // xtask-allow: hotreach -- bucket spine grows once per hop-budget increase, then is reused
             self.buckets.resize_with(spine, Vec::new);
         }
     }

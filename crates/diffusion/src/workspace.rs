@@ -302,7 +302,6 @@ impl SimWorkspace {
         let hops = (0..n)
             .map(|i| self.activation_hop(NodeId::new(i)))
             .collect();
-        // xtask-allow: bufclone -- documented allocating conversion; hot loops read the workspace directly
         DiffusionOutcome::new(status, hops, self.trace.clone(), self.quiescent)
     }
 }

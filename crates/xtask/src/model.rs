@@ -5,12 +5,14 @@
 //! cross-file (lock acquisition order across `engine.rs` and
 //! `pool.rs`, epoch discipline on cache keys, allocation reachability
 //! from hot kernels, the public API surface). This module builds the
-//! symbol model those rules need on top of the same lexer:
+//! symbol model those rules need from the same test-stripped token
+//! streams:
 //!
 //! - a per-file **item tree**: fns (with owner impl/trait, receiver,
 //!   params, normalized signature), structs (with field types),
 //!   enums, traits, consts/statics/type aliases, and `use` edges —
-//!   each with its visibility;
+//!   each with its visibility — plus every `static` wherever it is
+//!   declared;
 //! - a **name-resolution-lite call graph**: free calls resolve to
 //!   same-named free fns, `Type::method(..)` to methods of `Type`,
 //!   and `recv.method(..)` through a typing environment (`self` →
@@ -252,6 +254,9 @@ pub struct WorkspaceModel {
     pub structs: Vec<StructItem>,
     /// Non-fn surface items.
     pub surface: Vec<SurfaceItem>,
+    /// Every `static` item, public or not, wherever it is declared
+    /// (module level, fn bodies, `thread_local!`).
+    pub statics: Vec<SurfaceItem>,
     /// Cache families extracted from the struct table.
     pub families: Vec<CacheFamily>,
     /// Name → struct indices.
@@ -266,21 +271,44 @@ impl WorkspaceModel {
     /// model sees exactly what ships.
     #[must_use]
     pub fn from_sources(sources: &[(&str, &str)]) -> Self {
+        Self::from_files(
+            sources
+                .iter()
+                .map(|(path, source)| FileModel {
+                    path: (*path).to_owned(),
+                    tokens: strip_test_code(&lex(source).tokens),
+                })
+                .collect(),
+        )
+    }
+
+    /// Builds the model from already lexed, test-stripped files.
+    #[must_use]
+    pub(crate) fn from_files(files: Vec<FileModel>) -> Self {
         let mut model = WorkspaceModel::default();
-        for (path, source) in sources {
-            let lexed = lex(source);
-            let tokens = strip_test_code(&lexed.tokens);
-            let file_index = model.files.len();
-            model.files.push(FileModel {
-                path: (*path).to_owned(),
-                tokens,
-            });
-            let end = model.files[file_index].tokens.len();
-            let tokens = model.files[file_index].tokens.clone();
+        for (file_index, file) in files.iter().enumerate() {
+            let toks = &file.tokens;
             parse_items(
-                &mut model, &tokens, 0, end, path, file_index, None, false, false,
+                &mut model,
+                toks,
+                0,
+                toks.len(),
+                &file.path,
+                file_index,
+                None,
+                false,
+                false,
             );
+            // `'static` lexes as a lifetime, so the keyword is always
+            // a `static` item.
+            for kw in 0..toks.len() {
+                if toks[kw].is_ident("static") {
+                    let (item, _) = value_item(toks, kw, toks.len(), &file.path, false);
+                    model.statics.push(item);
+                }
+            }
         }
+        model.files = files;
         for (i, s) in model.structs.iter().enumerate() {
             model
                 .struct_index
@@ -1059,19 +1087,9 @@ fn parse_items(
                     );
                     continue;
                 }
-                let kind = t.text.clone();
-                let name = ident_after(toks, i, end).unwrap_or_default();
-                let stop = next_semi(toks, i, end);
-                let eq = (i..stop).find(|&k| toks[k].is_punct('=')).unwrap_or(stop);
+                let (item, stop) = value_item(toks, i, end, path, is_pub);
                 if is_pub {
-                    model.surface.push(SurfaceItem {
-                        file: path.to_owned(),
-                        line: t.line,
-                        kind,
-                        name,
-                        detail: join_tokens(&toks[i + 1..eq.min(end)]),
-                        is_pub,
-                    });
+                    model.surface.push(item);
                 }
                 i = stop + 1;
             }
@@ -1516,6 +1534,28 @@ fn ident_after(toks: &[Token], kw: usize, end: usize) -> Option<String> {
         .filter(|_| kw + 1 < end)
         .filter(|t| t.kind == TokKind::Ident)
         .map(|t| t.text.clone())
+}
+
+/// The `const`/`static` item at keyword `kw`, with the index of its
+/// closing `;`. The detail is the `NAME : Type` tokens.
+fn value_item(
+    toks: &[Token],
+    kw: usize,
+    end: usize,
+    path: &str,
+    is_pub: bool,
+) -> (SurfaceItem, usize) {
+    let stop = next_semi(toks, kw, end);
+    let eq = (kw..stop).find(|&k| toks[k].is_punct('=')).unwrap_or(stop);
+    let item = SurfaceItem {
+        file: path.to_owned(),
+        line: toks[kw].line,
+        kind: toks[kw].text.clone(),
+        name: ident_after(toks, kw, end).unwrap_or_default(),
+        detail: join_tokens(&toks[kw + 1..eq.min(end)]),
+        is_pub,
+    };
+    (item, stop)
 }
 
 /// Index of the next `;` at brace depth 0 (skips balanced blocks).

@@ -4,38 +4,20 @@
 //! `pubapi` — live in [`crate::wrules`] and run against the
 //! [`crate::model`] workspace model.)
 //!
-//! Nine per-file rule families guard the invariants the paper
+//! Five per-file rule families guard the invariants the paper
 //! reproduction depends on (see DESIGN.md §"Static analysis layer"):
 //!
 //! - `determinism` — the LCRB-P greedy is only (1 − 1/e)-approximate
 //!   because σ(·) is estimated over coupled random realizations
-//!   (§V-A of the paper); an unseeded RNG, a wall-clock call, or
-//!   hash-order iteration in result-producing code silently voids
-//!   that guarantee.
+//!   (§V-A of the paper); hash-order iteration in result-producing
+//!   code silently voids that guarantee. (Clock reads are banned by
+//!   `clippy.toml`; the vendored `rand` has no entropy constructors.)
 //! - `panic` / `index` — library code reports failures through
 //!   `LcrbError`/`GraphError`; panics are reserved for documented
 //!   invariant breaches, each carrying an `xtask-allow` justification.
-//! - `hotpath` — the CSR/workspace kernel keeps its speedup only
-//!   while hot modules stay allocation-free and snapshot-based; any
-//!   `DiGraph` reference or container allocation there is flagged.
-//! - `collect` — a `.collect()` inside a loop body in a hot module
-//!   allocates a fresh container per iteration, the steady-state
-//!   allocation the workspace pattern exists to avoid; hoist the
-//!   buffer out of the loop (clear-and-refill) or justify it.
-//! - `bufclone` — a `.clone()` / `.to_vec()` in a hot module copies a
-//!   whole buffer; the workspace pattern exists so kernels borrow or
-//!   swap instead of copying. Result-materialization copies at query
-//!   boundaries are fine, but each carries an `xtask-allow` so the
-//!   copy is a documented decision rather than an accident.
 //! - `attributes` — every crate root carries the standard prelude
 //!   (`forbid(unsafe_code)`, `deny(missing_docs)`,
 //!   `warn(missing_debug_implementations)`).
-//! - `concurrency` — the shared `Solver` session (ISSUE 7) splits
-//!   state three ways: request-immutable, internally synchronized,
-//!   and per-request. Global mutable state (`static mut`, `static`s
-//!   with interior mutability) bypasses that split, and a lock guard
-//!   held across a call into a hot-module kernel serializes the very
-//!   work `solve_many` fans out; both are flagged in library code.
 //! - `docexample` — the session types (`Solver`, `SolveRequest`,
 //!   `SolveReport`) are the crate's front door; every `pub fn` in
 //!   their inherent impls must carry a doc comment with a fenced
@@ -43,22 +25,18 @@
 
 use std::collections::BTreeSet;
 
-use crate::lexer::{lex, Lexed, TokKind, Token};
+use crate::lexer::{Lexed, TokKind, Token};
 
-/// Rule identifiers accepted by `xtask-allow` pragmas. The first nine
+/// Rule identifiers accepted by `xtask-allow` pragmas. The first five
 /// are per-file families; `lockorder`, `epochkey`, `hotreach`,
 /// `cancelpoint`, and `pubapi` are the cross-file families run
 /// against the workspace model ([`crate::model`] /
 /// [`crate::wrules`]).
-pub const KNOWN_RULES: [&str; 14] = [
+pub const KNOWN_RULES: [&str; 10] = [
     "determinism",
     "panic",
     "index",
-    "hotpath",
-    "collect",
-    "bufclone",
     "attributes",
-    "concurrency",
     "docexample",
     "lockorder",
     "epochkey",
@@ -72,9 +50,9 @@ pub const KNOWN_RULES: [&str; 14] = [
 const DETERMINISM_CRATES: [&str; 4] = ["graph", "community", "diffusion", "core"];
 
 /// The declared hot-module list: the diffusion engine kernels plus
-/// the CSR traversal and objective/greedy/SCBG layers ported to the
-/// snapshot API in PR 2. Allocation and legacy `DiGraph` use here is
-/// flagged so the zero-allocation invariant cannot regress unnoticed.
+/// the CSR traversal and objective/greedy/SCBG layers. Their slice
+/// indexing is exempt from `index` (debug-build validators back it),
+/// and their unbounded loops are in `cancelpoint`'s scope.
 pub(crate) const HOT_FILES: [&str; 12] = [
     "crates/diffusion/src/model.rs",
     "crates/diffusion/src/opoao.rs",
@@ -94,34 +72,6 @@ pub(crate) const HOT_FILES: [&str; 12] = [
 /// expression (`&mut [T]`, `as [u8; 4]`, ...).
 const NON_INDEX_KEYWORDS: [&str; 12] = [
     "mut", "dyn", "as", "in", "return", "break", "else", "move", "ref", "static", "const", "box",
-];
-
-/// Hot-module entry points a lock guard must not be held across: any
-/// of these inside a guard's live range serializes the kernel work
-/// `solve_many` exists to fan out (and invites lock-order inversion
-/// against the cache's own family locks).
-pub(crate) const HOT_CALLS: [&str; 7] = [
-    "sigma_with",
-    "sigma_with_cached_seeds",
-    "run_into",
-    "run_realized_into",
-    "run_lanes_into",
-    "advance_trajectory",
-    "monte_carlo_csr",
-];
-
-/// Types whose presence in a `static` item's type makes it shared
-/// global mutable state (`Atomic*` is matched by prefix).
-const INTERIOR_MUT_TYPES: [&str; 9] = [
-    "Mutex",
-    "RwLock",
-    "Cell",
-    "RefCell",
-    "UnsafeCell",
-    "OnceCell",
-    "OnceLock",
-    "LazyLock",
-    "Condvar",
 ];
 
 /// Inherent-impl targets whose `pub fn`s must carry doc examples —
@@ -146,8 +96,8 @@ const HASH_ITER_METHODS: [&str; 9] = [
 pub struct FileClass {
     /// Crate root that must carry the attribute prelude.
     pub attributes_root: bool,
-    /// Library code subject to `panic`/`index` and banned
-    /// nondeterministic calls.
+    /// Library code subject to `panic`/`index`, `docexample`, and
+    /// `lockorder`'s ban on interior-mutability statics.
     pub panic_scope: bool,
     /// Subject to the hash-iteration determinism check.
     pub determinism_iteration: bool,
@@ -216,8 +166,8 @@ pub fn classify(rel_path: &str) -> Option<FileClass> {
     // The deterministic-scheduler backend of `lcrb-sync` is test-only
     // model-checking infrastructure: panicking threads are its abort
     // mechanism, decision indices are replay bookkeeping, and TLS
-    // statics are its thread-identity plumbing — the panic/index/
-    // concurrency families don't apply. The files stay in scope
+    // statics are its thread-identity plumbing — the panic/index
+    // families and the static ban don't apply. The files stay in scope
     // (non-`None`) so the workspace symbol graph still sees the
     // facade and the `pubapi` baseline covers its surface. The std
     // passthrough backend ships in release builds and is classified
@@ -246,44 +196,29 @@ pub fn classify(rel_path: &str) -> Option<FileClass> {
     Some(class)
 }
 
-/// Lints one file's source text; returns all unsuppressed violations
-/// plus any pragma-hygiene problems.
+/// The per-file rule families over one file's test-stripped tokens
+/// `code`, without pragma application. The caller owns
+/// `apply_allows` so workspace-level diagnostics for the same file
+/// share one pragma pass (an allow used only by a cross-file rule is
+/// then not "unused").
 #[must_use]
-pub fn lint_source(rel_path: &str, source: &str) -> Vec<Violation> {
-    let lexed = lex(source);
-    let raw = lint_source_raw(rel_path, source, &lexed);
-    apply_allows(rel_path, &lexed, raw, true)
-}
-
-/// The per-file rule families without pragma application: the raw
-/// violation list for `rel_path`. The caller owns `apply_allows` so
-/// workspace-level diagnostics for the same file can share one pragma
-/// pass (an allow used only by a cross-file rule is then not
-/// "unused").
-#[must_use]
-pub(crate) fn lint_source_raw(rel_path: &str, source: &str, lexed: &Lexed) -> Vec<Violation> {
+pub(crate) fn lint_source_raw(rel_path: &str, source: &str, code: &[Token]) -> Vec<Violation> {
     let Some(class) = classify(rel_path) else {
         return Vec::new();
     };
-    let code = strip_test_code(&lexed.tokens);
-
     let mut raw = Vec::new();
-    check_determinism(&code, class, rel_path, &mut raw);
-    if class.panic_scope {
-        check_panic(&code, rel_path, &mut raw);
-        if !class.hot {
-            check_index(&code, rel_path, &mut raw);
-        }
-        check_concurrency(&code, rel_path, &mut raw);
-        check_docexample(&code, source, rel_path, &mut raw);
+    if class.determinism_iteration {
+        check_determinism(code, rel_path, &mut raw);
     }
-    if class.hot {
-        check_hotpath(&code, rel_path, &mut raw);
-        check_collect(&code, rel_path, &mut raw);
-        check_bufclone(&code, rel_path, &mut raw);
+    if class.panic_scope {
+        check_panic(code, rel_path, &mut raw);
+        if !class.hot {
+            check_index(code, rel_path, &mut raw);
+        }
+        check_docexample(code, source, rel_path, &mut raw);
     }
     if class.attributes_root {
-        check_attributes(&lexed.tokens, rel_path, &mut raw);
+        check_attributes(code, rel_path, &mut raw);
     }
     raw
 }
@@ -332,67 +267,35 @@ pub(crate) fn strip_test_code(tokens: &[Token]) -> Vec<Token> {
 }
 
 /// Scans an attribute starting at the index of its `[`; returns the
-/// index of the matching `]` and whether the attribute is a `cfg`
-/// mentioning `test`.
+/// index of the matching `]` and whether the attribute is exactly
+/// `#[cfg(test)]`. Any other `cfg` (`not(test)`, `any(test, ..)`)
+/// can ship, so it stays in the stream.
 fn scan_attribute(tokens: &[Token], open: usize) -> (usize, bool) {
     let mut depth = 0usize;
-    let mut first_ident: Option<&str> = None;
-    let mut mentions_test = false;
     let mut i = open;
     while i < tokens.len() {
-        let t = &tokens[i];
-        if t.is_punct('[') {
+        if tokens[i].is_punct('[') {
             depth += 1;
-        } else if t.is_punct(']') {
+        } else if tokens[i].is_punct(']') {
             depth -= 1;
             if depth == 0 {
                 break;
             }
-        } else if t.kind == TokKind::Ident {
-            if first_ident.is_none() {
-                first_ident = Some(&t.text);
-            }
-            if t.text == "test" {
-                mentions_test = true;
-            }
         }
         i += 1;
     }
-    (i, first_ident == Some("cfg") && mentions_test)
+    let inner = &tokens[open + 1..i.min(tokens.len())];
+    let cfg_test = inner.len() == 4
+        && inner[0].is_ident("cfg")
+        && inner[1].is_punct('(')
+        && inner[2].is_ident("test")
+        && inner[3].is_punct(')');
+    (i, cfg_test)
 }
 
-fn check_determinism(code: &[Token], class: FileClass, file: &str, out: &mut Vec<Violation>) {
-    for (i, t) in code.iter().enumerate() {
-        if t.is_ident("thread_rng") || t.is_ident("from_entropy") {
-            out.push(Violation {
-                file: file.to_owned(),
-                line: t.line,
-                rule: "determinism".to_owned(),
-                message: format!(
-                    "`{}` draws OS entropy; use a seeded `SmallRng`/`StdRng` so runs replay",
-                    t.text
-                ),
-            });
-        }
-        if (t.is_ident("SystemTime") || t.is_ident("Instant"))
-            && code.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && code.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && code.get(i + 3).is_some_and(|t| t.is_ident("now"))
-        {
-            out.push(Violation {
-                file: file.to_owned(),
-                line: t.line,
-                rule: "determinism".to_owned(),
-                message: format!(
-                    "`{}::now()` makes results wall-clock dependent; thread timing through the caller",
-                    t.text
-                ),
-            });
-        }
-    }
-    if !class.determinism_iteration {
-        return;
-    }
+/// Flags iteration over `HashMap`/`HashSet` bindings (method calls
+/// and `for` loops) in the result-producing crates.
+fn check_determinism(code: &[Token], file: &str, out: &mut Vec<Violation>) {
     // Identifiers bound to HashMap/HashSet in this file (let bindings
     // with type ascription or `= HashMap::new()`, and struct fields).
     let mut hash_bound: BTreeSet<String> = BTreeSet::new();
@@ -464,9 +367,9 @@ fn check_determinism(code: &[Token], class: FileClass, file: &str, out: &mut Vec
 fn check_panic(code: &[Token], file: &str, out: &mut Vec<Violation>) {
     for (i, t) in code.iter().enumerate() {
         let next_is = |ch: char| code.get(i + 1).is_some_and(|n| n.is_punct(ch));
-        if (t.is_ident("unwrap") || t.is_ident("expect")) && next_is('(') {
-            // Exclude paths like `panic::unwrap` — there are none; a
-            // plain method/function call is what we care about.
+        // `#[expect(lint)]` is a lint attribute, not a call.
+        let in_attribute = i > 0 && code[i - 1].is_punct('[');
+        if (t.is_ident("unwrap") || t.is_ident("expect")) && next_is('(') && !in_attribute {
             out.push(Violation {
                 file: file.to_owned(),
                 line: t.line,
@@ -511,273 +414,6 @@ fn check_index(code: &[Token], file: &str, out: &mut Vec<Violation>) {
                         .to_owned(),
             });
         }
-    }
-}
-
-fn check_hotpath(code: &[Token], file: &str, out: &mut Vec<Violation>) {
-    const CONTAINERS: [&str; 6] = [
-        "Vec", "HashMap", "HashSet", "VecDeque", "BTreeMap", "BTreeSet",
-    ];
-    for (i, t) in code.iter().enumerate() {
-        if t.kind == TokKind::Ident
-            && CONTAINERS.contains(&t.text.as_str())
-            && code.get(i + 1).is_some_and(|p| p.is_punct(':'))
-            && code.get(i + 2).is_some_and(|p| p.is_punct(':'))
-            && code.get(i + 3).is_some_and(|m| m.is_ident("new"))
-        {
-            out.push(Violation {
-                file: file.to_owned(),
-                line: t.line,
-                rule: "hotpath".to_owned(),
-                message: format!(
-                    "`{}::new()` allocates in a hot module; reuse a workspace buffer or justify setup cost",
-                    t.text
-                ),
-            });
-        }
-        if t.is_ident("vec") && code.get(i + 1).is_some_and(|p| p.is_punct('!')) {
-            out.push(Violation {
-                file: file.to_owned(),
-                line: t.line,
-                rule: "hotpath".to_owned(),
-                message: "`vec![]` allocates in a hot module; reuse a workspace buffer or justify setup cost".to_owned(),
-            });
-        }
-        if t.is_ident("DiGraph") {
-            out.push(Violation {
-                file: file.to_owned(),
-                line: t.line,
-                rule: "hotpath".to_owned(),
-                message: "legacy `DiGraph` API referenced in a hot module; hot paths are snapshot-based (`CsrGraph`)".to_owned(),
-            });
-        }
-    }
-}
-
-/// Flags `.collect(...)` / `collect::<..>()` calls lexically inside a
-/// loop body in a hot module: each iteration allocates a fresh
-/// container, exactly the steady-state allocation the workspace
-/// pattern exists to avoid.
-///
-/// Loop bodies are tracked with a brace stack. `while` and `loop`
-/// open a loop scope at their next `{`; `for` only does once an `in`
-/// has been seen first, so `impl Trait for Type { .. }` is not
-/// mistaken for a loop. A `;` cancels any pending header (e.g. the
-/// `for` inside a `#[derive]`-expanded bound that never opens a
-/// block).
-fn check_collect(code: &[Token], file: &str, out: &mut Vec<Violation>) {
-    // For each open `{`, whether it opened a loop body.
-    let mut stack: Vec<bool> = Vec::new();
-    let mut loop_depth = 0usize;
-    // A loop header was seen; the next `{` opens its body.
-    let mut pending = false;
-    // A `for` was seen; an `in` before the next `{` makes it a loop.
-    let mut for_pending = false;
-    for (i, t) in code.iter().enumerate() {
-        match t.kind {
-            TokKind::Ident => match t.text.as_str() {
-                "for" => for_pending = true,
-                "in" if for_pending => {
-                    for_pending = false;
-                    pending = true;
-                }
-                "while" | "loop" => pending = true,
-                "collect"
-                    if loop_depth > 0
-                        && code
-                            .get(i + 1)
-                            .is_some_and(|p| p.is_punct('(') || p.is_punct(':')) =>
-                {
-                    out.push(Violation {
-                        file: file.to_owned(),
-                        line: t.line,
-                        rule: "collect".to_owned(),
-                        message: "`collect()` inside a loop allocates per iteration in a hot module; hoist a buffer out of the loop (clear-and-refill) or justify with `// xtask-allow: collect -- <why>`".to_owned(),
-                    });
-                }
-                _ => {}
-            },
-            TokKind::Punct => {
-                if t.is_punct('{') {
-                    stack.push(pending);
-                    if pending {
-                        loop_depth += 1;
-                    }
-                    pending = false;
-                    for_pending = false;
-                } else if t.is_punct('}') {
-                    if stack.pop() == Some(true) {
-                        loop_depth -= 1;
-                    }
-                } else if t.is_punct(';') {
-                    pending = false;
-                    for_pending = false;
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Flags `receiver.clone()` / `receiver.to_vec()` method calls in a
-/// hot module: each one copies a whole buffer, the steady-state
-/// allocation the workspace pattern exists to avoid.
-///
-/// The check is lexical: a `.clone(` / `.to_vec(` whose receiver is
-/// an identifier, a `)` (call result), or a `]` (index/slice
-/// expression). Path calls like `Arc::clone(&x)` are deliberately not
-/// matched — those are pointer bumps, not buffer copies — and
-/// `#[derive(Clone)]` never forms a method call.
-fn check_bufclone(code: &[Token], file: &str, out: &mut Vec<Violation>) {
-    for (i, t) in code.iter().enumerate() {
-        if !(t.is_ident("clone") || t.is_ident("to_vec")) || i < 2 {
-            continue;
-        }
-        if !code[i - 1].is_punct('.') || !code.get(i + 1).is_some_and(|p| p.is_punct('(')) {
-            continue;
-        }
-        let recv = &code[i - 2];
-        let is_value_receiver = match recv.kind {
-            TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&recv.text.as_str()),
-            TokKind::Punct => recv.is_punct(')') || recv.is_punct(']'),
-            _ => false,
-        };
-        if is_value_receiver {
-            out.push(Violation {
-                file: file.to_owned(),
-                line: t.line,
-                rule: "bufclone".to_owned(),
-                message: format!(
-                    "`.{}()` copies a buffer in a hot module; borrow, `mem::take`/`swap`, or reuse a workspace buffer — or justify with `// xtask-allow: bufclone -- <why>`",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
-/// The `concurrency` family (ISSUE 7): three lexical checks that keep
-/// shared state inside the `Solver`'s synchronized split.
-///
-/// 1. `static mut` — unsynchronized global state, never sound here.
-/// 2. A `static` whose type mentions an interior-mutability primitive
-///    (`Mutex`, `Atomic*`, `OnceLock`, ...) — shared mutable state
-///    that bypasses the session's cache/scratch ownership and is
-///    invisible to its epoch invalidation.
-/// 3. A `let`-bound guard whose initializer takes a lock (`.lock(`,
-///    `.read(`, `.write(`) and whose live range — up to the enclosing
-///    `}` or an explicit `drop(guard)` — reaches a hot-module entry
-///    point from [`HOT_CALLS`]: the kernel then runs serialized under
-///    the lock.
-fn check_concurrency(code: &[Token], file: &str, out: &mut Vec<Violation>) {
-    let interior_mut = |t: &Token| {
-        t.kind == TokKind::Ident
-            && (INTERIOR_MUT_TYPES.contains(&t.text.as_str()) || t.text.starts_with("Atomic"))
-    };
-
-    for (i, t) in code.iter().enumerate() {
-        if !t.is_ident("static") {
-            continue;
-        }
-        if code.get(i + 1).is_some_and(|n| n.is_ident("mut")) {
-            out.push(Violation {
-                file: file.to_owned(),
-                line: t.line,
-                rule: "concurrency".to_owned(),
-                message: "`static mut` is unsynchronized global state; move it into the session's owned state or a synchronized container".to_owned(),
-            });
-            continue;
-        }
-        // The item's type runs from after the name to the `=` or `;`
-        // terminator; an interior-mutability primitive there makes the
-        // static shared mutable state.
-        let mut j = i + 1;
-        while j < code.len() && !code[j].is_punct('=') && !code[j].is_punct(';') {
-            if interior_mut(&code[j]) {
-                out.push(Violation {
-                    file: file.to_owned(),
-                    line: t.line,
-                    rule: "concurrency".to_owned(),
-                    message: format!(
-                        "`static` with interior mutability (`{}`) is shared global state invisible to the session's epoch invalidation; own it in `Solver`/`ArtifactCache` or justify with `// xtask-allow: concurrency -- <why>`",
-                        code[j].text
-                    ),
-                });
-                break;
-            }
-            j += 1;
-        }
-    }
-
-    // Guard-across-hot-call: find `let [mut] g = <expr with a lock
-    // acquisition> ;` and scan the guard's live range.
-    let mut i = 0usize;
-    while i < code.len() {
-        if !code[i].is_ident("let") {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        if code.get(j).is_some_and(|t| t.is_ident("mut")) {
-            j += 1;
-        }
-        let Some(name) = code.get(j).filter(|t| t.kind == TokKind::Ident) else {
-            i += 1;
-            continue;
-        };
-        let guard = name.text.clone();
-        // Scan the initializer up to its `;` for a lock acquisition.
-        let mut k = j + 1;
-        let mut acquires = false;
-        while k < code.len() && !code[k].is_punct(';') {
-            if code[k].is_punct('.')
-                && code.get(k + 1).is_some_and(|m| {
-                    m.is_ident("lock") || m.is_ident("read") || m.is_ident("write")
-                })
-                && code.get(k + 2).is_some_and(|p| p.is_punct('('))
-            {
-                acquires = true;
-            }
-            k += 1;
-        }
-        if acquires {
-            // Live range: until the enclosing block closes or the
-            // guard is dropped explicitly.
-            let mut depth = 0i64;
-            let mut m = k + 1;
-            while m < code.len() {
-                let t = &code[m];
-                if t.is_punct('{') {
-                    depth += 1;
-                } else if t.is_punct('}') {
-                    depth -= 1;
-                    if depth < 0 {
-                        break;
-                    }
-                } else if t.is_ident("drop")
-                    && code.get(m + 1).is_some_and(|p| p.is_punct('('))
-                    && code.get(m + 2).is_some_and(|g| g.is_ident(&guard))
-                {
-                    break;
-                } else if t.kind == TokKind::Ident
-                    && HOT_CALLS.contains(&t.text.as_str())
-                    && code.get(m + 1).is_some_and(|p| p.is_punct('('))
-                {
-                    out.push(Violation {
-                        file: file.to_owned(),
-                        line: t.line,
-                        rule: "concurrency".to_owned(),
-                        message: format!(
-                            "lock guard `{guard}` is still live across `{}(..)`; the kernel runs serialized under the lock — drop the guard first (clone/`Arc` the artifact out) or justify with `// xtask-allow: concurrency -- <why>`",
-                            t.text
-                        ),
-                    });
-                    break;
-                }
-                m += 1;
-            }
-        }
-        i = k + 1;
     }
 }
 
@@ -930,15 +566,8 @@ fn check_attributes(tokens: &[Token], file: &str, out: &mut Vec<Violation>) {
 
 /// Applies `xtask-allow` pragmas to the raw violation list and
 /// appends pragma-hygiene diagnostics (unknown rule, missing
-/// justification, unused allow). `check_unused` is off when the rule
-/// set is filtered (`--rules`): a pragma whose rule family did not
-/// run cannot be judged unused.
-pub(crate) fn apply_allows(
-    file: &str,
-    lexed: &Lexed,
-    raw: Vec<Violation>,
-    check_unused: bool,
-) -> Vec<Violation> {
+/// justification, unused allow).
+pub(crate) fn apply_allows(file: &str, lexed: &Lexed, raw: Vec<Violation>) -> Vec<Violation> {
     // Effective line covered by each line-level pragma: its own line
     // if trailing, else the next line carrying any code token.
     let covered_line = |p: &crate::lexer::Pragma| -> Option<usize> {
@@ -1008,7 +637,7 @@ pub(crate) fn apply_allows(
                 message: format!("`{scope}` requires a justification: `-- <why this is sound>`"),
             });
         }
-        if check_unused && !used[pi] && p.rules.iter().all(|r| KNOWN_RULES.contains(&r.as_str())) {
+        if !used[pi] && p.rules.iter().all(|r| KNOWN_RULES.contains(&r.as_str())) {
             out.push(Violation {
                 file: file.to_owned(),
                 line: p.line,

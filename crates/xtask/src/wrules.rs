@@ -2,7 +2,7 @@
 //! [`crate::model::WorkspaceModel`].
 //!
 //! Five families, each guarding an invariant the shared `Solver`
-//! session (PR 5) rests on that no per-file token scan can see:
+//! session rests on that no per-file token scan can see:
 //!
 //! - **`lockorder`** — builds the static lock/gate acquisition graph
 //!   across `engine.rs` and `pool.rs` by replaying each fn body's
@@ -12,7 +12,11 @@
 //!   is held, is reported. The mutex of a struct that also owns a
 //!   `Condvar` (the `Gate` latch) is part of the wait protocol and is
 //!   exempt from the gate-wait rule, but still participates in the
-//!   order graph.
+//!   order graph. The same replay flags a guard live across a call
+//!   that reaches a [`KERNELS`] entry point (the kernel then runs
+//!   serialized under the lock), and library `static`s whose type
+//!   holds an interior-mutability primitive (shared state outside the
+//!   session's synchronized split) are flagged too.
 //! - **`epochkey`** — every lookup that hands a cache-family key to a
 //!   synchronized map must carry the epoch component: an `epoch`
 //!   parameter alongside the key, an `epoch` field on the enclosing
@@ -20,13 +24,10 @@
 //!   every `&mut self` method of an epoch-carrying type that assigns
 //!   instance state must reach the epoch bump through the call graph
 //!   — otherwise stale artifacts survive the mutation.
-//! - **`hotreach`** — generalizes the textual `hotpath` family to
-//!   call-graph reachability: any allocating function transitively
-//!   reachable from a hot kernel entry point (`sigma_with`,
-//!   `run_into`, `advance_trajectory`, `monte_carlo_csr`, ...) is
-//!   flagged, whatever file it lives in. Functions already inside the
-//!   declared hot-module list are covered by the per-file families
-//!   and skipped here.
+//! - **`hotreach`** — the no-allocation invariant of the kernels: any
+//!   allocation or legacy `DiGraph` reference in a [`KERNELS`] entry
+//!   point or in a fn transitively reachable from one is flagged,
+//!   whatever file it lives in.
 //! - **`cancelpoint`** — the anytime-solve contract (budgets and
 //!   cancellation ride on every `SolveRequest`) only holds if the
 //!   long-running loops actually reach a checkpoint. Any unbounded
@@ -48,7 +49,37 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::model::{BodyEvent, FnItem, Receiver, WorkspaceModel};
-use crate::rules::{Violation, HOT_CALLS, HOT_FILES};
+use crate::rules::{classify, Violation, HOT_FILES};
+
+/// Simulation kernel entry points: the roots of `hotreach`, the calls
+/// a lock guard must not span, and the loop bodies `cancelpoint`
+/// checks. The last three poll a `WorkMeter` internally.
+pub const KERNELS: [&str; 10] = [
+    "sigma_with",
+    "sigma_with_cached_seeds",
+    "run_into",
+    "run_realized_into",
+    "run_lanes_into",
+    "advance_trajectory",
+    "monte_carlo_csr",
+    "rr_sketch_into",
+    "rr_sketch_batch_into",
+    "monte_carlo_csr_budgeted",
+];
+
+/// Types whose presence in a `static` item's type makes it shared
+/// global mutable state (`Atomic*` is matched by prefix).
+const INTERIOR_MUT_TYPES: [&str; 9] = [
+    "Mutex",
+    "RwLock",
+    "Cell",
+    "RefCell",
+    "UnsafeCell",
+    "OnceCell",
+    "OnceLock",
+    "LazyLock",
+    "Condvar",
+];
 
 /// One live guard during a body replay.
 #[derive(Clone, Debug)]
@@ -68,12 +99,13 @@ struct LockEdge {
     via: String,
 }
 
-/// The `lockorder` pass: acquisition-order cycles and gate-waits
-/// under a lock.
+/// The `lockorder` pass: acquisition-order cycles, gate-waits and
+/// kernel calls under a lock, and interior-mutability statics.
 #[must_use]
 pub fn lockorder(model: &WorkspaceModel) -> Vec<Violation> {
     let acquires = model.transitive_acquires();
     let waits = model.transitive_waits();
+    let kernel_reach = callers_reaching(model, &KERNELS, &BTreeSet::new());
     let name_waits = model
         .fns
         .iter()
@@ -137,6 +169,22 @@ pub fn lockorder(model: &WorkspaceModel) -> Vec<Violation> {
                             }
                         }
                     }
+                    let reaches_kernel = KERNELS.contains(&call.callee.as_str())
+                        || targets.iter().any(|t| kernel_reach.contains(t));
+                    if let Some(held) = live.first().filter(|_| reaches_kernel) {
+                        out.push(Violation {
+                            file: f.file.clone(),
+                            line: *line,
+                            rule: "lockorder".to_owned(),
+                            message: format!(
+                                "`{}` calls `{}` (which runs a simulation kernel) while guard `{}` holds `{}`; the kernel runs serialized under the lock — drop the guard first (clone/`Arc` the artifact out)",
+                                qualified(f),
+                                call.callee,
+                                held.binding.as_deref().unwrap_or("_"),
+                                held.lock
+                            ),
+                        });
+                    }
                     if callee_waits {
                         if let Some(held) = live.iter().find(|g| !model.is_latch_lock(&g.lock)) {
                             out.push(Violation {
@@ -178,6 +226,27 @@ pub fn lockorder(model: &WorkspaceModel) -> Vec<Violation> {
                     live.retain(|g| g.binding.is_some());
                 }
             }
+        }
+    }
+
+    for st in &model.statics {
+        if !classify(&st.file).is_some_and(|c| c.panic_scope) {
+            continue;
+        }
+        let primitive = st
+            .detail
+            .split(' ')
+            .find(|t| INTERIOR_MUT_TYPES.contains(t) || t.starts_with("Atomic"));
+        if let Some(primitive) = primitive {
+            out.push(Violation {
+                file: st.file.clone(),
+                line: st.line,
+                rule: "lockorder".to_owned(),
+                message: format!(
+                    "`static {}` holds `{primitive}`: shared global state outside the session's lock discipline and invisible to its epoch invalidation; own it in `Solver`/`ArtifactCache`",
+                    st.name
+                ),
+            });
         }
     }
 
@@ -398,19 +467,17 @@ fn reaches_bump(model: &WorkspaceModel, f: &FnItem, owner: &str) -> bool {
     false
 }
 
-/// The `hotreach` pass: allocation in any fn transitively reachable
-/// from a hot kernel entry point, outside the declared hot files
-/// (those are covered by the per-file `hotpath`/`collect`/`bufclone`
-/// families).
+/// The `hotreach` pass: allocation or `DiGraph` use in a kernel
+/// entry point or in any fn transitively reachable from one.
 #[must_use]
 pub fn hotreach(model: &WorkspaceModel) -> Vec<Violation> {
-    // BFS from every fn named like a hot kernel entry point, keeping
-    // the discovery parent for path messages.
+    // BFS from every fn named like a kernel entry point, keeping the
+    // discovery parent for path messages.
     let mut root_of: BTreeMap<usize, String> = BTreeMap::new();
     let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
     let mut queue: VecDeque<usize> = VecDeque::new();
     for (i, f) in model.fns.iter().enumerate() {
-        if HOT_CALLS.contains(&f.name.as_str()) {
+        if KERNELS.contains(&f.name.as_str()) {
             root_of.insert(i, f.name.clone());
             queue.push_back(i);
         }
@@ -432,10 +499,7 @@ pub fn hotreach(model: &WorkspaceModel) -> Vec<Violation> {
     let mut out = Vec::new();
     for (&fi, root) in &root_of {
         let f = &model.fns[fi];
-        if HOT_CALLS.contains(&f.name.as_str()) || HOT_FILES.contains(&f.file.as_str()) {
-            continue;
-        }
-        for (line, what) in allocation_sites(model, fi) {
+        for (line, what) in hot_sites(model, fi) {
             // Reconstruct the discovery path for the message.
             let mut hops: Vec<String> = vec![qualified(f)];
             let mut cur = fi;
@@ -449,7 +513,7 @@ pub fn hotreach(model: &WorkspaceModel) -> Vec<Violation> {
                 line,
                 rule: "hotreach".to_owned(),
                 message: format!(
-                    "{what} in `{}`, reachable from hot kernel `{root}` ({}); hoist the allocation out of the reachable set or justify with `// xtask-allow: hotreach -- <why>`",
+                    "{what} in `{}`, reachable from kernel `{root}` ({}); hoist it out of the reachable set or justify with `// xtask-allow: hotreach -- <why>`",
                     qualified(f),
                     hops.join(" → ")
                 ),
@@ -460,8 +524,9 @@ pub fn hotreach(model: &WorkspaceModel) -> Vec<Violation> {
     out
 }
 
-/// Allocation sites in one fn body: `(line, description)` pairs.
-fn allocation_sites(model: &WorkspaceModel, fi: usize) -> Vec<(usize, String)> {
+/// Allocation sites and legacy `DiGraph` references (signature or
+/// body) in one fn: `(line, description)` pairs.
+fn hot_sites(model: &WorkspaceModel, fi: usize) -> Vec<(usize, String)> {
     const ALLOC_CONTAINERS: [&str; 9] = [
         "Vec",
         "VecDeque",
@@ -477,9 +542,18 @@ fn allocation_sites(model: &WorkspaceModel, fi: usize) -> Vec<(usize, String)> {
     let toks = &model.files[f.file_index].tokens;
     let (start, end) = f.body;
     let mut out = Vec::new();
+    if f.signature.split(' ').any(|t| t == "DiGraph") {
+        out.push((
+            f.line,
+            "signature names the legacy `DiGraph` API".to_owned(),
+        ));
+    }
     let mut i = start;
     while i < end {
         let t = &toks[i];
+        if t.is_ident("DiGraph") {
+            out.push((t.line, "legacy `DiGraph` API referenced".to_owned()));
+        }
         if t.kind == crate::lexer::TokKind::Ident {
             let next_punct =
                 |off: usize, ch: char| toks.get(i + off).is_some_and(|p| p.is_punct(ch));
@@ -506,11 +580,9 @@ fn allocation_sites(model: &WorkspaceModel, fi: usize) -> Vec<(usize, String)> {
                 && toks[i - 1].is_punct('.')
                 && (next_punct(1, '(') || next_punct(1, ':'))
             {
-                // `.clone()` on an `Arc`-ish pointer is a refcount
-                // bump, not a buffer copy; skip receivers we can
-                // prove are call results of `Arc::clone`-style — the
-                // lexical heuristic here matches the per-file
-                // `bufclone` family: ident/`)`/`]` receivers count.
+                // A value receiver (ident, call result, index
+                // expression) copies a buffer; path calls like
+                // `Arc::clone(&x)` are refcount bumps and never match.
                 let recv_ok = i >= start + 2
                     && match toks[i - 2].kind {
                         crate::lexer::TokKind::Ident => true,
@@ -528,16 +600,6 @@ fn allocation_sites(model: &WorkspaceModel, fi: usize) -> Vec<(usize, String)> {
     }
     out
 }
-
-/// Simulation kernel entry points for the `cancelpoint` family: the
-/// lock-sensitive hot calls plus the metered kernels the budget
-/// subsystem added (which poll internally and therefore satisfy the
-/// checkpoint requirement on their own).
-const CANCEL_KERNELS: [&str; 3] = [
-    "rr_sketch_into",
-    "rr_sketch_batch_into",
-    "monte_carlo_csr_budgeted",
-];
 
 /// `WorkMeter` checkpoint methods: a call reaching any of these
 /// counts as a budget/cancellation poll for `cancelpoint`.
@@ -647,16 +709,7 @@ fn unbounded_loops(model: &WorkspaceModel, fi: usize) -> Vec<(usize, usize, usiz
 /// cover the longest-running code in the workspace.
 #[must_use]
 pub fn cancelpoint(model: &WorkspaceModel) -> Vec<Violation> {
-    let is_kernel = |name: &str| HOT_CALLS.contains(&name) || CANCEL_KERNELS.contains(&name);
-    let kernel_reach = callers_reaching(
-        model,
-        &HOT_CALLS
-            .iter()
-            .chain(CANCEL_KERNELS.iter())
-            .copied()
-            .collect::<Vec<_>>(),
-        &BTreeSet::new(),
-    );
+    let kernel_reach = callers_reaching(model, &KERNELS, &BTreeSet::new());
     // A fn that builds `WorkMeter::unlimited()` hands its callees a
     // meter that never stops, so the checkpoints they reach cannot
     // observe a cancel or a deadline on its behalf.
@@ -689,7 +742,7 @@ pub fn cancelpoint(model: &WorkspaceModel) -> Vec<Violation> {
                 let reaches = |set: &BTreeSet<usize>| {
                     model.resolve_call(f, call).iter().any(|t| set.contains(t))
                 };
-                if is_kernel(&call.callee) || reaches(&kernel_reach) {
+                if KERNELS.contains(&call.callee.as_str()) || reaches(&kernel_reach) {
                     kernel.get_or_insert(call.callee.as_str());
                 }
                 if CHECKPOINT_CALLS.contains(&call.callee.as_str()) || reaches(&checkpoint_reach) {
