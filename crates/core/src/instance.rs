@@ -4,7 +4,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use lcrb_community::Partition;
-use lcrb_diffusion::SeedSets;
+use lcrb_diffusion::{SeedError, SeedSets};
 use lcrb_graph::{CsrGraph, DiGraph, NodeId};
 
 use crate::LcrbError;
@@ -215,6 +215,23 @@ impl RumorBlockingInstance {
             rumor_community: self.rumor_community,
             rumor_seeds,
         })
+    }
+
+    /// Checks that every one of `nodes` is a node of the graph.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LcrbError::Seeds`] with [`SeedError::OutOfBounds`]
+    /// for the first node that is not.
+    pub(crate) fn check_in_bounds(&self, nodes: &[NodeId]) -> Result<(), LcrbError> {
+        let node_count = self.snapshot.node_count();
+        match nodes.iter().find(|v| v.index() >= node_count) {
+            Some(&node) => Err(LcrbError::Seeds(SeedError::OutOfBounds {
+                node,
+                node_count,
+            })),
+            None => Ok(()),
+        }
     }
 
     /// Builds the seed pair `(S_R, protectors)` for simulation.

@@ -94,7 +94,9 @@ impl<'a> ProtectionObjective<'a> {
     /// # Errors
     ///
     /// Returns [`LcrbError::NoRealizations`] when
-    /// `realization_count == 0`.
+    /// `realization_count == 0`, and [`LcrbError::Seeds`] with
+    /// [`lcrb_diffusion::SeedError::OutOfBounds`] if a bridge end is
+    /// not a node of the instance.
     pub fn new(
         instance: &'a RumorBlockingInstance,
         bridge_ends: Vec<NodeId>,
@@ -116,7 +118,9 @@ impl<'a> ProtectionObjective<'a> {
     /// # Errors
     ///
     /// Returns [`LcrbError::NoRealizations`] when
-    /// `realization_count == 0`.
+    /// `realization_count == 0`, and [`LcrbError::Seeds`] with
+    /// [`lcrb_diffusion::SeedError::OutOfBounds`] if a bridge end is
+    /// not a node of the instance.
     pub fn with_model(
         instance: &'a RumorBlockingInstance,
         bridge_ends: Vec<NodeId>,
@@ -127,6 +131,7 @@ impl<'a> ProtectionObjective<'a> {
         if realization_count == 0 {
             return Err(LcrbError::NoRealizations);
         }
+        instance.check_in_bounds(&bridge_ends)?;
         let batch = match model {
             ObjectiveModel::Opoao(m) => {
                 Batch::Opoao(m, OpoaoRealization::batch(realization_count, master_seed))
@@ -460,6 +465,19 @@ mod tests {
             LcrbError::Seeds(_)
         ));
         assert!(obj.sigma(&[NodeId::new(99)]).is_err());
+    }
+
+    #[test]
+    fn out_of_bounds_bridge_end_is_a_typed_error() {
+        let inst = chain_instance();
+        let err = ProtectionObjective::new(&inst, vec![NodeId::new(99)], 4, 0, 31).unwrap_err();
+        assert_eq!(
+            err,
+            LcrbError::Seeds(lcrb_diffusion::SeedError::OutOfBounds {
+                node: NodeId::new(99),
+                node_count: 4,
+            })
+        );
     }
 
     #[test]

@@ -403,6 +403,73 @@ proptest! {
     }
 }
 
+/// Strategy: a 10–40-node graph with up to five arcs per node, 1–3
+/// rumor originators and a hop budget of 1–31 — enough buckets and
+/// in-arcs for members whose β is raised after they join the set.
+fn arb_sketch_instance() -> impl Strategy<Value = (DiGraph, Vec<NodeId>, u32)> {
+    (10usize..41).prop_flat_map(|n| {
+        (
+            proptest::collection::vec((0..n, 0..n), n..(5 * n)),
+            proptest::collection::btree_set(0..n, 1..4),
+            1u32..32,
+        )
+            .prop_map(move |(pairs, rumors, max_hops)| {
+                let mut g = DiGraph::with_nodes(n);
+                for (u, v) in pairs {
+                    if u != v {
+                        let _ = g.add_edge(NodeId::new(u), NodeId::new(v));
+                    }
+                }
+                let rumors: Vec<NodeId> = rumors.into_iter().map(NodeId::new).collect();
+                (g, rumors, max_hops)
+            })
+    })
+}
+
+// RR sketches against their definition on graphs too large to
+// enumerate protector subsets: a sketch is stored exactly when the
+// rumor arrives within the hop budget, at τ = its arrival, and its
+// members are exactly the nodes whose own wave reaches the target by
+// τ, each once. CI reruns the `rr_sketch` tests in release with
+// `PROPTEST_CASES=1000`.
+proptest! {
+    #[test]
+    fn rr_sketch_members_match_the_forward_rule_definition(
+        (g, rumors, max_hops) in arb_sketch_instance(),
+        rseed in 0u64..1024,
+    ) {
+        let csr = CsrGraph::from(&g);
+        let n = g.node_count();
+        let realization = OpoaoRealization::new(rseed);
+        let mut scratch = RrScratch::new();
+        let mut batch = SketchBatch::new();
+        for t in 0..n {
+            let target = NodeId::new(t);
+            batch.clear();
+            let stored = rr_sketch_into(
+                &csr, &rumors, target, &realization, max_hops, &mut scratch, &mut batch,
+            );
+            let t_rumor = forward_rule_arrival(&csr, &rumors, target, &realization, max_hops);
+            prop_assert_eq!(stored, t_rumor.is_some(), "target {}", target);
+            let Some(tau) = t_rumor else {
+                prop_assert_eq!((batch.always_saved(), batch.set_count()), (1, 0));
+                continue;
+            };
+            prop_assert_eq!(batch.arrival(0), tau, "target {}", target);
+            let mut members: Vec<NodeId> = batch.members(0).to_vec();
+            members.sort_unstable();
+            let want: Vec<NodeId> = (0..n)
+                .map(NodeId::new)
+                .filter(|&u| {
+                    forward_rule_arrival(&csr, &[u], target, &realization, tau)
+                        .is_some_and(|t| t <= tau)
+                })
+                .collect();
+            prop_assert_eq!(members, want, "target {} tau {}", target, tau);
+        }
+    }
+}
+
 // Workspace hygiene: a run in a workspace reused across arbitrary
 // earlier runs must equal the same run in a *fresh* workspace, which
 // proves the epoch reset leaks nothing between runs.
