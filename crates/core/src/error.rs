@@ -48,7 +48,8 @@ pub enum LcrbError {
         reason: &'static str,
     },
     /// The sketch estimator only supports the OPOAO objective model
-    /// (RR sketches invert OPOAO live-edge semantics).
+    /// (RR sketches invert the OPOAO timestamp rule over realizations
+    /// that fix one out-neighbour choice per (node, hop)).
     SketchModelUnsupported,
     /// A [`crate::engine::SolveRequest`] combined options that no
     /// algorithm implements (e.g. an α stopping rule on a pure-budget
