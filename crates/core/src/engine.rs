@@ -953,6 +953,28 @@ struct CelfCache {
 }
 
 impl CelfCache {
+    /// Answers a solve from the parked current-epoch trajectory without
+    /// claiming the slot, when `answer` finds the trajectory already
+    /// holds the result (it returns `None` when the trajectory would
+    /// have to advance). Counts a hit only when it answers.
+    fn peek<T>(
+        &self,
+        key: CelfKey,
+        epoch: u64,
+        answer: impl FnOnce(&GreedyTrajectory) -> Option<T>,
+    ) -> Option<T> {
+        let map = lock(&self.map);
+        let Some(CelfSlot::Parked(e, traj)) = map.get(&key) else {
+            return None;
+        };
+        if *e != epoch {
+            return None;
+        }
+        let out = answer(traj)?;
+        self.counters.hit();
+        Some(out)
+    }
+
     /// Claims `key` for one solve: returns the parked trajectory on a
     /// current-epoch hit (`None` on a cold or stale key) plus the
     /// lease that must either [`CelfLease::store`] the advanced
@@ -1808,56 +1830,28 @@ impl Solver {
             candidates: candidates_key(config.candidates),
             lazy: config.lazy,
         };
-        // A sketch-capped request ran on a privately built (possibly
-        // truncated) index, so its trajectory is not comparable to the
-        // shared one: it must neither resume nor park it. Bypass the
-        // CELF cache on both ends for those requests.
-        let (cached, lease) = if meter.limits_sketches() {
-            (None, None)
+        // A trajectory parked with the answer already in it (a replay)
+        // is read in place: no lease, gate or scratch, so concurrent
+        // replays never wait on each other. A sketch-capped request
+        // skips the cache entirely (below).
+        let answered = if meter.limits_sketches() {
+            None
         } else {
-            // The lease claims this key exclusively: concurrent
-            // same-key solves wait here and then resume the
-            // trajectory we store.
-            let (cached, lease) = self.cache.celf.take(celf_key, epoch);
-            (cached, Some(lease))
+            self.cache.celf.peek(celf_key, epoch, |traj| {
+                traj.answers(target, cap).then(|| {
+                    let selection =
+                        selection_from_trajectory(traj, target, cap, 0, (*bridge).clone());
+                    (selection, traj.candidate_count())
+                })
+            })
         };
-        let mut traj = cached.unwrap_or_else(|| {
-            GreedyTrajectory::new(candidate_pool_for(
-                &self.instance,
-                &bridge,
-                config.candidates,
-            ))
-        });
-        let evals_before = traj.evaluations();
-        // Injectable failure while the lease holds the trajectory: the
-        // lease drop must vacate the slot so the next same-key solve
-        // cold-builds instead of resuming a half-advanced prefix.
-        lcrb_sync::fault::point("celf.advance");
-        // On error (σ̂ failure or an observed cancellation) the lease
-        // drops without storing: the slot is vacated and the next
-        // same-key solve cold-builds, never inheriting a partially
-        // extended trajectory. Budget/deadline stops return
-        // `Ok(Some(reason))` with the trajectory parked at a pick
-        // boundary — prefix-consistent, so parking it is sound.
-        let advance_stop = advance_trajectory(
-            &backend,
-            &mut traj,
-            target,
-            cap,
-            config.lazy,
-            config.threads,
-            &self.scratch,
-            meter,
-        )?;
+        let (selection, candidate_count, advance_stop) = match answered {
+            Some((selection, candidate_count)) => (selection, candidate_count, None),
+            None => {
+                self.advance_greedy(&backend, &bridge, &config, celf_key, target, cap, meter)?
+            }
+        };
         clock.lap("select");
-
-        let evaluations = traj.evaluations() - evals_before;
-        let selection =
-            selection_from_trajectory(&traj, target, cap, evaluations, (*bridge).clone());
-        let candidate_count = traj.candidate_count();
-        if let Some(lease) = lease {
-            lease.store(traj);
-        }
 
         let completion = if let Some((generated, scheduled)) = sketch_truncation {
             // Sketch truncation outranks any later advance stop: the
@@ -1891,6 +1885,70 @@ impl Solver {
             completion,
             detail: SolveDetail::Greedy(selection),
         })
+    }
+
+    /// The greedy solve's lease path: claims the CELF slot, advances
+    /// the trajectory to the stopping rule and parks it again.
+    #[allow(clippy::too_many_arguments)]
+    fn advance_greedy(
+        &self,
+        backend: &SigmaBackend<'_>,
+        bridge: &BridgeEnds,
+        config: &GreedyConfig,
+        celf_key: CelfKey,
+        target: f64,
+        cap: usize,
+        meter: &mut WorkMeter,
+    ) -> Result<(GreedySelection, usize, Option<StopReason>), LcrbError> {
+        let epoch = self.epoch;
+        // A sketch-capped request ran on a privately built (possibly
+        // truncated) index, so its trajectory is not comparable to the
+        // shared one: it must neither resume nor park it. Bypass the
+        // CELF cache on both ends for those requests.
+        let (cached, lease) = if meter.limits_sketches() {
+            (None, None)
+        } else {
+            // The lease claims this key exclusively: concurrent
+            // same-key solves wait here and then resume the
+            // trajectory we store.
+            let (cached, lease) = self.cache.celf.take(celf_key, epoch);
+            (cached, Some(lease))
+        };
+        let mut traj = cached.unwrap_or_else(|| {
+            GreedyTrajectory::new(candidate_pool_for(
+                &self.instance,
+                bridge,
+                config.candidates,
+            ))
+        });
+        let evals_before = traj.evaluations();
+        // Injectable failure while the lease holds the trajectory: the
+        // lease drop must vacate the slot so the next same-key solve
+        // cold-builds instead of resuming a half-advanced prefix.
+        lcrb_sync::fault::point("celf.advance");
+        // On error (σ̂ failure or an observed cancellation) the lease
+        // drops without storing: the slot is vacated and the next
+        // same-key solve cold-builds, never inheriting a partially
+        // extended trajectory. Budget/deadline stops return
+        // `Ok(Some(reason))` with the trajectory parked at a pick
+        // boundary — prefix-consistent, so parking it is sound.
+        let advance_stop = advance_trajectory(
+            backend,
+            &mut traj,
+            target,
+            cap,
+            config.lazy,
+            config.threads,
+            &self.scratch,
+            meter,
+        )?;
+        let evaluations = traj.evaluations() - evals_before;
+        let selection = selection_from_trajectory(&traj, target, cap, evaluations, bridge.clone());
+        let candidate_count = traj.candidate_count();
+        if let Some(lease) = lease {
+            lease.store(traj);
+        }
+        Ok((selection, candidate_count, advance_stop))
     }
 
     fn solve_scbg(
