@@ -18,6 +18,7 @@
 
 use std::process::ExitCode;
 
+use lcrb::evaluate::HopSeriesReport;
 use lcrb::{CandidatePool, Estimator, SketchParams};
 use lcrb_bench::harness::{
     figure_spec, run_doam_figure, run_opoao_figure, run_source_detection, run_table_one,
@@ -100,6 +101,9 @@ fn parse_options(args: &[String]) -> Result<CliOptions, String> {
                 opts.trials = value("--trials")?
                     .parse()
                     .map_err(|e| format!("bad --trials: {e}"))?;
+                if opts.trials == 0 {
+                    return Err("--trials must be at least 1".to_owned());
+                }
             }
             "--realizations" => {
                 opts.realizations = value("--realizations")?
@@ -166,6 +170,34 @@ fn harness_config(opts: &CliOptions, default_scale: f64) -> HarnessConfig {
     }
 }
 
+/// Prints each strategy's paired difference in final infected count
+/// from `baseline`, with its 95 % confidence interval. Reports of
+/// single runs (the deterministic DOAM figures) print nothing.
+fn print_paired(report: &HopSeriesReport, baseline: &str) {
+    let Some(diffs) = report.paired_differences(baseline) else {
+        return;
+    };
+    let cells: Vec<String> = diffs
+        .iter()
+        .filter(|d| d.name != baseline && d.runs >= 2)
+        .map(|d| {
+            format!(
+                "{} {:+.1} [{:+.1}, {:+.1}]",
+                d.name,
+                d.mean,
+                d.low(),
+                d.high()
+            )
+        })
+        .collect();
+    if !cells.is_empty() {
+        println!(
+            "   final infected minus {baseline}'s, paired, 95% CI: {}",
+            cells.join("; ")
+        );
+    }
+}
+
 fn print_figure(result: &FigureResult, out_dir: &str) {
     println!("== {} — {}", result.id, result.title);
     println!(
@@ -181,6 +213,9 @@ fn print_figure(result: &FigureResult, out_dir: &str) {
             sub.bridge_ends
         );
         println!("{}", sub.report.render_table());
+        for baseline in ["greedy", "no-blocking"] {
+            print_paired(&sub.report, baseline);
+        }
         let name = format!(
             "{}_r{:02}pct.csv",
             result.id,
@@ -340,6 +375,7 @@ mod tests {
         for (flag, message) in [
             ("--realizations", "--realizations must be at least 1"),
             ("--runs", "--runs must be at least 1"),
+            ("--trials", "--trials must be at least 1"),
         ] {
             assert_eq!(parse(&[flag, "0"]).err().as_deref(), Some(message));
             assert!(parse(&[flag, "1"]).is_ok(), "{flag} 1");

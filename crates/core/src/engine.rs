@@ -2522,9 +2522,13 @@ mod tests {
         )
         .unwrap();
         let solver = Solver::new(inst);
+        // The free function's configuration, candidate pool included:
+        // on common Monte-Carlo runs, candidates often tie, and a tie
+        // goes to the first in pool order.
         let req = SolveRequest {
             mc_runs: 4,
             max_hops: 10,
+            candidates: config.candidates,
             ..SolveRequest::gvs(2)
         };
         let cold = solver.solve(&req).unwrap();

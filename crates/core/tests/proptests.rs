@@ -9,6 +9,7 @@
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use lcrb::evaluate::evaluate_protector_sets;
 use lcrb::setcover::{greedy_set_cover, harmonic};
 use lcrb::{
     find_bridge_ends, greedy_with_budget, max_degree_ordering, protectors_to_cover_all, scbg,
@@ -16,7 +17,10 @@ use lcrb::{
     ScbgConfig, SketchParams, SolveRequest, Solver,
 };
 use lcrb_community::Partition;
-use lcrb_diffusion::{doam_analytic_csr, DiffusionOutcome, DoamModel, SimWorkspace};
+use lcrb_diffusion::{
+    doam_analytic_csr, monte_carlo_csr, DiffusionOutcome, DoamModel, MonteCarloConfig, OpoaoModel,
+    SimWorkspace,
+};
 use lcrb_graph::traversal::{bfs_distances_where, CsrBfsScratch, Direction};
 use lcrb_graph::{generators, DiGraph, NodeId};
 use proptest::prelude::*;
@@ -590,5 +594,75 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Every float of `xs`, as bits, for exact comparison.
+fn float_bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+// Packed evaluation against the per-set driver: scoring OPOAO sets in
+// lanes must give every set exactly the `AveragedOutcome` that
+// `monte_carlo_csr` gives it alone, and an invalid set the same typed
+// error. CI reruns this in release with `PROPTEST_CASES=1000`.
+proptest! {
+    #[test]
+    fn packed_evaluation_matches_per_set_monte_carlo(
+        inst in arb_instance(),
+        count_pick in 0usize..4,
+        thread_pick in 0usize..3,
+        picks in proptest::collection::vec(proptest::collection::vec(0usize..30, 0..4), 65),
+        runs in 1usize..12,
+        hops in 0u32..40,
+        base_seed in 0u64..1024,
+        bad in 0usize..70,
+    ) {
+        let set_count = [1, 2, 64, 65][count_pick];
+        let threads = [1, 2, 7][thread_pick];
+        let rumors = inst.rumor_seeds();
+        let free: Vec<NodeId> = inst.graph().nodes().filter(|v| !rumors.contains(v)).collect();
+        let mut sets: Vec<(String, Vec<NodeId>)> = picks[..set_count]
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (format!("s{i}"), p.iter().map(|&k| free[k % free.len()]).collect()))
+            .collect();
+        // An empty set, and a repeat of another set; random picks from
+        // few free nodes repeat sets often on their own.
+        sets[0].1.clear();
+        if set_count > 2 {
+            sets[set_count - 1].1 = sets[1].1.clone();
+        }
+        let model = OpoaoModel::new(hops);
+        let mc = MonteCarloConfig { runs, base_seed, threads };
+        let report = evaluate_protector_sets(&inst, &model, &sets, &mc).unwrap();
+        prop_assert_eq!(report.runs.len(), set_count);
+        for (scored, (name, protectors)) in report.runs.iter().zip(&sets) {
+            let seeds = inst.seed_sets(protectors.clone()).unwrap();
+            let alone = monte_carlo_csr(&model, inst.snapshot(), &seeds, &mc);
+            let packed = &scored.averaged;
+            prop_assert_eq!(&scored.name, name);
+            prop_assert_eq!(packed.runs, alone.runs);
+            prop_assert_eq!(
+                float_bits(&packed.mean_infected_by_hop),
+                float_bits(&alone.mean_infected_by_hop)
+            );
+            prop_assert_eq!(
+                float_bits(&packed.mean_protected_by_hop),
+                float_bits(&alone.mean_protected_by_hop)
+            );
+            prop_assert_eq!(packed.std_final_infected.to_bits(), alone.std_final_infected.to_bits());
+            prop_assert_eq!(&packed.final_infected_by_run, &alone.final_infected_by_run);
+        }
+
+        // A rumor seed or an out-of-range node in some set fails the
+        // whole evaluation with that set's own error.
+        let bad_node = if bad % 2 == 0 { rumors[0] } else { NodeId::new(inst.graph().node_count() + bad) };
+        let at = bad % set_count;
+        sets[at].1.push(bad_node);
+        let want = inst.seed_sets(sets[at].1.clone()).err().map(|e| e.to_string());
+        let got = evaluate_protector_sets(&inst, &model, &sets, &mc).err().map(|e| e.to_string());
+        prop_assert!(want.is_some());
+        prop_assert_eq!(got, want);
     }
 }

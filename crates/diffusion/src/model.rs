@@ -5,7 +5,7 @@ use rand::Rng;
 
 use lcrb_graph::CsrGraph;
 
-use crate::{SeedSets, SimWorkspace};
+use crate::{OpoaoModel, SeedSets, SimWorkspace};
 
 /// A diffusion process in which a rumor cascade R and a protector
 /// cascade P compete on a directed graph, with P given priority on
@@ -38,6 +38,14 @@ pub trait TwoCascadeModel {
         ws: &mut SimWorkspace,
         rng: &mut R,
     );
+
+    /// The OPOAO model behind `self`, if it is one. Monte-Carlo
+    /// drivers use it to score several protector sets in one
+    /// lane-packed pass per run ([`crate::monte_carlo_sets`]); every
+    /// other model returns `None` and runs set by set.
+    fn as_opoao(&self) -> Option<&OpoaoModel> {
+        None
+    }
 
     /// Short stable name for reports ("opoao", "doam", ...).
     fn name(&self) -> &'static str;

@@ -18,6 +18,8 @@
 //! on `(v, t)` — not on the diffusion state — so it is identical
 //! across evaluations with different protector sets.
 
+use rand::Rng;
+
 use lcrb_graph::NodeId;
 
 use crate::{derive_stream, splitmix64};
@@ -46,6 +48,13 @@ impl OpoaoRealization {
     #[must_use]
     pub fn new(seed: u64) -> Self {
         OpoaoRealization { seed }
+    }
+
+    /// The realization whose seed is the next `u64` of `rng`: what
+    /// one OPOAO run of [`crate::TwoCascadeModel::run_into`] samples.
+    #[must_use]
+    pub(crate) fn draw<R: Rng + ?Sized>(rng: &mut R) -> Self {
+        OpoaoRealization::new(rng.gen())
     }
 
     /// Derives a batch of `count` independent realizations from a

@@ -533,8 +533,8 @@ proptest! {
 }
 
 // The lane kernel against the scalar one: every lane of a packed run
-// must reproduce, node for node, the scalar realized run with that
-// lane's protector set. CI reruns these in release with
+// must reproduce, node for node and hop for hop, the scalar realized
+// run with that lane's protector set. CI reruns these in release with
 // `PROPTEST_CASES=1000`.
 proptest! {
     #[test]
@@ -549,12 +549,15 @@ proptest! {
         prop_assume!(!free.is_empty());
         // Protectors are drawn from the few non-rumor nodes, so sets
         // repeat nodes across lanes; sinks are common on these graphs.
+        // Lanes with different sets go quiescent at different hops.
         let mut sets: Vec<Vec<NodeId>> = picks
             .iter()
             .map(|p| p.iter().map(|&i| free[i % free.len()]).collect())
             .collect();
-        if let Some(&sink) = free.iter().find(|&&v| g.out_degree(v) == 0) {
-            sets[1].push(sink);
+        let sink = g.nodes().find(|&v| g.out_degree(v) == 0);
+        if let Some(sink) = sink.filter(|v| !rumors.contains(v)) {
+            // Lane 1 protects from the sink alone.
+            sets[1] = vec![sink];
         }
         if rseed % 2 == 0 {
             // One node protects in every lane, so it is active in all
@@ -567,35 +570,61 @@ proptest! {
             // Lane 0 gets the empty protector set.
             sets[0].clear();
         }
+        // The drawn rumors, and a sink as the only rumor seed: a
+        // rumor that can never spread.
+        let mut cases = vec![(rumors.to_vec(), sets.clone())];
+        if let Some(sink) = sink {
+            let others = sets
+                .iter()
+                .map(|set| set.iter().copied().filter(|&v| v != sink).collect())
+                .collect();
+            cases.push((vec![sink], others));
+        }
 
         let csr = CsrGraph::from(&g);
-        let mut lanes = LaneWorkspace::new();
+        let mut traced = LaneWorkspace::traced();
+        let mut plain = LaneWorkspace::new();
         let mut ws = SimWorkspace::new();
-        for lane_count in [1, 2, 63, 64] {
-            let sets = &sets[..lane_count];
-            for max_hops in [0, 1, hops] {
-                let model = OpoaoModel::new(max_hops);
-                for r in 0..3 {
-                    let real = OpoaoRealization::new(rseed.wrapping_mul(3).wrapping_add(r));
-                    model.run_lanes_into(&csr, rumors, sets, &mut lanes, &real).unwrap();
-                    let mask = lanes.lane_mask();
-                    prop_assert_eq!(mask.count_ones() as usize, lane_count);
-                    for (lane, set) in sets.iter().enumerate() {
-                        let scalar = seeds.with_protectors(&g, set.clone()).unwrap();
-                        model.run_realized_into(&csr, &scalar, &mut ws, &real);
-                        for v in g.nodes() {
-                            let status = ws.status(v);
-                            let bit = |m: u64| (m >> lane) & 1 == 1;
+        let mut trace = Vec::new();
+        for (rumors, sets) in &cases {
+            for lane_count in [1, 2, 63, 64] {
+                let sets = &sets[..lane_count];
+                for max_hops in [0, 1, hops] {
+                    let model = OpoaoModel::new(max_hops);
+                    for r in 0..3 {
+                        let real = OpoaoRealization::new(rseed.wrapping_mul(3).wrapping_add(r));
+                        model.run_lanes_into(&csr, rumors, sets, &mut traced, &real).unwrap();
+                        model.run_lanes_into(&csr, rumors, sets, &mut plain, &real).unwrap();
+                        let mask = traced.lane_mask();
+                        prop_assert_eq!(mask.count_ones() as usize, lane_count);
+                        for (lane, set) in sets.iter().enumerate() {
+                            let scalar = SeedSets::new(&g, rumors.clone(), set.clone()).unwrap();
+                            model.run_realized_into(&csr, &scalar, &mut ws, &real);
+                            for v in g.nodes() {
+                                let status = ws.status(v);
+                                let bit = |m: u64| (m >> lane) & 1 == 1;
+                                prop_assert_eq!(
+                                    (bit(traced.infected(v)), bit(traced.protected(v))),
+                                    (status.is_infected(), status.is_protected()),
+                                    "lane {} of {}, node {}, {} hops, realization {}",
+                                    lane, lane_count, v, max_hops, r
+                                );
+                            }
+                            traced.trace_into(lane, &mut trace);
                             prop_assert_eq!(
-                                (bit(lanes.infected(v)), bit(lanes.protected(v))),
-                                (status.is_infected(), status.is_protected()),
-                                "lane {} of {}, node {}, {} hops, realization {}",
-                                lane, lane_count, v, max_hops, r
+                                &trace[..],
+                                ws.trace(),
+                                "trace of lane {} of {}, {} hops, realization {}",
+                                lane, lane_count, max_hops, r
                             );
+                            prop_assert_eq!(traced.is_quiescent(lane), ws.is_quiescent());
                         }
-                    }
-                    for v in g.nodes() {
-                        prop_assert_eq!((lanes.infected(v) | lanes.protected(v)) & !mask, 0);
+                        for v in g.nodes() {
+                            prop_assert_eq!((traced.infected(v) | traced.protected(v)) & !mask, 0);
+                            // Tracing changes no status.
+                            prop_assert_eq!(plain.infected(v), traced.infected(v));
+                            prop_assert_eq!(plain.protected(v), traced.protected(v));
+                        }
                     }
                 }
             }

@@ -54,7 +54,7 @@ use crate::rules::{classify, Violation, HOT_FILES};
 /// Simulation kernel entry points: the roots of `hotreach`, the calls
 /// a lock guard must not span, and the loop bodies `cancelpoint`
 /// checks. The last three poll a `WorkMeter` internally.
-pub const KERNELS: [&str; 10] = [
+pub const KERNELS: [&str; 11] = [
     "sigma_with",
     "sigma_with_cached_seeds",
     "run_into",
@@ -62,6 +62,7 @@ pub const KERNELS: [&str; 10] = [
     "run_lanes_into",
     "advance_trajectory",
     "monte_carlo_csr",
+    "monte_carlo_sets",
     "rr_sketch_into",
     "rr_sketch_batch_into",
     "monte_carlo_csr_budgeted",
