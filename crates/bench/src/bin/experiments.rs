@@ -296,8 +296,7 @@ fn run_sources(opts: &CliOptions) -> Result<(), String> {
     let cfg = harness_config(opts, 0.2);
     eprintln!(
         "running source-detection accuracy at scale {} ({} trials per regime)...",
-        cfg.scale,
-        cfg.trials.max(5)
+        cfg.scale, cfg.trials
     );
     let rows = run_source_detection(&cfg);
     let mut table = TextTable::new([

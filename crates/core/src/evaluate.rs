@@ -167,12 +167,12 @@ impl HopSeriesReport {
 /// Evaluates pre-computed protector sets under `model`, Monte-Carlo
 /// averaged with `mc`.
 ///
-/// Every set is scored on the same runs: run `r` draws from the
-/// stream `mc` assigns it, whatever the set ([`monte_carlo_sets`]).
-/// Under OPOAO that stream is one realization, and one lane-packed
-/// pass per run scores up to 64 sets on it; each set's
-/// [`AveragedOutcome`] equals `monte_carlo_csr` of that set alone,
-/// bit for bit. Other models run set by set.
+/// Every set is scored on the same runs in one Monte-Carlo batch
+/// ([`monte_carlo_sets`]): run `r` draws from the stream `mc` assigns
+/// it, whatever the set. Under OPOAO that stream is one realization,
+/// and one lane-packed pass per run scores up to 64 sets on it; each
+/// set's [`AveragedOutcome`] equals what the scalar realized kernel
+/// gives that set alone, bit for bit. Other models run set by set.
 ///
 /// # Errors
 ///

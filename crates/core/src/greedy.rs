@@ -1168,33 +1168,6 @@ mod tests {
     }
 
     #[test]
-    fn sigma_batch_matches_sigma_under_both_models() {
-        use lcrb_diffusion::CompetitiveIcModel;
-        let (inst, bridges, candidates) = three_chunk_instance();
-        let mut sets: Vec<Vec<NodeId>> = candidates.iter().map(|&c| vec![c]).collect();
-        sets.push(Vec::new());
-        sets.push(candidates[..5].to_vec());
-        for model in [
-            ObjectiveModel::default(),
-            ObjectiveModel::CompetitiveIc(CompetitiveIcModel::new(0.3).unwrap()),
-        ] {
-            let obj =
-                ProtectionObjective::with_model(&inst, bridges.nodes.clone(), model, 5, 9).unwrap();
-            let expected: Vec<f64> = sets.iter().map(|s| obj.sigma(s).unwrap()).collect();
-            assert_eq!(bits(&obj.sigma_batch(&sets).unwrap()), bits(&expected));
-            // The first invalid set's error, as `sigma` reports it.
-            let rumor = inst.rumor_seeds()[0];
-            let mut bad = sets.clone();
-            bad[100].push(rumor);
-            bad[120].push(NodeId::new(10_000));
-            assert_eq!(
-                obj.sigma_batch(&bad).unwrap_err(),
-                obj.sigma(&bad[100]).unwrap_err()
-            );
-        }
-    }
-
-    #[test]
     fn threads_do_not_change_selection() {
         let inst = community_instance(11);
         let base = SolveRequest {

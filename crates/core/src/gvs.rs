@@ -11,7 +11,8 @@
 //! paper's algorithms isolates how much the bridge-end insight buys.
 
 use lcrb_diffusion::{
-    monte_carlo_csr_budgeted, MonteCarloConfig, StopReason, TwoCascadeModel, WorkMeter,
+    monte_carlo_sets_budgeted, AveragedOutcome, MonteCarloConfig, StopReason, TwoCascadeModel,
+    WorkMeter,
 };
 use lcrb_graph::NodeId;
 
@@ -62,20 +63,20 @@ pub struct GvsSelection {
 /// expected infected count under `model` (GVS-style), metered by
 /// `meter`.
 ///
-/// Each round evaluates every remaining candidate with `mc_runs`
-/// simulations, so the cost is `budget × |candidates| × mc_runs`
-/// simulations — the brute-force flavor of the original GVS. Prefer
-/// the LCRB greedy or SCBG for real deployments; this exists as the
-/// related-work baseline.
+/// Each round scores every remaining candidate with `mc_runs`
+/// simulations in one Monte-Carlo batch
+/// ([`monte_carlo_sets_budgeted`]), so the cost is up to `budget ×
+/// |candidates| × mc_runs` simulations — the brute-force flavor of
+/// the original GVS. Prefer the LCRB greedy or SCBG for real
+/// deployments; this exists as the related-work baseline.
 ///
-/// Each candidate evaluation charges its `mc_runs` simulations
-/// (all-or-nothing) and polls for cancellation. Checkpoints sit at
-/// *round* boundaries: a stop mid-round discards that round's partial
-/// scan, so the returned prefix is exactly the completed-rounds
-/// prefix an uninterrupted run would have — and work-budget stops
-/// land at the same round on every run. Returns the (possibly
-/// partial) selection plus `Some(reason)` when a budget or deadline
-/// stopped the loop early.
+/// A round is charged whole (all-or-nothing), so checkpoints sit at
+/// *round* boundaries: a stop discards that round, the returned
+/// prefix is exactly the completed-rounds prefix an uninterrupted run
+/// would have, and a work-budget stop lands at the same round, with
+/// the same charge, on every run. Returns the (possibly partial)
+/// selection plus `Some(reason)` when a budget or deadline stopped the
+/// loop early.
 ///
 /// # Errors
 ///
@@ -100,47 +101,45 @@ where
         threads: 0,
     };
 
+    let snapshot = instance.snapshot();
     let bridge_ends = find_bridge_ends(instance, config.rule);
-    let candidates = crate::greedy::candidate_pool_for(instance, &bridge_ends, config.candidates);
+    let mut remaining =
+        crate::greedy::candidate_pool_for(instance, &bridge_ends, config.candidates);
     let seeds = instance.seed_sets(Vec::new())?;
-    let baseline = monte_carlo_csr_budgeted(model, instance.snapshot(), &seeds, &mc, meter)
+    let baseline = monte_carlo_sets_budgeted(model, snapshot, &[seeds], &mc, meter)
         .map_err(|reason| LcrbError::Interrupted { reason })?
-        .mean_final_infected();
+        .first()
+        .map_or(0.0, AveragedOutcome::mean_final_infected);
 
     let mut selected: Vec<NodeId> = Vec::new();
     let mut infected_history = Vec::new();
     let mut current = baseline;
-    let mut remaining = candidates;
     let mut stop = None;
 
-    'rounds: for _ in 0..budget {
-        let mut best: Option<(f64, usize)> = None;
-        for (i, &c) in remaining.iter().enumerate() {
-            let mut trial = selected.clone();
-            trial.push(c);
-            let seeds = instance.seed_sets(trial)?;
-            let v = match monte_carlo_csr_budgeted(model, instance.snapshot(), &seeds, &mc, meter) {
-                Ok(avg) => avg.mean_final_infected(),
-                Err(StopReason::Cancelled) => {
-                    return Err(LcrbError::Interrupted {
-                        reason: StopReason::Cancelled,
-                    })
-                }
-                Err(reason) => {
-                    // Budget/deadline stop mid-round: discard the
-                    // partial round, keep the completed-rounds prefix.
-                    stop = Some(reason);
-                    break 'rounds;
-                }
-            };
-            if best.is_none_or(|(bv, _)| v < bv) {
-                best = Some((v, i));
+    // Each round removes a candidate, so none scores an empty pool.
+    for _ in 0..budget.min(remaining.len()) {
+        let trials = remaining
+            .iter()
+            .map(|&c| instance.seed_sets(selected.iter().copied().chain([c]).collect()))
+            .collect::<Result<Vec<_>, _>>()?;
+        let scored = match monte_carlo_sets_budgeted(model, snapshot, &trials, &mc, meter) {
+            Ok(scored) => scored,
+            Err(reason @ StopReason::Cancelled) => return Err(LcrbError::Interrupted { reason }),
+            Err(reason) => {
+                // Budget/deadline stop: keep the completed rounds.
+                stop = Some(reason);
+                break;
             }
-        }
-        let Some((value, idx)) = best else { break };
-        if value >= current {
+        };
+        // The first candidate with the fewest expected infections.
+        let best = scored
+            .iter()
+            .map(AveragedOutcome::mean_final_infected)
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(&b.1));
+        let Some((idx, value)) = best.filter(|&(_, value)| value < current) else {
             break; // no candidate reduces expected infections
-        }
+        };
         selected.push(remaining.swap_remove(idx));
         current = value;
         infected_history.push(value);
@@ -159,10 +158,50 @@ where
 mod tests {
     use super::*;
     use lcrb_community::Partition;
-    use lcrb_diffusion::{DoamModel, OpoaoModel};
+    use lcrb_diffusion::{derive_stream, DoamModel, OpoaoModel, RunBudget, SimWorkspace};
     use lcrb_graph::generators;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// GVS replayed with a scalar batch per candidate (`run_into` on
+    /// each run's stream): the picks, and the baseline followed by each
+    /// pick's expected infections.
+    fn per_candidate_picks<M: TwoCascadeModel>(
+        inst: &RumorBlockingInstance,
+        model: &M,
+        budget: usize,
+        config: &GvsConfig,
+    ) -> (Vec<NodeId>, Vec<f64>) {
+        let mut ws = SimWorkspace::new();
+        let mut score = |set: Vec<NodeId>| {
+            let seeds = inst.seed_sets(set).unwrap();
+            let total: usize = (0..config.mc_runs as u64)
+                .map(|r| {
+                    let mut rng = SmallRng::seed_from_u64(derive_stream(config.seed, r));
+                    model.run_into(inst.snapshot(), &seeds, &mut ws, &mut rng);
+                    ws.infected_count()
+                })
+                .sum();
+            total as f64 / config.mc_runs as f64
+        };
+        let bridge_ends = find_bridge_ends(inst, config.rule);
+        let mut pool = crate::greedy::candidate_pool_for(inst, &bridge_ends, config.candidates);
+        let (mut picks, mut history) = (Vec::new(), vec![score(Vec::new())]);
+        while picks.len() < budget && !pool.is_empty() {
+            let values: Vec<f64> = (pool.iter())
+                .map(|&c| score([picks.as_slice(), &[c]].concat()))
+                .collect();
+            let best = (0..values.len())
+                .reduce(|b, i| if values[i] < values[b] { i } else { b })
+                .unwrap();
+            if values[best] >= history[picks.len()] {
+                break;
+            }
+            picks.push(pool.swap_remove(best));
+            history.push(values[best]);
+        }
+        (picks, history)
+    }
 
     fn gvs<M: TwoCascadeModel + Sync>(
         inst: &RumorBlockingInstance,
@@ -201,6 +240,53 @@ mod tests {
             assert!(v < prev, "history not strictly improving: {v} vs {prev}");
             prev = v;
         }
+    }
+
+    #[test]
+    fn each_rounds_pick_matches_per_candidate_scalar_batches() {
+        // Candidates tie here under both models, so the first-in-pool
+        // tie-break is pinned too.
+        let inst = instance(2);
+        let config = GvsConfig {
+            mc_runs: 4,
+            seed: 4,
+            ..GvsConfig::default()
+        };
+        let opoao = OpoaoModel::new(10);
+        let sel = gvs(&inst, &opoao, 3, &config).unwrap();
+        let (picks, history) = per_candidate_picks(&inst, &opoao, 3, &config);
+        assert!(picks.len() >= 2, "only {} rounds picked", picks.len());
+        assert_eq!((sel.protectors, sel.baseline), (picks, history[0]));
+        assert_eq!(sel.infected_history, history[1..]);
+        let sel = gvs(&inst, &DoamModel::default(), 3, &config).unwrap();
+        let (picks, history) = per_candidate_picks(&inst, &DoamModel::default(), 3, &config);
+        assert!(!picks.is_empty());
+        assert_eq!((sel.protectors, sel.baseline), (picks, history[0]));
+        assert_eq!(sel.infected_history, history[1..]);
+    }
+
+    #[test]
+    fn a_sim_cap_inside_round_two_keeps_round_one_and_its_charge() {
+        let inst = instance(3);
+        let config = GvsConfig {
+            mc_runs: 8,
+            ..GvsConfig::default()
+        };
+        let model = OpoaoModel::new(15);
+        let full = gvs(&inst, &model, 3, &config).unwrap();
+        assert!(full.protectors.len() >= 2);
+        let bridge_ends = find_bridge_ends(&inst, config.rule);
+        let pool = crate::greedy::candidate_pool_for(&inst, &bridge_ends, config.candidates);
+        let (runs, pool) = (8, pool.len() as u64);
+        let through_round_one = runs + runs * pool;
+        // One simulation short of round 2's whole batch.
+        let cap = through_round_one + runs * (pool - 1) - 1;
+        let mut meter = WorkMeter::new(RunBudget::unlimited().with_max_sims(cap), None, None);
+        let (sel, stop) = greedy_viral_stopper(&inst, &model, 3, &config, &mut meter).unwrap();
+        assert_eq!(stop, Some(StopReason::SimBudget));
+        assert_eq!(sel.protectors, full.protectors[..1]);
+        assert_eq!(sel.infected_history, full.infected_history[..1]);
+        assert_eq!(meter.spent().0, through_round_one);
     }
 
     #[test]

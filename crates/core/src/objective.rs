@@ -16,7 +16,7 @@
 
 use lcrb_diffusion::{
     CompetitiveIcModel, IcRealization, LaneWorkspace, OpoaoModel, OpoaoRealization, SeedSets,
-    SimWorkspace, OPOAO_LANES,
+    SimWorkspace,
 };
 use lcrb_graph::NodeId;
 
@@ -219,62 +219,6 @@ impl<'a> ProtectionObjective<'a> {
         Ok(self.average(total))
     }
 
-    /// `σ̂` of every set in `protector_sets`, in order; each equals
-    /// [`ProtectionObjective::sigma_with`] on that set, bit for bit.
-    ///
-    /// Under OPOAO, [`OPOAO_LANES`] sets share each realization pass
-    /// ([`OpoaoModel::run_lanes_into`]); under IC, which has no lane
-    /// kernel, each set runs alone.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LcrbError::Seeds`] for the first set that is out of
-    /// bounds or overlaps the rumor seeds, as `sigma_with` would.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lcrb::{ProtectionObjective, RumorBlockingInstance};
-    /// use lcrb_community::Partition;
-    /// use lcrb_graph::{DiGraph, NodeId};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let g = DiGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)])?;
-    /// let p = Partition::from_labels(vec![0, 0, 1, 1]);
-    /// let inst = RumorBlockingInstance::new(g, p, 0, vec![NodeId::new(0)])?;
-    /// let obj = ProtectionObjective::new(&inst, vec![NodeId::new(2)], 16, 0, 31)?;
-    /// let sets = [vec![], vec![NodeId::new(1)], vec![NodeId::new(3)]];
-    /// let sigmas = obj.sigma_batch(&sets)?;
-    /// for (set, sigma) in sets.iter().zip(sigmas) {
-    ///     assert_eq!(sigma, obj.sigma(set)?);
-    /// }
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn sigma_batch<P: AsRef<[NodeId]>>(
-        &self,
-        protector_sets: &[P],
-    ) -> Result<Vec<f64>, LcrbError> {
-        let Some(scorer) = self.lane_scorer() else {
-            let mut ws = SimWorkspace::with_capacity(self.instance.snapshot().node_count());
-            return protector_sets
-                .iter()
-                .map(|set| self.sigma_with(set.as_ref(), &mut ws))
-                .collect();
-        };
-        let mut lanes = LaneWorkspace::new();
-        let mut totals = vec![0; protector_sets.len()];
-        for (sets, totals) in protector_sets
-            .chunks(OPOAO_LANES)
-            .zip(totals.chunks_mut(OPOAO_LANES))
-        {
-            for index in 0..self.batch.len() {
-                scorer.add_saved(index, sets, &mut lanes, totals)?;
-            }
-        }
-        Ok(totals.into_iter().map(|t| self.average(t)).collect())
-    }
-
     /// `σ̂(protectors)` with *zero* per-query allocation: the seed
     /// pair lives in `seeds` (built lazily on first use) and is
     /// refilled in place via [`SeedSets::set_protectors`]. This is
@@ -302,9 +246,8 @@ impl<'a> ProtectionObjective<'a> {
         Ok(self.average(total))
     }
 
-    /// The lane-packed scorer behind [`ProtectionObjective::sigma_batch`]
-    /// and the greedy's initial sweep; `None` under IC, which has no
-    /// lane kernel.
+    /// The lane-packed scorer behind the greedy's initial sweep;
+    /// `None` under IC, which has no lane kernel.
     pub(crate) fn lane_scorer(&self) -> Option<LaneScorer<'_>> {
         match &self.batch {
             Batch::Opoao(model, realizations) => Some(LaneScorer {
@@ -339,9 +282,10 @@ impl<'a> ProtectionObjective<'a> {
     }
 }
 
-/// Scores up to [`OPOAO_LANES`] protector sets per OPOAO realization
-/// pass: the lane kernel ([`OpoaoModel::run_lanes_into`]) plus the
-/// objective's bridge-end count.
+/// Scores up to [`lcrb_diffusion::OPOAO_LANES`] protector sets per
+/// OPOAO realization pass: the lane kernel
+/// ([`OpoaoModel::run_lanes_into`]) plus the objective's bridge-end
+/// count.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct LaneScorer<'o> {
     objective: &'o ProtectionObjective<'o>,
@@ -351,8 +295,8 @@ pub(crate) struct LaneScorer<'o> {
 
 impl LaneScorer<'_> {
     /// Runs realization `index` once for `sets` (at most
-    /// [`OPOAO_LANES`]) and adds each set's count of bridge ends not
-    /// infected to its slot of `totals`.
+    /// [`lcrb_diffusion::OPOAO_LANES`]) and adds each set's count of
+    /// bridge ends not infected to its slot of `totals`.
     ///
     /// # Errors
     ///

@@ -19,13 +19,13 @@ use lcrb::{
 use lcrb_community::Partition;
 use lcrb_diffusion::{
     doam_analytic_csr, monte_carlo_csr, DiffusionOutcome, DoamModel, MonteCarloConfig, OpoaoModel,
-    SimWorkspace,
+    SeedSets, SimWorkspace, TwoCascadeModel,
 };
 use lcrb_graph::traversal::{bfs_distances_where, CsrBfsScratch, Direction};
-use lcrb_graph::{generators, DiGraph, NodeId};
+use lcrb_graph::{generators, CsrGraph, DiGraph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// The instance with communities `0..a` and `a..n`, the arcs `pairs`
 /// (self-loops dropped) and rumor seeds `seeds`, all in community 0.
@@ -602,10 +602,31 @@ fn float_bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
-// Packed evaluation against the per-set driver: scoring OPOAO sets in
-// lanes must give every set exactly the `AveragedOutcome` that
-// `monte_carlo_csr` gives it alone, and an invalid set the same typed
-// error. CI reruns this in release with `PROPTEST_CASES=1000`.
+/// OPOAO through the scalar kernel alone: `as_opoao` stays `None`, so
+/// the Monte-Carlo loop runs it set by set.
+struct ScalarOpoao(OpoaoModel);
+
+impl TwoCascadeModel for ScalarOpoao {
+    fn run_into<R: Rng + ?Sized>(
+        &self,
+        graph: &CsrGraph,
+        seeds: &SeedSets,
+        ws: &mut SimWorkspace,
+        rng: &mut R,
+    ) {
+        self.0.run_into(graph, seeds, ws, rng);
+    }
+
+    fn name(&self) -> &'static str {
+        "scalar-opoao"
+    }
+}
+
+// Packed evaluation against the scalar realized kernel through the
+// same Monte-Carlo loop: scoring OPOAO sets in lanes must give every
+// set exactly the `AveragedOutcome` that the scalar kernel gives it
+// alone, and an invalid set the same typed error. CI reruns this in
+// release with `PROPTEST_CASES=1000`.
 proptest! {
     #[test]
     fn packed_evaluation_matches_per_set_monte_carlo(
@@ -639,7 +660,7 @@ proptest! {
         prop_assert_eq!(report.runs.len(), set_count);
         for (scored, (name, protectors)) in report.runs.iter().zip(&sets) {
             let seeds = inst.seed_sets(protectors.clone()).unwrap();
-            let alone = monte_carlo_csr(&model, inst.snapshot(), &seeds, &mc);
+            let alone = monte_carlo_csr(&ScalarOpoao(model), inst.snapshot(), &seeds, &mc);
             let packed = &scored.averaged;
             prop_assert_eq!(&scored.name, name);
             prop_assert_eq!(packed.runs, alone.runs);

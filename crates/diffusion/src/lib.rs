@@ -20,10 +20,12 @@
 //!   §V-A), which make the greedy objective a deterministic
 //!   submodular function per realization; every OPOAO run, Monte
 //!   Carlo included, is one;
-//! - [`monte_carlo_csr`]: a thread-parallel, seed-reproducible
-//!   Monte-Carlo driver over any [`TwoCascadeModel`], and
-//!   [`monte_carlo_sets`], which scores several protector sets on
-//!   common runs (one lane-packed pass per run under OPOAO);
+//! - [`monte_carlo_sets_budgeted`]: the thread-parallel,
+//!   seed-reproducible Monte-Carlo loop over any [`TwoCascadeModel`],
+//!   which scores one protector set or many on common runs (one
+//!   lane-packed pass per run under OPOAO, a single set on one lane)
+//!   under a [`WorkMeter`]; [`monte_carlo_csr`] (one set) and
+//!   [`monte_carlo_sets`] are its unmetered calls;
 //! - [`rr_sketch_into`]: reverse-reachable sketch generation under
 //!   the OPOAO timestamp semantics, with [`RrScratch`] /
 //!   [`SketchBatch`] storage (the RIS estimator's sampling
@@ -85,7 +87,7 @@ pub use ic::{CompetitiveIcModel, IcRealization, InvalidProbabilityError};
 pub use lt::CompetitiveLtModel;
 pub use model::TwoCascadeModel;
 pub use montecarlo::{
-    monte_carlo_csr, monte_carlo_csr_budgeted, monte_carlo_sets, AveragedOutcome, MonteCarloConfig,
+    monte_carlo_csr, monte_carlo_sets, monte_carlo_sets_budgeted, AveragedOutcome, MonteCarloConfig,
 };
 pub use opoao::{LaneWorkspace, OpoaoModel, OPOAO_LANES, PAPER_OPOAO_HOPS};
 pub use outcome::{DiffusionOutcome, HopRecord, Status};

@@ -39,10 +39,11 @@ pub trait TwoCascadeModel {
         rng: &mut R,
     );
 
-    /// The OPOAO model behind `self`, if it is one. Monte-Carlo
-    /// drivers use it to score several protector sets in one
-    /// lane-packed pass per run ([`crate::monte_carlo_sets`]); every
-    /// other model returns `None` and runs set by set.
+    /// The OPOAO model behind `self`, if it is one. The Monte-Carlo
+    /// loop ([`crate::monte_carlo_sets_budgeted`]) uses it to score
+    /// every protector set, one or many, in one lane-packed pass per
+    /// run; every other model returns `None` and runs set by set
+    /// through [`TwoCascadeModel::run_into`].
     fn as_opoao(&self) -> Option<&OpoaoModel> {
         None
     }

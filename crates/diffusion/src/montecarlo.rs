@@ -3,21 +3,21 @@
 //! The paper's Figures 4–6 report "the average results obtained by
 //! repeated Monte Carlo simulation"; this module is that averaging
 //! loop, parallelized across std scoped threads and reproducible from
-//! a single base seed. It alone decides which stream run `r` draws
-//! from, so run `r` of every protector set scored with one
-//! [`MonteCarloConfig`] sees the same randomness, and
-//! [`monte_carlo_sets`] scores up to [`OPOAO_LANES`] OPOAO sets in one
-//! lane-packed pass per run.
+//! a single base seed. One loop, [`monte_carlo_sets_budgeted`], scores
+//! one protector set or many. It alone decides which stream run `r`
+//! draws from, so run `r` of every set scored with one
+//! [`MonteCarloConfig`] sees the same randomness, and under OPOAO one
+//! lane-packed pass per run scores up to [`OPOAO_LANES`] sets.
 
-// xtask-allow-file: index -- accumulator arrays are node_count-sized at construction and merged series share one length
+// xtask-allow-file: index -- hop series are read below their own length, and each worker holds one accumulator per set
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use lcrb_graph::{CsrGraph, NodeId};
+use lcrb_graph::CsrGraph;
 
 use crate::budget::{StopReason, WorkMeter};
 use crate::{
-    derive_stream, HopRecord, LaneWorkspace, OpoaoModel, OpoaoRealization, SeedSets, SimWorkspace,
+    derive_stream, HopRecord, LaneWorkspace, OpoaoRealization, SeedSets, SimWorkspace,
     TwoCascadeModel, OPOAO_LANES,
 };
 
@@ -48,18 +48,14 @@ impl Default for MonteCarloConfig {
 }
 
 impl MonteCarloConfig {
-    fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            return self.threads;
-        }
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    }
-
-    /// Workers for a batch: `threads`, at most one per run.
+    /// Workers for a batch: `threads` (or the available parallelism),
+    /// at most one per run.
     fn workers(&self) -> usize {
-        self.effective_threads().min(self.runs).max(1)
+        let threads = match self.threads {
+            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            threads => threads,
+        };
+        threads.min(self.runs).max(1)
     }
 }
 
@@ -113,66 +109,44 @@ impl AveragedOutcome {
 
 #[derive(Default)]
 struct SeriesAccumulator {
-    infected: Vec<f64>,
-    protected: Vec<f64>,
-    final_sum: f64,
-    final_sumsq: f64,
+    /// Per hop, the summed cumulative (infected, protected) counts.
+    /// Every term is an integer, so the sums are exact in any order.
+    sums: Vec<(f64, f64)>,
     /// Final infected count of each run added, in the order added.
     finals: Vec<usize>,
 }
 
 impl SeriesAccumulator {
+    /// Adds a series of `len` hops, hop `h` being `at(h)`. The shorter
+    /// of it and the sums carries its last value forward: a finished
+    /// diffusion keeps its totals.
+    fn add(&mut self, len: usize, at: impl Fn(usize) -> (f64, f64)) {
+        if len > self.sums.len() {
+            let pad = self.sums.last().copied().unwrap_or_default();
+            self.sums.resize(len, pad);
+        }
+        let last = len.checked_sub(1).map_or((0.0, 0.0), &at);
+        for (h, sum) in self.sums.iter_mut().enumerate() {
+            let (infected, protected) = if h < len { at(h) } else { last };
+            *sum = (sum.0 + infected, sum.1 + protected);
+        }
+    }
+
     /// Accumulates one run directly from its hop trace — the
     /// workspace path, which never materializes a `DiffusionOutcome`.
     fn add_trace(&mut self, trace: &[HopRecord]) {
-        let len = trace.len();
-        if len > self.infected.len() {
-            // Newly revealed hops start from the sums accumulated so
-            // far: previous runs carry their final value forward.
-            let pad_i = self.infected.last().copied().unwrap_or(0.0);
-            let pad_p = self.protected.last().copied().unwrap_or(0.0);
-            // All prior runs were flat after their last hop, so the
-            // carried-forward sum is exactly the previous tail.
-            let grow = len - self.infected.len();
-            self.infected.extend(std::iter::repeat_n(pad_i, grow));
-            self.protected.extend(std::iter::repeat_n(pad_p, grow));
-        }
-        for (h, rec) in trace.iter().enumerate() {
-            self.infected[h] += rec.total_infected as f64;
-            self.protected[h] += rec.total_protected as f64;
-        }
-        // Carry this run's final value into any longer tail.
-        let final_infected = trace.last().map_or(0, |r| r.total_infected);
-        let (fi, fp) = (
-            final_infected as f64,
-            trace.last().map_or(0, |r| r.total_protected) as f64,
-        );
-        for h in len..self.infected.len() {
-            self.infected[h] += fi;
-            self.protected[h] += fp;
-        }
-        self.final_sum += fi;
-        self.final_sumsq += fi * fi;
-        self.finals.push(final_infected);
+        self.add(trace.len(), |h| {
+            let rec = &trace[h];
+            (rec.total_infected as f64, rec.total_protected as f64)
+        });
+        let last = trace.last();
+        self.finals.push(last.map_or(0, |r| r.total_infected));
     }
 
     /// Adds `other`'s sums into ours. The per-run finals are left to
-    /// [`average_workers`], which knows each worker's runs.
+    /// the caller, which knows each worker's runs.
     fn merge(mut self, other: SeriesAccumulator) -> SeriesAccumulator {
-        if other.infected.len() > self.infected.len() {
-            return other.merge(self);
-        }
-        // `other` is the shorter series: pad it against ours.
-        let (oi_last, op_last) = (
-            other.infected.last().copied().unwrap_or(0.0),
-            other.protected.last().copied().unwrap_or(0.0),
-        );
-        for h in 0..self.infected.len() {
-            self.infected[h] += other.infected.get(h).copied().unwrap_or(oi_last);
-            self.protected[h] += other.protected.get(h).copied().unwrap_or(op_last);
-        }
-        self.final_sum += other.final_sum;
-        self.final_sumsq += other.final_sumsq;
+        self.add(other.sums.len(), |h| other.sums[h]);
         self
     }
 
@@ -181,34 +155,23 @@ impl SeriesAccumulator {
     fn into_average(self, finals: Vec<usize>) -> AveragedOutcome {
         let runs = finals.len().max(1) as f64;
         let std_final_infected = if finals.len() >= 2 {
-            let mean = self.final_sum / runs;
-            ((self.final_sumsq / runs - mean * mean).max(0.0) * runs / (runs - 1.0)).sqrt()
+            // The counts are integers, so both sums are exact in f64
+            // (below 2^53) whatever the order of the terms.
+            let sum: f64 = finals.iter().map(|&fin| fin as f64).sum();
+            let sumsq: f64 = finals.iter().map(|&fin| (fin * fin) as f64).sum();
+            let mean = sum / runs;
+            ((sumsq / runs - mean * mean).max(0.0) * runs / (runs - 1.0)).sqrt()
         } else {
             0.0
         };
         AveragedOutcome {
             runs: finals.len(),
-            mean_infected_by_hop: self.infected.iter().map(|s| s / runs).collect(),
-            mean_protected_by_hop: self.protected.iter().map(|s| s / runs).collect(),
+            mean_infected_by_hop: self.sums.iter().map(|s| s.0 / runs).collect(),
+            mean_protected_by_hop: self.sums.iter().map(|s| s.1 / runs).collect(),
             std_final_infected,
             final_infected_by_run: finals,
         }
     }
-}
-
-/// Folds one batch's per-worker accumulators, in worker order, into
-/// its average. Worker `t` of `w` ran runs `t, t + w, ...`, so run
-/// `r`'s final count is entry `r / w` of worker `r % w`.
-fn average_workers(workers: Vec<SeriesAccumulator>) -> AveragedOutcome {
-    let w = workers.len();
-    let runs = workers.iter().map(|acc| acc.finals.len()).sum();
-    // xtask-allow: hotreach -- one per-run sample per batch, built once after the runs
-    let finals = (0..runs).map(|r| workers[r % w].finals[r / w]).collect();
-    workers
-        .into_iter()
-        .reduce(SeriesAccumulator::merge)
-        .unwrap_or_default()
-        .into_average(finals)
 }
 
 /// Run `run`'s RNG: the stream [`derive_stream`]`(base_seed, run)`,
@@ -217,39 +180,14 @@ fn run_rng(base_seed: u64, run: usize) -> SmallRng {
     SmallRng::seed_from_u64(derive_stream(base_seed, run as u64))
 }
 
-/// Runs `work(t)` for every worker `t` of `workers`, on scoped threads
-/// when there is more than one, and returns the results in worker
-/// order.
-fn on_workers<T, F>(workers: usize, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if workers == 1 {
-        // xtask-allow: hotreach -- one result per batch, outside the per-run loop
-        return vec![work(0)];
-    }
-    std::thread::scope(|scope| {
-        let work = &work;
-        // xtask-allow: hotreach -- one join handle per worker per batch, outside the per-run loop
-        let handles: Vec<_> = (0..workers).map(|t| scope.spawn(move || work(t))).collect();
-        handles
-            .into_iter()
-            // xtask-allow: panic -- re-raising a worker panic on the coordinating thread is the intended behavior
-            .map(|h| h.join().expect("monte carlo worker panicked"))
-            // xtask-allow: hotreach -- one result per worker per batch, gathered once for the merge
-            .collect()
-    })
-}
-
 /// Runs `config.runs` independent simulations of `model` on the
-/// snapshot `graph` and averages the hop series.
+/// snapshot `graph` and averages the hop series: the one-set case of
+/// [`monte_carlo_sets_budgeted`], unmetered. Deterministic for a
+/// fixed `config` regardless of `threads`.
 ///
-/// Each worker thread owns one long-lived [`SimWorkspace`] reused for
-/// all of its runs and accumulates hop series straight from the
-/// workspace trace, so the steady-state loop performs no per-run heap
-/// allocation. Deterministic for a fixed `config` regardless of
-/// `threads`.
+/// # Panics
+///
+/// Panics if `seeds` refers to nodes outside `graph`.
 ///
 /// # Examples
 ///
@@ -280,81 +218,21 @@ pub fn monte_carlo_csr<M>(
 where
     M: TwoCascadeModel + Sync,
 {
-    monte_carlo_csr_budgeted(model, graph, seeds, config, &mut WorkMeter::unlimited())
-        // xtask-allow: panic -- an unlimited meter has no cap to charge against and no token or deadline to observe
-        .expect("an unlimited meter cannot stop the batch")
+    monte_carlo_sets(model, graph, std::slice::from_ref(seeds), config)
+        .pop()
+        // xtask-allow: panic -- the driver returns one average per set, and it was given one set
+        .expect("one set scored")
 }
 
-/// [`monte_carlo_csr`] under a [`WorkMeter`]: the batch's simulation
-/// cost is charged up front (all-or-nothing against
-/// [`crate::RunBudget::max_sims`]) and cancellation/deadline polls run
-/// per simulation — only when the meter has a token or deadline to
-/// observe, so an unmetered batch runs the bare loop.
-///
-/// The checkpoint discipline keeps the work-budget path
-/// deterministic: either the whole batch fits under the cap and the
-/// result is bitwise-identical to an unlimited run (for any thread
-/// count), or the kernel stops *before* running it — a truncated
-/// average is never produced. Cancellation and deadlines observed
-/// mid-batch also discard the batch by returning the stop instead of
-/// a partial mean.
-///
-/// # Errors
-///
-/// The [`StopReason`] that fired: a work-cap rejection up front, or a
-/// cancellation/deadline observed during the batch.
-pub fn monte_carlo_csr_budgeted<M>(
-    model: &M,
-    graph: &CsrGraph,
-    seeds: &SeedSets,
-    config: &MonteCarloConfig,
-    meter: &mut WorkMeter,
-) -> Result<AveragedOutcome, StopReason>
-where
-    M: TwoCascadeModel + Sync,
-{
-    meter.charge_sims(config.runs as u64)?;
-    let runs = config.runs;
-    let polls = meter.polls_needed();
-    let workers = config.workers();
-    let shared: &WorkMeter = meter;
-    let accumulators = on_workers(workers, |t| {
-        let mut acc = SeriesAccumulator::default();
-        let mut ws = SimWorkspace::with_capacity(graph.node_count());
-        for run in (t..runs).step_by(workers) {
-            if polls && shared.poll().is_err() {
-                // The stop is re-observed (and reported) by the
-                // coordinator's poll below; both stop conditions are
-                // monotone.
-                break;
-            }
-            model.run_into(graph, seeds, &mut ws, &mut run_rng(config.base_seed, run));
-            acc.add_trace(ws.trace());
-        }
-        acc
-    });
-    meter.poll()?;
-    Ok(average_workers(accumulators))
-}
-
-/// Scores several protector sets that share their rumors, one
-/// [`AveragedOutcome`] per entry of `seeds`, in order. Entry `i`
-/// equals [`monte_carlo_csr`]`(model, graph, &seeds[i], config)` bit
-/// for bit, and run `r` of every set meets the same randomness, so
-/// the sets' [`AveragedOutcome::final_infected_by_run`] pair up.
-///
-/// For an OPOAO model ([`TwoCascadeModel::as_opoao`]) and sets with
-/// equal rumors, each run draws one [`OpoaoRealization`] and one
-/// [`OpoaoModel::run_lanes_into`] pass scores up to [`OPOAO_LANES`]
-/// sets on it; runs spread over `config.threads` workers as in
-/// [`monte_carlo_csr`]. A single set takes the lanes too: a one-lane
-/// pass ran 10–20 % faster than the scalar realized run on the
-/// hep-like graph at scale 0.2. Other models run set by set.
+/// Scores several protector sets, one [`AveragedOutcome`] per entry of
+/// `seeds`, in order: [`monte_carlo_sets_budgeted`], unmetered. Entry
+/// `i` equals [`monte_carlo_csr`]`(model, graph, &seeds[i], config)`
+/// bit for bit, and run `r` of every set meets the same randomness,
+/// so the sets' [`AveragedOutcome::final_infected_by_run`] pair up.
 ///
 /// # Panics
 ///
-/// Panics if a seed set refers to nodes outside `graph`, as
-/// [`monte_carlo_csr`] does.
+/// Panics if a seed set refers to nodes outside `graph`.
 ///
 /// # Examples
 ///
@@ -387,68 +265,133 @@ pub fn monte_carlo_sets<M>(
 where
     M: TwoCascadeModel + Sync,
 {
-    match (model.as_opoao(), seeds.first()) {
-        (Some(opoao), Some(first)) if seeds.iter().all(|s| s.rumors() == first.rumors()) => {
-            monte_carlo_lanes(opoao, graph, first.rumors(), seeds, config)
-        }
-        _ => seeds
-            .iter()
-            .map(|s| monte_carlo_csr(model, graph, s, config))
-            // xtask-allow: hotreach -- one average per set, gathered once per call
-            .collect(),
-    }
+    monte_carlo_sets_budgeted(model, graph, seeds, config, &mut WorkMeter::unlimited())
+        // xtask-allow: panic -- an unlimited meter has no cap to charge against and no token or deadline to observe
+        .expect("an unlimited meter cannot stop the batch")
 }
 
-/// The lane-packed path of [`monte_carlo_sets`]: each worker runs its
-/// runs as [`monte_carlo_csr_budgeted`] does, scoring every set on
-/// each run's realization, and each set's accumulators merge in the
-/// same worker order.
-fn monte_carlo_lanes(
-    model: &OpoaoModel,
+/// The Monte-Carlo loop: `config.runs` runs of `model` on `graph` for
+/// each set of `seeds`, averaged per set, in order, under `meter`.
+///
+/// Worker `t` of `w` runs runs `t, t + w, ...` and keeps its
+/// workspace across them, so the steady-state loop makes no per-run
+/// heap allocation. Run `r` of every set draws from the stream
+/// [`derive_stream`]`(base_seed, r)`. For an OPOAO model
+/// ([`TwoCascadeModel::as_opoao`]) and sets with equal rumors, run
+/// `r` draws one [`OpoaoRealization`], and one
+/// [`crate::OpoaoModel::run_lanes_into`] pass scores up to
+/// [`OPOAO_LANES`] sets on it, a single set on one lane. Otherwise
+/// each set's [`TwoCascadeModel::run_into`] starts from that stream
+/// afresh. Either way every set gets, bit for bit and at any thread
+/// count, what the scalar kernel gives it alone.
+///
+/// The batch's `runs × sets` simulations are charged up front,
+/// all-or-nothing against [`crate::RunBudget::max_sims`], and each
+/// worker polls once per run when the meter has a token or deadline
+/// to observe. So either the whole batch runs, bitwise-identical to
+/// an unlimited run, or the stop is returned: a truncated average is
+/// never produced.
+///
+/// # Errors
+///
+/// The [`StopReason`] that fired: a work-cap rejection up front, or a
+/// cancellation/deadline observed during the batch.
+///
+/// # Panics
+///
+/// Panics if a seed set refers to nodes outside `graph`.
+pub fn monte_carlo_sets_budgeted<M>(
+    model: &M,
     graph: &CsrGraph,
-    rumors: &[NodeId],
     seeds: &[SeedSets],
     config: &MonteCarloConfig,
-) -> Vec<AveragedOutcome> {
-    let runs = config.runs;
-    let workers = config.workers();
-    let mut per_worker = on_workers(workers, |t| {
+    meter: &mut WorkMeter,
+) -> Result<Vec<AveragedOutcome>, StopReason>
+where
+    M: TwoCascadeModel + Sync,
+{
+    meter.charge_sims((config.runs as u64).saturating_mul(seeds.len() as u64))?;
+    // The lanes score sets that share their rumors.
+    let shared_rumors = (seeds.first().map(SeedSets::rumors))
+        .filter(|&rumors| seeds.iter().all(|s| s.rumors() == rumors));
+    let lanes = model.as_opoao().zip(shared_rumors);
+    let (runs, workers) = (config.runs, config.workers());
+    let polls = meter.polls_needed();
+    let shared: &WorkMeter = meter;
+    let work = |t: usize| {
         // xtask-allow: hotreach -- one accumulator per set per worker per batch, outside the per-run loop
         let mut accs: Vec<SeriesAccumulator> = seeds.iter().map(|_| Default::default()).collect();
-        let mut lanes = LaneWorkspace::traced();
+        // Both workspaces grow on first use, so an arm allocates only its own.
+        let (mut ws, mut lane_ws) = (SimWorkspace::new(), LaneWorkspace::traced());
         // xtask-allow: hotreach -- one trace buffer per worker per batch, refilled by every run
         let mut trace = Vec::new();
         for run in (t..runs).step_by(workers) {
+            if polls && shared.poll().is_err() {
+                // The stop is re-observed (and reported) by the
+                // coordinator's poll below; both stop conditions are
+                // monotone.
+                break;
+            }
+            let Some((opoao, rumors)) = lanes else {
+                for (set, acc) in seeds.iter().zip(&mut accs) {
+                    model.run_into(graph, set, &mut ws, &mut run_rng(config.base_seed, run));
+                    acc.add_trace(ws.trace());
+                }
+                continue;
+            };
             let realization = OpoaoRealization::draw(&mut run_rng(config.base_seed, run));
             for (sets, accs) in seeds.chunks(OPOAO_LANES).zip(accs.chunks_mut(OPOAO_LANES)) {
-                model
+                opoao
                     .run_lanes_into(
                         graph,
                         rumors,
                         sets.iter().map(SeedSets::protectors),
-                        &mut lanes,
+                        &mut lane_ws,
                         &realization,
                     )
                     // xtask-allow: panic -- seed sets are validated at construction and chunks never exceed the lane count
                     .expect("validated seed sets fit the lanes");
                 for (lane, acc) in accs.iter_mut().enumerate() {
-                    lanes.trace_into(lane, &mut trace);
+                    lane_ws.trace_into(lane, &mut trace);
                     acc.add_trace(&trace);
                 }
             }
         }
         accs
+    };
+    // Worker 0 runs on the calling thread, the others on scoped threads.
+    let mut per_worker: Vec<Vec<SeriesAccumulator>> = std::thread::scope(|scope| {
+        let work = &work;
+        // xtask-allow: hotreach -- one join handle per extra worker per batch, outside the per-run loop
+        let others: Vec<_> = (1..workers).map(|t| scope.spawn(move || work(t))).collect();
+        let first = work(0);
+        let joined = others.into_iter().map(|h| {
+            // xtask-allow: panic -- re-raising a worker panic on the coordinating thread is the intended behavior
+            h.join().expect("monte carlo worker panicked")
+        });
+        // xtask-allow: hotreach -- one result per worker per batch, gathered once for the merge
+        std::iter::once(first).chain(joined).collect()
     });
-    (0..seeds.len())
+    meter.poll()?;
+    Ok((0..seeds.len())
         .map(|set| {
-            let accs = per_worker
+            let accs: Vec<_> = per_worker
                 .iter_mut()
-                .map(|accs| std::mem::take(&mut accs[set]));
-            // xtask-allow: hotreach -- each set's worker accumulators, gathered once for the merge
-            average_workers(accs.collect())
+                .map(|accs| std::mem::take(&mut accs[set]))
+                // xtask-allow: hotreach -- each set's worker accumulators, gathered once for the merge
+                .collect();
+            // Run `r` is entry `r / w` of worker `r % w`.
+            let finals = (0..runs)
+                .map(|r| accs[r % workers].finals[r / workers])
+                // xtask-allow: hotreach -- one per-run sample per set per batch, built once after the runs
+                .collect();
+            accs.into_iter()
+                .reduce(SeriesAccumulator::merge)
+                .unwrap_or_default()
+                .into_average(finals)
         })
         // xtask-allow: hotreach -- one average per set, gathered once per batch
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -458,6 +401,27 @@ mod tests {
     use crate::testutil::{fresh_run, seeds};
     use crate::{DoamModel, OpoaoModel, TwoCascadeModel};
     use lcrb_graph::{generators, DiGraph};
+    use rand::Rng;
+
+    /// OPOAO through the scalar kernel alone: `as_opoao` stays `None`,
+    /// so the loop runs it set by set — the reference for the lanes.
+    struct ScalarOpoao(OpoaoModel);
+
+    impl TwoCascadeModel for ScalarOpoao {
+        fn run_into<R: Rng + ?Sized>(
+            &self,
+            graph: &CsrGraph,
+            seeds: &SeedSets,
+            ws: &mut SimWorkspace,
+            rng: &mut R,
+        ) {
+            self.0.run_into(graph, seeds, ws, rng);
+        }
+
+        fn name(&self) -> &'static str {
+            "scalar-opoao"
+        }
+    }
 
     #[test]
     fn deterministic_model_average_equals_single_run() {
@@ -587,7 +551,7 @@ mod tests {
             let sets = &sets[..count];
             let packed = monte_carlo_sets(&model, &csr, sets, &cfg);
             for (set, avg) in sets.iter().zip(&packed) {
-                assert_eq!(*avg, monte_carlo_csr(&model, &csr, set, &cfg));
+                assert_eq!(*avg, monte_carlo_csr(&ScalarOpoao(model), &csr, set, &cfg));
                 // Run r is the realization drawn from run r's stream.
                 for (r, &fin) in avg.final_infected_by_run.iter().enumerate() {
                     let real = OpoaoRealization::draw(&mut run_rng(8, r));
@@ -720,16 +684,18 @@ mod tests {
             base_seed: 7,
             threads: 3,
         };
-        let plain = monte_carlo_csr(&OpoaoModel::new(8), &csr, &s, &cfg);
+        let sets = [s.clone(), s];
+        let plain = monte_carlo_sets(&OpoaoModel::new(8), &csr, &sets, &cfg);
         for budget in [
             RunBudget::unlimited(),
-            RunBudget::unlimited().with_max_sims(16),
+            RunBudget::unlimited().with_max_sims(32),
         ] {
             let mut meter = WorkMeter::new(budget, Some(CancelToken::new()), None);
-            let metered = monte_carlo_csr_budgeted(&OpoaoModel::new(8), &csr, &s, &cfg, &mut meter)
-                .expect("batch fits");
+            let metered =
+                monte_carlo_sets_budgeted(&OpoaoModel::new(8), &csr, &sets, &cfg, &mut meter)
+                    .expect("batch fits");
             assert_eq!(plain, metered);
-            assert_eq!(meter.spent().0, 16);
+            assert_eq!(meter.spent().0, 32, "runs × sets");
         }
     }
 
@@ -743,9 +709,10 @@ mod tests {
             base_seed: 1,
             threads: 1,
         };
-        let mut meter = WorkMeter::new(RunBudget::unlimited().with_max_sims(7), None, None);
+        let (sets, model) = ([s.clone(), s], OpoaoModel::default());
+        let mut meter = WorkMeter::new(RunBudget::unlimited().with_max_sims(15), None, None);
         assert_eq!(
-            monte_carlo_csr_budgeted(&OpoaoModel::default(), &csr, &s, &cfg, &mut meter),
+            monte_carlo_sets_budgeted(&model, &csr, &sets, &cfg, &mut meter),
             Err(StopReason::SimBudget)
         );
         assert_eq!(meter.spent().0, 0, "rejected batch must not charge");
@@ -765,8 +732,9 @@ mod tests {
                 threads,
             };
             let mut meter = WorkMeter::new(RunBudget::unlimited(), Some(token.clone()), None);
+            let sets = [s.clone()];
             assert_eq!(
-                monte_carlo_csr_budgeted(&OpoaoModel::default(), &csr, &s, &cfg, &mut meter),
+                monte_carlo_sets_budgeted(&OpoaoModel::default(), &csr, &sets, &cfg, &mut meter),
                 Err(StopReason::Cancelled)
             );
         }

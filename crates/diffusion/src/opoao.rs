@@ -55,8 +55,8 @@ impl OpoaoModel {
     /// outcomes, and calls with different protector sets share all
     /// rumor-side randomness. This is the inner loop of the greedy
     /// objective, which evaluates thousands of protector sets against
-    /// the same realizations, and of every OPOAO Monte-Carlo run
-    /// through [`TwoCascadeModel::run_into`].
+    /// the same realizations, of [`TwoCascadeModel::run_into`], and
+    /// the scalar reference for the lane kernel.
     ///
     /// # Panics
     ///
@@ -256,7 +256,7 @@ fn for_each_lane(mut mask: u64, mut f: impl FnMut(usize)) {
 /// After a run, [`LaneWorkspace::infected`] and
 /// [`LaneWorkspace::protected`] give each node's final status in every
 /// lane as a bit mask. A workspace made by [`LaneWorkspace::traced`]
-/// also keeps each lane's hop trace, which the Monte-Carlo evaluation
+/// also keeps each lane's hop trace, which the Monte-Carlo loop
 /// averages; the greedy's sweep reads final statuses only and skips
 /// the counting.
 #[derive(Clone, Debug, Default)]

@@ -65,7 +65,7 @@ pub const KERNELS: [&str; 11] = [
     "monte_carlo_sets",
     "rr_sketch_into",
     "rr_sketch_batch_into",
-    "monte_carlo_csr_budgeted",
+    "monte_carlo_sets_budgeted",
 ];
 
 /// Types whose presence in a `static` item's type makes it shared

@@ -614,11 +614,11 @@ fn cancelpoint_accepts_an_internally_metered_kernel() {
 pub fn drain(n: u32, meter: &mut WorkMeter) -> u32 {
     let mut acc = 0;
     while acc < n {
-        acc += monte_carlo_csr_budgeted(acc, meter);
+        acc += monte_carlo_sets_budgeted(acc, meter);
     }
     acc
 }
-fn monte_carlo_csr_budgeted(x: u32, meter: &mut WorkMeter) -> u32 {
+fn monte_carlo_sets_budgeted(x: u32, meter: &mut WorkMeter) -> u32 {
     meter.charge_sims(1);
     x + 1
 }
@@ -640,9 +640,9 @@ pub fn drain(n: u32) -> u32 {
     acc
 }
 fn estimate(x: u32) -> u32 {
-    monte_carlo_csr_budgeted(x, &mut WorkMeter::unlimited())
+    monte_carlo_sets_budgeted(x, &mut WorkMeter::unlimited())
 }
-fn monte_carlo_csr_budgeted(x: u32, meter: &mut WorkMeter) -> u32 {
+fn monte_carlo_sets_budgeted(x: u32, meter: &mut WorkMeter) -> u32 {
     meter.charge_sims(1);
     x + 1
 }
