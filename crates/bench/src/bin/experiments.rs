@@ -21,8 +21,8 @@ use std::process::ExitCode;
 use lcrb::evaluate::HopSeriesReport;
 use lcrb::{CandidatePool, Estimator, SketchParams};
 use lcrb_bench::harness::{
-    figure_spec, run_doam_figure, run_opoao_figure, run_source_detection, run_table_one,
-    FigureResult, HarnessConfig, FIGURES,
+    self, figure_spec, run_source_detection, run_table_one, FigureModel, FigureResult,
+    HarnessConfig, FIGURES,
 };
 use lcrb_bench::report::{write_report, TextTable};
 
@@ -232,26 +232,18 @@ fn print_figure(result: &FigureResult, out_dir: &str) {
 
 fn run_figure(id: &str, opts: &CliOptions) -> Result<(), String> {
     let spec = figure_spec(id).ok_or_else(|| format!("unknown figure {id}"))?;
-    let is_opoao = matches!(id, "fig4" | "fig5" | "fig6");
-    let cfg = harness_config(opts, if is_opoao { 0.2 } else { 1.0 });
-    if is_opoao {
-        let estimator = match cfg.estimator {
-            Estimator::MonteCarlo => "mc",
-            Estimator::Sketch(_) => "sketch",
-        };
-        eprintln!(
-            "running {id} at scale {} (OPOAO mode, {estimator} estimator)...",
-            cfg.scale
-        );
-    } else {
-        eprintln!("running {id} at scale {} (DOAM mode)...", cfg.scale);
-    }
-    let result = if is_opoao {
-        run_opoao_figure(&spec, &cfg)
-    } else {
-        run_doam_figure(&spec, &cfg)
+    let default_scale = match spec.model {
+        FigureModel::Opoao => 0.2,
+        FigureModel::Doam => 1.0,
     };
-    print_figure(&result, &opts.out);
+    let cfg = harness_config(opts, default_scale);
+    let mode = match (spec.model, cfg.estimator) {
+        (FigureModel::Opoao, Estimator::MonteCarlo) => "OPOAO mode, mc estimator",
+        (FigureModel::Opoao, Estimator::Sketch(_)) => "OPOAO mode, sketch estimator",
+        (FigureModel::Doam, _) => "DOAM mode",
+    };
+    eprintln!("running {id} at scale {} ({mode})...", cfg.scale);
+    print_figure(&harness::run_figure(&spec, &cfg), &opts.out);
     Ok(())
 }
 

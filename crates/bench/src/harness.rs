@@ -90,6 +90,16 @@ impl DatasetKind {
     }
 }
 
+/// The diffusion model a figure runs under, which also picks the
+/// selection it compares with the heuristics.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FigureModel {
+    /// OPOAO (Figs 4–6): the LCRB-P greedy at the rumor budget.
+    Opoao,
+    /// DOAM (Figs 7–9): SCBG, whose size is everyone's budget.
+    Doam,
+}
+
 /// One figure of the paper, as a harness specification.
 #[derive(Clone, Copy, Debug)]
 pub struct FigureSpec {
@@ -99,6 +109,8 @@ pub struct FigureSpec {
     pub title: &'static str,
     /// Dataset / community.
     pub dataset: DatasetKind,
+    /// Diffusion model and selection.
+    pub model: FigureModel,
 }
 
 /// The six figures of the paper's evaluation.
@@ -107,31 +119,37 @@ pub const FIGURES: [FigureSpec; 6] = [
         id: "fig4",
         title: "Infected nodes under OPOAO, Hep |C|~308",
         dataset: DatasetKind::Hep,
+        model: FigureModel::Opoao,
     },
     FigureSpec {
         id: "fig5",
         title: "Infected nodes under OPOAO, Enron |C|~80",
         dataset: DatasetKind::EnronSmall,
+        model: FigureModel::Opoao,
     },
     FigureSpec {
         id: "fig6",
         title: "Infected nodes under OPOAO, Enron |C|~2631",
         dataset: DatasetKind::EnronLarge,
+        model: FigureModel::Opoao,
     },
     FigureSpec {
         id: "fig7",
         title: "Infected nodes under DOAM, Hep |C|~308",
         dataset: DatasetKind::Hep,
+        model: FigureModel::Doam,
     },
     FigureSpec {
         id: "fig8",
         title: "Infected nodes under DOAM, Enron |C|~80",
         dataset: DatasetKind::EnronSmall,
+        model: FigureModel::Doam,
     },
     FigureSpec {
         id: "fig9",
         title: "Infected nodes under DOAM, Enron |C|~2631",
         dataset: DatasetKind::EnronLarge,
+        model: FigureModel::Doam,
     },
 ];
 
@@ -231,18 +249,27 @@ fn instance_for(
     .expect("pinned communities are non-empty")
 }
 
-/// Regenerates one OPOAO figure (Figs 4–6): equal protector and rumor
-/// budgets, greedy vs Proximity vs MaxDegree vs NoBlocking, mean
-/// infected count per hop over `mc_runs` simulations.
+/// Regenerates one figure, one sub-experiment per rumor fraction.
+/// Each draws an instance, selects with the figure's algorithm, gives
+/// Proximity, MaxDegree and NoBlocking the same budget, and scores
+/// all four on common runs:
+///
+/// - OPOAO (Figs 4–6): the greedy, with protector and rumor budgets
+///   equal; mean infected count per hop over `mc_runs` simulations.
+/// - DOAM (Figs 7–9): SCBG, whose solution size fixes the budget; the
+///   heuristics draw that many nodes from their own candidate pools
+///   (§VI-B2: "we compute their solutions first, then randomly choose
+///   the protectors with the predetermined size"); one deterministic
+///   run.
 #[must_use]
-pub fn run_opoao_figure(spec: &FigureSpec, cfg: &HarnessConfig) -> FigureResult {
+pub fn run_figure(spec: &FigureSpec, cfg: &HarnessConfig) -> FigureResult {
     let (ds, community) = spec.dataset.build(cfg.scale, cfg.seed, cfg.heterogeneous);
     let community_size = ds.planted.community_sizes()[community];
     let mut subs = Vec::new();
     for (i, &fraction) in spec.dataset.paper_fractions().iter().enumerate() {
         let inst = instance_for(&ds, community, fraction, cfg.seed ^ (i as u64) << 8);
-        let budget = inst.rumor_seeds().len();
-        // One solver session per drawn instance: the greedy and the
+        let rumor_count = inst.rumor_seeds().len();
+        // One solver session per drawn instance: the selection and the
         // baselines share its cached bridge ends and orderings.
         let solver = Solver::with_config(
             inst,
@@ -250,19 +277,28 @@ pub fn run_opoao_figure(spec: &FigureSpec, cfg: &HarnessConfig) -> FigureResult 
                 master_seed: cfg.seed,
             },
         );
-        let greedy_report = solver
-            .solve(&SolveRequest {
+        let request = match spec.model {
+            FigureModel::Opoao => SolveRequest {
                 realizations: cfg.realizations,
                 candidates: cfg.greedy_pool,
                 estimator: cfg.estimator,
-                ..SolveRequest::greedy_budget(budget)
-            })
-            .expect("budget-mode greedy cannot fail on a valid instance");
-        let SolveDetail::Greedy(greedy) = &greedy_report.detail else {
-            unreachable!("a greedy request carries a greedy detail")
+                ..SolveRequest::greedy_budget(rumor_count)
+            },
+            FigureModel::Doam => SolveRequest::scbg(),
         };
-        let bridge_ends = greedy.bridge_ends.len();
-        let mut sets = vec![("greedy".to_owned(), greedy_report.protectors.clone())];
+        let selected = solver
+            .solve(&request)
+            .expect("budget-mode greedy and SCBG cannot fail on a valid instance");
+        let bridge_ends = match &selected.detail {
+            SolveDetail::Greedy(greedy) => greedy.bridge_ends.len(),
+            SolveDetail::Scbg(sol) => sol.bridge_ends.len(),
+            _ => unreachable!("a greedy or SCBG request carries its own detail"),
+        };
+        let budget = match spec.model {
+            FigureModel::Opoao => rumor_count,
+            FigureModel::Doam => selected.protectors.len(),
+        };
+        let mut sets = vec![(selected.algorithm, selected.protectors)];
         // The baselines batch through `solve_many`: results come back
         // in request order, so the figure's strategy order holds.
         let baselines = [
@@ -275,83 +311,28 @@ pub fn run_opoao_figure(spec: &FigureSpec, cfg: &HarnessConfig) -> FigureResult 
             let run = run.expect("budgeted heuristics cannot fail on a valid instance");
             sets.push((run.algorithm, run.protectors));
         }
-        let report = evaluate_protector_sets(
-            solver.instance(),
-            &OpoaoModel::default(),
-            &sets,
-            &MonteCarloConfig {
-                runs: cfg.mc_runs,
-                base_seed: cfg.seed,
-                threads: 0,
-            },
-        )
-        .expect("selector outputs are valid protector sets");
-        subs.push(SubExperiment {
-            fraction,
-            rumor_count: budget,
-            budget,
-            bridge_ends,
-            report,
-        });
-    }
-    FigureResult {
-        id: spec.id,
-        title: spec.title,
-        dataset_summary: ds.summary().to_string(),
-        community_size,
-        subs,
-    }
-}
-
-/// Regenerates one DOAM figure (Figs 7–9): the protector budget is
-/// fixed to SCBG's solution size; the heuristics draw that many nodes
-/// from their own candidate pools (§VI-B2: "we compute their
-/// solutions first, then randomly choose the protectors with the
-/// predetermined size").
-#[must_use]
-pub fn run_doam_figure(spec: &FigureSpec, cfg: &HarnessConfig) -> FigureResult {
-    let (ds, community) = spec.dataset.build(cfg.scale, cfg.seed, cfg.heterogeneous);
-    let community_size = ds.planted.community_sizes()[community];
-    let mut subs = Vec::new();
-    for (i, &fraction) in spec.dataset.paper_fractions().iter().enumerate() {
-        let inst = instance_for(&ds, community, fraction, cfg.seed ^ (i as u64) << 8);
-        let rumor_count = inst.rumor_seeds().len();
-        let solver = Solver::with_config(
-            inst,
-            SolverConfig {
-                master_seed: cfg.seed,
-            },
-        );
-        let scbg_report = solver
-            .solve(&SolveRequest::scbg())
-            .expect("SCBG requests cannot fail on a valid instance");
-        let SolveDetail::Scbg(sol) = &scbg_report.detail else {
-            unreachable!("an SCBG request carries an SCBG detail")
-        };
-        let budget = scbg_report.protectors.len();
-        let bridge_ends = sol.bridge_ends.len();
-        let mut sets = vec![("scbg".to_owned(), scbg_report.protectors.clone())];
-        // Baselines batch through `solve_many`, preserving order.
-        let baselines = [
-            Algorithm::Proximity,
-            Algorithm::MaxDegree,
-            Algorithm::NoBlocking,
-        ]
-        .map(|algorithm| SolveRequest::heuristic(algorithm, budget));
-        for run in solver.solve_many(&baselines) {
-            let run = run.expect("budgeted heuristics cannot fail on a valid instance");
-            sets.push((run.algorithm, run.protectors));
+        let report = match spec.model {
+            FigureModel::Opoao => evaluate_protector_sets(
+                solver.instance(),
+                &OpoaoModel::default(),
+                &sets,
+                &MonteCarloConfig {
+                    runs: cfg.mc_runs,
+                    base_seed: cfg.seed,
+                    threads: 0,
+                },
+            ),
+            FigureModel::Doam => evaluate_protector_sets(
+                solver.instance(),
+                &DoamModel::default(),
+                &sets,
+                &MonteCarloConfig {
+                    runs: 1,
+                    base_seed: cfg.seed,
+                    threads: 1,
+                },
+            ),
         }
-        let report = evaluate_protector_sets(
-            solver.instance(),
-            &DoamModel::default(),
-            &sets,
-            &MonteCarloConfig {
-                runs: 1,
-                base_seed: cfg.seed,
-                threads: 1,
-            },
-        )
         .expect("selector outputs are valid protector sets");
         subs.push(SubExperiment {
             fraction,
@@ -574,7 +555,7 @@ mod tests {
             assert!(row.scbg <= row.proximity + 1e-9);
         }
         let spec = figure_spec("fig8").unwrap();
-        let result = run_doam_figure(&spec, &cfg);
+        let result = run_figure(&spec, &cfg);
         assert_eq!(result.subs.len(), 3);
     }
 
@@ -614,7 +595,7 @@ mod tests {
             ..quick_cfg()
         };
         let spec = figure_spec("fig5").unwrap();
-        let result = run_opoao_figure(&spec, &cfg);
+        let result = run_figure(&spec, &cfg);
         assert_eq!(result.subs.len(), 3);
         for sub in &result.subs {
             // The sketch-selected greedy still beats doing nothing.
@@ -635,7 +616,7 @@ mod tests {
     #[test]
     fn opoao_figure_produces_all_strategies_and_fractions() {
         let spec = figure_spec("fig5").unwrap();
-        let result = run_opoao_figure(&spec, &quick_cfg());
+        let result = run_figure(&spec, &quick_cfg());
         assert_eq!(result.subs.len(), 3);
         for sub in &result.subs {
             assert_eq!(sub.report.runs.len(), 4);
@@ -654,7 +635,7 @@ mod tests {
     #[test]
     fn doam_figure_uses_scbg_budget() {
         let spec = figure_spec("fig8").unwrap();
-        let result = run_doam_figure(&spec, &quick_cfg());
+        let result = run_figure(&spec, &quick_cfg());
         for sub in &result.subs {
             assert_eq!(sub.report.runs[0].name, "scbg");
             assert_eq!(sub.report.runs[0].protectors.len(), sub.budget);

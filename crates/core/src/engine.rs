@@ -53,7 +53,7 @@
 //! Determinism survives concurrency because every randomness stream
 //! is derived from `(master seed, request content)` via
 //! [`lcrb_diffusion::derive_stream`] — never from worker identity or
-//! arrival order — and because a CELF trajectory is leased to exactly
+//! arrival order — and because a CELF trajectory is claimed by exactly
 //! one solve at a time: same-key requests serialize on the trajectory
 //! and each resumes a bitwise-identical prefix.
 //!
@@ -715,10 +715,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A one-shot broadcast latch: waiters block until the first
 /// [`Gate::open`].
 ///
-/// This is the wakeup primitive behind every "single builder, many
-/// waiters" protocol in the engine ([`FamilyCache`] build markers and
-/// the CELF trajectory leases). It is `pub` so the schedule-exploration
-/// tests (`tests/concurrency_model.rs`) can model-check the primitive
+/// This is the wakeup primitive behind the engine's "single builder,
+/// many waiters" protocol (the [`FamilyCache`] claim markers). It is
+/// `pub` so the schedule-exploration tests
+/// (`tests/concurrency_model.rs`) can model-check the primitive
 /// itself; production code has no reason to construct one.
 #[derive(Debug, Default)]
 pub struct Gate {
@@ -773,8 +773,9 @@ impl FamilyCounters {
     }
 }
 
-/// One slot of a [`FamilyCache`]: either a finished artifact or a
-/// marker that some thread is building it (waiters park on the gate).
+/// One slot of a [`FamilyCache`]: a value at rest, or the marker of
+/// the one caller that holds the key (building its artifact, or
+/// advancing a value it took out); waiters park on the gate.
 #[derive(Debug)]
 enum Slot<V> {
     Building(Arc<Gate>),
@@ -785,6 +786,10 @@ enum Slot<V> {
 /// single-builder/waiters discipline: concurrent same-key lookups
 /// build the artifact exactly once, everyone else blocks on the
 /// builder's gate and then clones the shared result.
+///
+/// Resumable state that must never be cloned and diverged (the CELF
+/// trajectories) lives in the same slots: the engine's `take` hands
+/// the value to one caller at a time, and `peek` reads it in place.
 ///
 /// The family mutex is held only for map bookkeeping — never across a
 /// build, a wait, or any simulation call.
@@ -809,27 +814,31 @@ impl<K, V> Default for FamilyCache<K, V> {
     }
 }
 
-/// Removes the `Building` marker a failed builder left behind and
-/// wakes its waiters, so they retry the build instead of deadlocking;
-/// `finish` disarms the removal once the `Ready` value is in place
-/// (the gate still opens on drop).
+/// One caller's claim on a key, whose `Building` marker it put in the
+/// map. [`BuildGuard::store`] publishes the value as `Ready`; dropped
+/// without a store (a failed or panicked build, an interrupted
+/// advance) the guard removes its own marker, so the next caller
+/// starts cold instead of deadlocking or inheriting a half-built
+/// value. Either way the gate opens and the waiters probe again.
 struct BuildGuard<'a, K: Copy + Ord, V> {
     cache: &'a FamilyCache<K, V>,
     key: K,
+    epoch: u64,
     gate: Arc<Gate>,
-    armed: bool,
+    stored: bool,
 }
 
 impl<K: Copy + Ord, V> BuildGuard<'_, K, V> {
-    fn finish(mut self) {
-        self.armed = false;
-        // Drop still opens the gate for the waiters.
+    fn store(mut self, value: V) {
+        lock(&self.cache.map).insert(self.key, (self.epoch, Slot::Ready(value)));
+        self.stored = true;
+        // Drop opens the gate for the waiters.
     }
 }
 
 impl<K: Copy + Ord, V> Drop for BuildGuard<'_, K, V> {
     fn drop(&mut self) {
-        if self.armed {
+        if !self.stored {
             let mut map = lock(&self.cache.map);
             // Only remove *our* marker: a concurrent epoch change may
             // have replaced the slot already.
@@ -841,11 +850,6 @@ impl<K: Copy + Ord, V> Drop for BuildGuard<'_, K, V> {
         }
         self.gate.open();
     }
-}
-
-enum Probe {
-    Wait(Arc<Gate>),
-    Build,
 }
 
 impl<K: Copy + Ord, V: Clone> FamilyCache<K, V> {
@@ -865,49 +869,27 @@ impl<K: Copy + Ord, V: Clone> FamilyCache<K, V> {
         epoch: u64,
         build: impl FnOnce() -> Result<V, E>,
     ) -> Result<V, E> {
-        loop {
-            let mut map = lock(&self.map);
-            let probe = match map.get(&key) {
-                Some(&(e, Slot::Ready(ref v))) if e == epoch => {
-                    self.counters.hit();
-                    return Ok(v.clone());
-                }
-                Some(&(e, Slot::Building(ref g))) if e == epoch => Probe::Wait(Arc::clone(g)),
-                // Vacant, or stamped with a stale epoch (including a
-                // stale Building marker): claim the slot and rebuild.
-                Some(_) | None => Probe::Build,
-            };
-            match probe {
-                Probe::Wait(gate) => {
-                    drop(map);
-                    gate.wait();
-                    // Re-probe: the builder either parked a Ready
-                    // value or failed and vacated the slot.
-                }
-                Probe::Build => {
-                    let gate = Arc::new(Gate::default());
-                    map.insert(key, (epoch, Slot::Building(Arc::clone(&gate))));
-                    drop(map);
-                    self.counters.miss();
-                    let guard = BuildGuard {
-                        cache: self,
-                        key,
-                        gate,
-                        armed: true,
-                    };
-                    // Injectable failure between claiming the slot and
-                    // running the builder: the guard must vacate the
-                    // marker and open the gate during unwind.
-                    lcrb_sync::fault::point("family.build");
-                    // The build runs outside every lock; on error the
-                    // guard vacates the slot and frees the waiters.
-                    let value = build()?;
-                    lock(&self.map).insert(key, (epoch, Slot::Ready(value.clone())));
-                    guard.finish();
-                    return Ok(value);
-                }
+        let mut map = self.lock_unclaimed(key, epoch);
+        if let Some((e, Slot::Ready(v))) = map.get(&key) {
+            if *e == epoch {
+                self.counters.hit();
+                return Ok(v.clone());
             }
         }
+        // Vacant, or stamped with a stale epoch (including a stale
+        // Building marker): claim the slot and rebuild.
+        let guard = self.claim(&mut map, key, epoch);
+        drop(map);
+        self.counters.miss();
+        // Injectable failure between claiming the slot and running
+        // the builder: the guard must vacate the marker and open the
+        // gate during unwind.
+        lcrb_sync::fault::point("family.build");
+        // The build runs outside every lock; on error the guard
+        // vacates the slot and frees the waiters.
+        let value = build()?;
+        guard.store(value.clone());
+        Ok(value)
     }
 
     /// [`FamilyCache::get_or_try_build`] for infallible builders.
@@ -915,6 +897,80 @@ impl<K: Copy + Ord, V: Clone> FamilyCache<K, V> {
         match self.get_or_try_build(key, epoch, || Ok::<_, std::convert::Infallible>(build())) {
             Ok(v) => v,
             Err(never) => match never {},
+        }
+    }
+}
+
+impl<K: Copy + Ord, V> FamilyCache<K, V> {
+    /// Claims `key` for one caller, once no other same-epoch claim
+    /// holds it, and hands it the current-epoch value, taken out of
+    /// the map (a hit), or `None` on a vacant or stale key (a miss).
+    /// The guard must [`BuildGuard::store`] the advanced value;
+    /// dropped, it vacates the key, so the next caller starts cold
+    /// rather than resume a half-advanced value.
+    fn take(&self, key: K, epoch: u64) -> (Option<V>, BuildGuard<'_, K, V>) {
+        let mut map = self.lock_unclaimed(key, epoch);
+        let value = match map.remove(&key) {
+            Some((e, Slot::Ready(v))) if e == epoch => Some(v),
+            _ => None,
+        };
+        if value.is_some() {
+            self.counters.hit();
+        } else {
+            self.counters.miss();
+        }
+        (value, self.claim(&mut map, key, epoch))
+    }
+
+    /// Answers from the current-epoch value for `key` in place, under
+    /// the map lock and without a claim; `answer` returns `None` when
+    /// the value cannot answer (a trajectory that would have to
+    /// advance). Counts a hit only when it answers.
+    fn peek<T>(&self, key: K, epoch: u64, answer: impl FnOnce(&V) -> Option<T>) -> Option<T> {
+        let map = lock(&self.map);
+        let out = match map.get(&key) {
+            Some((e, Slot::Ready(v))) if *e == epoch => answer(v),
+            _ => None,
+        };
+        if out.is_some() {
+            self.counters.hit();
+        }
+        out
+    }
+
+    /// Locks the map once no same-epoch claim holds `key`, waiting
+    /// such a claim out with the map guard dropped. A stale-epoch
+    /// marker is not waited on but reclaimed: the epoch moves only
+    /// under `&mut Solver`, which clears every map while no solve is
+    /// in flight, so its holder can no longer be running.
+    fn lock_unclaimed(&self, key: K, epoch: u64) -> MutexGuard<'_, BTreeMap<K, (u64, Slot<V>)>> {
+        loop {
+            let map = lock(&self.map);
+            let gate = match map.get(&key) {
+                Some((e, Slot::Building(g))) if *e == epoch => Arc::clone(g),
+                _ => return map,
+            };
+            drop(map);
+            gate.wait();
+        }
+    }
+
+    /// Puts the caller's `Building` marker for `key` into the locked
+    /// map and returns the guard that publishes or vacates it.
+    fn claim(
+        &self,
+        map: &mut BTreeMap<K, (u64, Slot<V>)>,
+        key: K,
+        epoch: u64,
+    ) -> BuildGuard<'_, K, V> {
+        let gate = Arc::new(Gate::default());
+        map.insert(key, (epoch, Slot::Building(Arc::clone(&gate))));
+        BuildGuard {
+            cache: self,
+            key,
+            epoch,
+            gate,
+            stored: false,
         }
     }
 
@@ -927,137 +983,6 @@ impl<K: Copy + Ord, V: Clone> FamilyCache<K, V> {
     #[must_use]
     pub fn counter_snapshot(&self) -> CacheCounters {
         self.counters.snapshot()
-    }
-}
-
-/// One slot of the [`CelfCache`]: a trajectory is either leased to
-/// exactly one in-flight solve (`InUse`) or parked between solves
-/// (`Parked`, stamped with its build epoch).
-#[derive(Debug)]
-enum CelfSlot {
-    InUse(Arc<Gate>),
-    Parked(u64, GreedyTrajectory),
-}
-
-/// The CELF trajectory store. Unlike [`FamilyCache`] values,
-/// trajectories are mutable resumable state that must never be
-/// cloned-and-diverged: `take` hands the trajectory (if any) to
-/// exactly one solve and marks the key `InUse`; concurrent same-key
-/// requests block until the lease returns it, then resume the
-/// extended heap — preserving the prefix-resume semantics and the
-/// "build once" guarantee under contention.
-#[derive(Debug, Default)]
-struct CelfCache {
-    map: Mutex<BTreeMap<CelfKey, CelfSlot>>,
-    counters: FamilyCounters,
-}
-
-impl CelfCache {
-    /// Answers a solve from the parked current-epoch trajectory without
-    /// claiming the slot, when `answer` finds the trajectory already
-    /// holds the result (it returns `None` when the trajectory would
-    /// have to advance). Counts a hit only when it answers.
-    fn peek<T>(
-        &self,
-        key: CelfKey,
-        epoch: u64,
-        answer: impl FnOnce(&GreedyTrajectory) -> Option<T>,
-    ) -> Option<T> {
-        let map = lock(&self.map);
-        let Some(CelfSlot::Parked(e, traj)) = map.get(&key) else {
-            return None;
-        };
-        if *e != epoch {
-            return None;
-        }
-        let out = answer(traj)?;
-        self.counters.hit();
-        Some(out)
-    }
-
-    /// Claims `key` for one solve: returns the parked trajectory on a
-    /// current-epoch hit (`None` on a cold or stale key) plus the
-    /// lease that must either [`CelfLease::store`] the advanced
-    /// trajectory or, on drop, vacate the slot so the next request
-    /// cold-builds instead of inheriting a poisoned prefix.
-    fn take(&self, key: CelfKey, epoch: u64) -> (Option<GreedyTrajectory>, CelfLease<'_>) {
-        loop {
-            let mut map = lock(&self.map);
-            let wait_gate = match map.get(&key) {
-                Some(CelfSlot::InUse(g)) => Some(Arc::clone(g)),
-                _ => None,
-            };
-            if let Some(gate) = wait_gate {
-                drop(map);
-                gate.wait();
-                continue;
-            }
-            let cached = match map.remove(&key) {
-                Some(CelfSlot::Parked(e, traj)) if e == epoch => {
-                    self.counters.hit();
-                    Some(traj)
-                }
-                // Vacant or epoch-stale: drop the stale trajectory
-                // (if any) and cold-build.
-                _ => {
-                    self.counters.miss();
-                    None
-                }
-            };
-            let gate = Arc::new(Gate::default());
-            map.insert(key, CelfSlot::InUse(Arc::clone(&gate)));
-            return (
-                cached,
-                CelfLease {
-                    cache: self,
-                    key,
-                    epoch,
-                    gate,
-                    stored: false,
-                },
-            );
-        }
-    }
-
-    fn clear(&self) {
-        lock(&self.map).clear();
-    }
-}
-
-/// Exclusive claim on one CELF cache key while a solve advances its
-/// trajectory. Dropping without [`CelfLease::store`] (the error path)
-/// vacates the slot; either way the gate opens and same-key waiters
-/// proceed.
-struct CelfLease<'a> {
-    cache: &'a CelfCache,
-    key: CelfKey,
-    epoch: u64,
-    gate: Arc<Gate>,
-    stored: bool,
-}
-
-impl CelfLease<'_> {
-    /// Parks the advanced trajectory for the next same-key solve.
-    fn store(mut self, traj: GreedyTrajectory) {
-        lock(&self.cache.map).insert(self.key, CelfSlot::Parked(self.epoch, traj));
-        self.stored = true;
-        // Drop opens the gate.
-    }
-}
-
-impl Drop for CelfLease<'_> {
-    fn drop(&mut self) {
-        if !self.stored {
-            let mut map = lock(&self.cache.map);
-            // Only vacate *our* InUse marker (an epoch change may
-            // have cleared the map and a new lease claimed the key).
-            if let Some(CelfSlot::InUse(g)) = map.get(&self.key) {
-                if Arc::ptr_eq(g, &self.gate) {
-                    map.remove(&self.key);
-                }
-            }
-        }
-        self.gate.open();
     }
 }
 
@@ -1174,14 +1099,14 @@ struct GvsKey {
 }
 
 /// The solver's epoch-keyed artifact store: one internally
-/// synchronized [`FamilyCache`] per artifact family, plus the
-/// [`CelfCache`] lease protocol for resumable trajectories. Private
-/// to the engine; inspect it through [`Solver::cache_stats`].
+/// synchronized [`FamilyCache`] per artifact family, the resumable
+/// CELF trajectories included. Private to the engine; inspect it
+/// through [`Solver::cache_stats`].
 #[derive(Debug, Default)]
 struct ArtifactCache {
     bridge: FamilyCache<u8, Arc<BridgeEnds>>,
     sketch: FamilyCache<SketchKey, Arc<SketchIndex>>,
-    celf: CelfCache,
+    celf: FamilyCache<CelfKey, GreedyTrajectory>,
     scbg: FamilyCache<ScbgKey, ScbgSolution>,
     ordering: FamilyCache<OrderingKey, Arc<Vec<NodeId>>>,
     gvs: FamilyCache<GvsKey, GvsSelection>,
@@ -1559,7 +1484,7 @@ impl Solver {
     /// Outputs are bitwise identical to solving the same requests
     /// serially in any order: randomness streams derive from request
     /// content, and shared artifacts (CELF trajectories above all)
-    /// are built once and resumed under a single-builder lease.
+    /// are built once and resumed under a single-builder claim.
     ///
     /// # Examples
     ///
@@ -1831,7 +1756,7 @@ impl Solver {
             lazy: config.lazy,
         };
         // A trajectory parked with the answer already in it (a replay)
-        // is read in place: no lease, gate or scratch, so concurrent
+        // is read in place: no claim, gate or scratch, so concurrent
         // replays never wait on each other. A sketch-capped request
         // skips the cache entirely (below).
         let answered = if meter.limits_sketches() {
@@ -1887,8 +1812,8 @@ impl Solver {
         })
     }
 
-    /// The greedy solve's lease path: claims the CELF slot, advances
-    /// the trajectory to the stopping rule and parks it again.
+    /// The greedy solve's claim path: takes the CELF trajectory,
+    /// advances it to the stopping rule and stores it again.
     #[allow(clippy::too_many_arguments)]
     fn advance_greedy(
         &self,
@@ -1905,14 +1830,14 @@ impl Solver {
         // truncated) index, so its trajectory is not comparable to the
         // shared one: it must neither resume nor park it. Bypass the
         // CELF cache on both ends for those requests.
-        let (cached, lease) = if meter.limits_sketches() {
+        let (cached, claim) = if meter.limits_sketches() {
             (None, None)
         } else {
-            // The lease claims this key exclusively: concurrent
+            // The claim holds this key exclusively: concurrent
             // same-key solves wait here and then resume the
             // trajectory we store.
-            let (cached, lease) = self.cache.celf.take(celf_key, epoch);
-            (cached, Some(lease))
+            let (cached, claim) = self.cache.celf.take(celf_key, epoch);
+            (cached, Some(claim))
         };
         let mut traj = cached.unwrap_or_else(|| {
             GreedyTrajectory::new(candidate_pool_for(
@@ -1922,11 +1847,11 @@ impl Solver {
             ))
         });
         let evals_before = traj.evaluations();
-        // Injectable failure while the lease holds the trajectory: the
-        // lease drop must vacate the slot so the next same-key solve
+        // Injectable failure while the claim holds the trajectory: the
+        // guard's drop must vacate the slot so the next same-key solve
         // cold-builds instead of resuming a half-advanced prefix.
         lcrb_sync::fault::point("celf.advance");
-        // On error (σ̂ failure or an observed cancellation) the lease
+        // On error (σ̂ failure or an observed cancellation) the guard
         // drops without storing: the slot is vacated and the next
         // same-key solve cold-builds, never inheriting a partially
         // extended trajectory. Budget/deadline stops return
@@ -1945,8 +1870,8 @@ impl Solver {
         let evaluations = traj.evaluations() - evals_before;
         let selection = selection_from_trajectory(&traj, target, cap, evaluations, bridge.clone());
         let candidate_count = traj.candidate_count();
-        if let Some(lease) = lease {
-            lease.store(traj);
+        if let Some(claim) = claim {
+            claim.store(traj);
         }
         Ok((selection, candidate_count, advance_stop))
     }
@@ -2717,6 +2642,38 @@ mod tests {
         assert_eq!(stats.hits, 7);
     }
 
+    /// The CELF claim under every 2-thread schedule: a same-epoch
+    /// `take` waits out the other claim, so each advance resumes the
+    /// value the other stored and none is lost. CI runs this in the
+    /// schedule-exploration job next to `tests/concurrency_model.rs`.
+    #[test]
+    fn dfs_take_waits_out_a_same_epoch_claim() {
+        use lcrb_sync::sched::{self, Config};
+        let exploration = sched::explore_dfs(&Config::default(), || {
+            let cache: FamilyCache<u8, u64> = FamilyCache::default();
+            let advance = || {
+                let (value, claim) = cache.take(7, 0);
+                claim.store(value.map_or(1, |v| v + 1));
+            };
+            lcrb_sync::thread::scope(|scope| {
+                let handles = [scope.spawn(advance), scope.spawn(advance)];
+                for h in handles {
+                    h.join().expect("advance");
+                }
+            });
+            assert_eq!(
+                cache.peek(7, 0, |&v| Some(v)),
+                Some(2),
+                "an advance was lost"
+            );
+            let counters = cache.counter_snapshot();
+            assert_eq!((counters.hits, counters.misses), (2, 1));
+        })
+        .expect("a claim must hold its key under every schedule");
+        assert!(exploration.schedules > 1);
+        assert!(exploration.complete);
+    }
+
     #[test]
     fn solve_many_matches_serial_solves() {
         let inst = community_instance(37);
@@ -2782,7 +2739,7 @@ mod tests {
             assert_eq!(r.protectors, first.protectors);
         }
         // Exactly one cold build: the other five solves waited on the
-        // lease and resumed the parked trajectory.
+        // claim and resumed the parked trajectory.
         assert_eq!(delta.celf.misses, 1);
         assert_eq!(delta.celf.hits, 5);
         assert_eq!(delta.bridge.misses, 1);

@@ -402,6 +402,7 @@ mod tests {
     use crate::{DoamModel, OpoaoModel, TwoCascadeModel};
     use lcrb_graph::{generators, DiGraph};
     use rand::Rng;
+    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
     /// OPOAO through the scalar kernel alone: `as_opoao` stays `None`,
     /// so the loop runs it set by set — the reference for the lanes.
@@ -738,5 +739,53 @@ mod tests {
                 Err(StopReason::Cancelled)
             );
         }
+    }
+
+    /// Cancels its token from inside every run and counts the runs;
+    /// `as_opoao` stays `None`, so the loop calls `run_into` per run.
+    struct CancelsWhileRunning {
+        token: CancelToken,
+        runs: AtomicUsize,
+    }
+
+    impl TwoCascadeModel for CancelsWhileRunning {
+        fn run_into<R: Rng + ?Sized>(
+            &self,
+            graph: &CsrGraph,
+            seeds: &SeedSets,
+            ws: &mut SimWorkspace,
+            rng: &mut R,
+        ) {
+            self.runs.fetch_add(1, AtomicOrdering::Relaxed);
+            self.token.cancel();
+            DoamModel::default().run_into(graph, seeds, ws, rng);
+        }
+
+        fn name(&self) -> &'static str {
+            "cancels-while-running"
+        }
+    }
+
+    #[test]
+    fn budgeted_driver_stops_at_the_next_run_after_a_cancellation() {
+        let g = generators::path_graph(5);
+        let csr = CsrGraph::from(&g);
+        let model = CancelsWhileRunning {
+            token: CancelToken::new(),
+            runs: AtomicUsize::new(0),
+        };
+        let mut meter = WorkMeter::new(RunBudget::unlimited(), Some(model.token.clone()), None);
+        let cfg = MonteCarloConfig {
+            runs: 8,
+            base_seed: 2,
+            threads: 1,
+        };
+        assert_eq!(
+            monte_carlo_sets_budgeted(&model, &csr, &[seeds(&g, &[0], &[])], &cfg, &mut meter),
+            Err(StopReason::Cancelled)
+        );
+        // Run 0 passed its poll and cancelled; run 1's poll stopped
+        // the worker.
+        assert_eq!(model.runs.load(AtomicOrdering::Relaxed), 1);
     }
 }

@@ -14,8 +14,9 @@
 //! |-----------------|---------------------------------------------------|
 //! | `family.build`  | inside `FamilyCache::get_or_try_build`, after the |
 //! |                 | miss is charged, before the builder closure runs  |
-//! | `celf.advance`  | in `solve_greedy`, after `CelfCache::take`,       |
-//! |                 | before the trajectory is advanced/stored          |
+//! | `celf.advance`  | in `advance_greedy`, after `FamilyCache::take`    |
+//! |                 | claims the trajectory, before it is advanced and  |
+//! |                 | stored                                            |
 //! | `scratch.lease` | in `ScratchPool::lease`, after the scratch value  |
 //! |                 | is removed from the free list                     |
 

@@ -233,7 +233,7 @@ pub struct FileModel {
 /// A cache family: a struct holding a synchronized keyed map.
 #[derive(Clone, Debug)]
 pub struct CacheFamily {
-    /// The family struct name (`FamilyCache`, `CelfCache`).
+    /// The family struct name (`FamilyCache` for every engine cache).
     pub struct_name: String,
     /// The key type as declared (may be a generic param name).
     pub declared_key: String,
