@@ -1,7 +1,6 @@
 //! Ablation benchmarks for the design choices called out in
-//! DESIGN.md §8: CELF vs plain greedy, BBST depth caps, bridge-end
-//! rules, candidate pools, and the DOAM analytic oracle vs the step
-//! simulator.
+//! DESIGN.md §8: BBST depth caps, bridge-end rules, candidate pools,
+//! and the DOAM analytic oracle vs the step simulator.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
@@ -26,24 +25,6 @@ fn instance(scale: f64, rumors: usize) -> RumorBlockingInstance {
         &mut rng,
     )
     .unwrap()
-}
-
-fn bench_celf_vs_plain(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/celf");
-    group.sample_size(10);
-    let inst = instance(0.04, 3);
-    for (label, lazy) in [("celf", true), ("plain", false)] {
-        group.bench_with_input(BenchmarkId::new(label, "budget3"), &lazy, |b, &lazy| {
-            let cfg = GreedyConfig {
-                realizations: 8,
-                lazy,
-                candidates: CandidatePool::BackwardRadius(1),
-                ..GreedyConfig::default()
-            };
-            b.iter(|| greedy_with_budget(&inst, 3, &cfg).unwrap());
-        });
-    }
-    group.finish();
 }
 
 fn bench_bbst_depth_cap(c: &mut Criterion) {
@@ -144,7 +125,6 @@ fn bench_degree_model(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_degree_model,
-    bench_celf_vs_plain,
     bench_bbst_depth_cap,
     bench_bridge_rules,
     bench_candidate_pools,

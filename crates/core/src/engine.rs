@@ -2,8 +2,8 @@
 //! protectors, for every algorithm, with epoch-keyed artifact caching
 //! shared across threads.
 //!
-//! Every selection — the CELF greedy, SCBG, the GVS baseline and the
-//! comparison heuristics — is a [`SolveRequest`] answered by
+//! Every selection — the CELF greedy, SCBG and the comparison
+//! heuristics — is a [`SolveRequest`] answered by
 //! [`Solver::solve`]. The algorithm kernels underneath rebuild every
 //! expensive artifact per call: the bridge-end set, the RR-sketch
 //! sample, the CELF priority state, degree/PageRank orderings. A
@@ -100,16 +100,15 @@ use lcrb_diffusion::{derive_stream, CancelToken, RunBudget, ScratchPool, StopRea
 use lcrb_graph::NodeId;
 
 use crate::greedy::{
-    advance_trajectory, candidate_pool_for, normalized_model, selection_from_trajectory,
+    advance_trajectory, candidate_pool, normalized_model, selection_from_trajectory,
     GreedyTrajectory, SigmaBackend, SigmaScratch,
 };
-use crate::gvs::{greedy_viral_stopper, GvsConfig};
 use crate::heuristics::{max_degree_ordering, pagerank_ordering, proximity_pool};
 use crate::scbg::scbg_metered;
 use crate::{
     find_bridge_ends, scbg, BridgeEndRule, BridgeEnds, CandidatePool, Estimator, GreedyConfig,
-    GreedySelection, GvsSelection, LcrbError, ObjectiveModel, ProtectionObjective,
-    RumorBlockingInstance, ScbgConfig, ScbgSolution, SketchIndex, SketchObjective,
+    GreedySelection, LcrbError, ObjectiveModel, ProtectionObjective, RumorBlockingInstance,
+    ScbgConfig, ScbgSolution, SketchIndex, SketchObjective,
 };
 
 /// Which selection algorithm a [`SolveRequest`] runs.
@@ -123,8 +122,6 @@ pub enum Algorithm {
     /// budget (it always covers every bridge end it can) and rejects
     /// an α stop.
     Scbg,
-    /// The Greedy Viral Stopper related-work baseline.
-    Gvs,
     /// Highest out-degree first.
     MaxDegree,
     /// Random direct out-neighbors of the rumor originators.
@@ -144,7 +141,6 @@ impl Algorithm {
         match self {
             Algorithm::Greedy => "greedy",
             Algorithm::Scbg => "scbg",
-            Algorithm::Gvs => "gvs",
             Algorithm::MaxDegree => "max-degree",
             Algorithm::Proximity => "proximity",
             Algorithm::Random => "random",
@@ -166,9 +162,8 @@ pub enum StopRule {
 /// One query against a [`Solver`]: which algorithm, when to stop, and
 /// every knob the algorithms share. Construct via the named builders
 /// ([`SolveRequest::greedy_budget`], [`SolveRequest::greedy_alpha`],
-/// [`SolveRequest::scbg`], [`SolveRequest::gvs`],
-/// [`SolveRequest::heuristic`]) and adjust fields with struct-update
-/// syntax.
+/// [`SolveRequest::scbg`], [`SolveRequest::heuristic`]) and adjust
+/// fields with struct-update syntax.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolveRequest {
     /// The selection algorithm to run.
@@ -179,27 +174,16 @@ pub struct SolveRequest {
     pub estimator: Estimator,
     /// Bridge-end detection rule.
     pub rule: BridgeEndRule,
-    /// Diffusion model the greedy/GVS objective estimates under.
+    /// Diffusion model the greedy's objective estimates under.
     pub model: ObjectiveModel,
     /// Realizations for the Monte-Carlo greedy estimator.
     pub realizations: usize,
     /// Hop budget applied to the OPOAO objective model.
     pub max_hops: u32,
-    /// Candidate pool for greedy and GVS.
+    /// Candidate pool for the greedy.
     pub candidates: CandidatePool,
-    /// CELF lazy evaluation (greedy only).
-    pub lazy: bool,
     /// Worker threads for the greedy's initial gain sweep.
     pub threads: usize,
-    /// Hard protector cap for greedy solves: an α target stops at it
-    /// and a budget is clipped to it.
-    pub max_protectors: usize,
-    /// Monte-Carlo runs per GVS candidate evaluation.
-    pub mc_runs: usize,
-    /// Damping factor for [`Algorithm::PageRank`], in `[0, 1)`.
-    pub pagerank_damping: f64,
-    /// BBST depth cap for [`Algorithm::Scbg`].
-    pub max_bbst_depth: Option<u32>,
     /// Work-unit caps and optional wall-clock deadline, checked only
     /// at deterministic checkpoint boundaries (see [`Completion`]).
     /// Defaults to [`RunBudget::unlimited`].
@@ -221,12 +205,7 @@ impl SolveRequest {
             realizations: defaults.realizations,
             max_hops: defaults.max_hops,
             candidates: defaults.candidates,
-            lazy: defaults.lazy,
             threads: defaults.threads,
-            max_protectors: usize::MAX,
-            mc_runs: 16,
-            pagerank_damping: 0.85,
-            max_bbst_depth: None,
             budget: RunBudget::unlimited(),
             cancel: None,
         }
@@ -279,22 +258,6 @@ impl SolveRequest {
     #[must_use]
     pub fn scbg() -> Self {
         SolveRequest::base(Algorithm::Scbg, StopRule::Budget(usize::MAX))
-    }
-
-    /// The GVS related-work baseline at a fixed budget.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lcrb::engine::{Algorithm, SolveRequest, StopRule};
-    ///
-    /// let req = SolveRequest::gvs(2);
-    /// assert_eq!(req.algorithm, Algorithm::Gvs);
-    /// assert_eq!(req.stop, StopRule::Budget(2));
-    /// ```
-    #[must_use]
-    pub fn gvs(budget: usize) -> Self {
-        SolveRequest::base(Algorithm::Gvs, StopRule::Budget(budget))
     }
 
     /// A budgeted heuristic baseline ([`Algorithm::MaxDegree`],
@@ -399,7 +362,6 @@ impl SolveRequest {
             max_hops: self.max_hops,
             model: self.model,
             candidates: self.candidates,
-            lazy: self.lazy,
             rule: self.rule,
             threads: self.threads,
             estimator: self.estimator,
@@ -441,20 +403,13 @@ pub struct CacheStats {
     pub scbg: CacheCounters,
     /// Heuristic ordering/pool lookups (degree, PageRank, proximity).
     pub ordering: CacheCounters,
-    /// GVS selection lookups.
-    pub gvs: CacheCounters,
 }
 
 impl CacheStats {
     /// Total hits across every artifact kind.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.bridge.hits
-            + self.sketch.hits
-            + self.celf.hits
-            + self.scbg.hits
-            + self.ordering.hits
-            + self.gvs.hits
+        self.bridge.hits + self.sketch.hits + self.celf.hits + self.scbg.hits + self.ordering.hits
     }
 
     /// Total misses across every artifact kind.
@@ -465,7 +420,6 @@ impl CacheStats {
             + self.celf.misses
             + self.scbg.misses
             + self.ordering.misses
-            + self.gvs.misses
     }
 
     /// The counter increments between `earlier` and `self` (both
@@ -478,7 +432,6 @@ impl CacheStats {
             celf: self.celf.delta_since(earlier.celf),
             scbg: self.scbg.delta_since(earlier.scbg),
             ordering: self.ordering.delta_since(earlier.ordering),
-            gvs: self.gvs.delta_since(earlier.gvs),
         }
     }
 }
@@ -510,13 +463,12 @@ pub enum Completion {
     /// the report carries the best-so-far selection.
     Degraded {
         /// Checkpoints completed before the stop, in the stage's own
-        /// units: CELF picks made, GVS rounds finished, RR sketches
-        /// generated, or bridge ends covered.
+        /// units: CELF picks made, RR sketches generated, or bridge
+        /// ends covered.
         checkpoints_done: u64,
         /// The checkpoint total an uninterrupted run would reach: the
-        /// pick cap (or candidate-pool size in α mode), the GVS
-        /// budget, the scheduled sketch count, or the bridge-end
-        /// count.
+        /// pick budget (or candidate-pool size in α mode), the
+        /// scheduled sketch count, or the bridge-end count.
         checkpoints_total: u64,
         /// Which budget dimension stopped the solve.
         reason: StopReason,
@@ -539,8 +491,6 @@ pub enum SolveDetail {
     Greedy(GreedySelection),
     /// The full SCBG solution (coverage accounting).
     Scbg(ScbgSolution),
-    /// The full GVS selection (infected-count history).
-    Gvs(GvsSelection),
     /// Heuristic baselines carry no extra detail.
     Heuristic,
 }
@@ -1065,37 +1015,25 @@ struct SketchKey {
 }
 
 /// A CELF trajectory is keyed by everything the pick sequence depends
-/// on — estimator, model, candidate pool, rule, laziness — and by
-/// nothing it does not (the stopping rule and thread count never
-/// change which node is picked next).
+/// on — estimator, model, candidate pool, rule — and by nothing it
+/// does not (the stopping rule and thread count never change which
+/// node is picked next).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct CelfKey {
     rule: u8,
     estimator: EstimatorKey,
     model: ModelKey,
     candidates: (u8, u32),
-    lazy: bool,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct ScbgKey {
     rule: u8,
-    depth: u64,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct OrderingKey {
     tag: u8,
-    damping_bits: u64,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct GvsKey {
-    rule: u8,
-    candidates: (u8, u32),
-    model: ModelKey,
-    mc_runs: usize,
-    budget: usize,
 }
 
 /// The solver's epoch-keyed artifact store: one internally
@@ -1109,7 +1047,6 @@ struct ArtifactCache {
     celf: FamilyCache<CelfKey, GreedyTrajectory>,
     scbg: FamilyCache<ScbgKey, ScbgSolution>,
     ordering: FamilyCache<OrderingKey, Arc<Vec<NodeId>>>,
-    gvs: FamilyCache<GvsKey, GvsSelection>,
 }
 
 impl ArtifactCache {
@@ -1119,7 +1056,6 @@ impl ArtifactCache {
         self.celf.clear();
         self.scbg.clear();
         self.ordering.clear();
-        self.gvs.clear();
     }
 
     fn stats(&self) -> CacheStats {
@@ -1129,7 +1065,6 @@ impl ArtifactCache {
             celf: self.celf.counters.snapshot(),
             scbg: self.scbg.counters.snapshot(),
             ordering: self.ordering.counters.snapshot(),
-            gvs: self.gvs.counters.snapshot(),
         }
     }
 }
@@ -1413,9 +1348,8 @@ impl Solver {
     ///
     /// - [`LcrbError::InvalidAlpha`] for an out-of-range
     ///   [`StopRule::Alpha`];
-    /// - [`LcrbError::UnsupportedRequest`] for combinations no
-    ///   algorithm implements (α stop on anything but the greedy,
-    ///   PageRank damping outside `[0, 1)`);
+    /// - [`LcrbError::UnsupportedRequest`] for an α stop on anything
+    ///   but the greedy;
     /// - [`LcrbError::Interrupted`] when the request's
     ///   [`CancelToken`] is observed at a checkpoint, or when a stop
     ///   lands where no usable partial result exists (work-unit and
@@ -1464,7 +1398,6 @@ impl Solver {
         match request.algorithm {
             Algorithm::Greedy => self.solve_greedy(request, &mut meter),
             Algorithm::Scbg => self.solve_scbg(request, &mut meter),
-            Algorithm::Gvs => self.solve_gvs(request, &mut meter),
             // Heuristics run no simulation kernels; the entry poll
             // above is their only checkpoint and they always complete
             // exactly.
@@ -1653,14 +1586,14 @@ impl Solver {
         meter: &mut WorkMeter,
     ) -> Result<SolveReport, LcrbError> {
         let config = request.greedy_config(self.master_seed);
-        let (target_alpha, budget) = match request.stop {
+        let (target_alpha, cap) = match request.stop {
             StopRule::Alpha(a) => {
                 if a.is_nan() || a <= 0.0 || a > 1.0 {
                     return Err(LcrbError::InvalidAlpha { alpha: a });
                 }
-                (Some(a), None)
+                (Some(a), usize::MAX)
             }
-            StopRule::Budget(k) => (None, Some(k)),
+            StopRule::Budget(k) => (None, k),
         };
         if let Estimator::Sketch(params) = config.estimator {
             params.validate()?;
@@ -1743,17 +1676,12 @@ impl Solver {
             Some(a) => a * bridge.len() as f64,
             None => f64::INFINITY,
         };
-        let cap = match budget {
-            Some(k) => k.min(request.max_protectors),
-            None => request.max_protectors,
-        };
 
         let celf_key = CelfKey {
             rule: rule_tag(config.rule),
             estimator: estimator_key(&config.estimator, config.realizations),
             model: model_key(&model),
             candidates: candidates_key(config.candidates),
-            lazy: config.lazy,
         };
         // A trajectory parked with the answer already in it (a replay)
         // is read in place: no claim, gate or scratch, so concurrent
@@ -1840,11 +1768,7 @@ impl Solver {
             (cached, Some(claim))
         };
         let mut traj = cached.unwrap_or_else(|| {
-            GreedyTrajectory::new(candidate_pool_for(
-                &self.instance,
-                bridge,
-                config.candidates,
-            ))
+            GreedyTrajectory::new(candidate_pool(&self.instance, bridge, config.candidates))
         });
         let evals_before = traj.evaluations();
         // Injectable failure while the claim holds the trajectory: the
@@ -1862,7 +1786,6 @@ impl Solver {
             &mut traj,
             target,
             cap,
-            config.lazy,
             config.threads,
             &self.scratch,
             meter,
@@ -1890,7 +1813,7 @@ impl Solver {
         let epoch = self.epoch;
         let scbg_config = ScbgConfig {
             rule: request.rule,
-            max_bbst_depth: request.max_bbst_depth,
+            ..ScbgConfig::default()
         };
         // SCBG runs no simulations or sketches, so work-unit caps
         // never stop it; only cancel- or deadline-carrying requests
@@ -1903,7 +1826,6 @@ impl Solver {
         } else {
             let key = ScbgKey {
                 rule: rule_tag(request.rule),
-                depth: request.max_bbst_depth.map_or(u64::MAX, u64::from),
             };
             let solution = self
                 .cache
@@ -1931,77 +1853,6 @@ impl Solver {
         })
     }
 
-    fn solve_gvs(
-        &self,
-        request: &SolveRequest,
-        meter: &mut WorkMeter,
-    ) -> Result<SolveReport, LcrbError> {
-        let StopRule::Budget(budget) = request.stop else {
-            return Err(LcrbError::UnsupportedRequest {
-                reason:
-                    "the GVS baseline selects by budget; alpha targets apply only to the greedy",
-            });
-        };
-        let mut clock = StageClock::start();
-        let config = request.greedy_config(self.master_seed);
-        let model = normalized_model(&config);
-        let epoch = self.epoch;
-        let gvs_config = GvsConfig {
-            mc_runs: request.mc_runs,
-            seed: self.master_seed,
-            candidates: request.candidates,
-            rule: request.rule,
-        };
-        // A sim-capped or cancellable/deadlined run may stop short of
-        // the full selection; a partial GVS prefix must never be
-        // published as the exact budget-`k` artifact, so those
-        // requests bypass the cache entirely.
-        let run = |meter: &mut WorkMeter| match model {
-            ObjectiveModel::Opoao(m) => {
-                greedy_viral_stopper(&self.instance, &m, budget, &gvs_config, meter)
-            }
-            ObjectiveModel::CompetitiveIc(m) => {
-                greedy_viral_stopper(&self.instance, &m, budget, &gvs_config, meter)
-            }
-        };
-        let (selection, stop) = if meter.polls_needed() || meter.limits_sims() {
-            run(meter)?
-        } else {
-            let key = GvsKey {
-                rule: rule_tag(request.rule),
-                candidates: candidates_key(request.candidates),
-                model: model_key(&model),
-                mc_runs: request.mc_runs,
-                budget,
-            };
-            // No cap or poll is in scope here, so the kernel never
-            // stops short of the full selection.
-            let selection = self
-                .cache
-                .gvs
-                .get_or_try_build(key, epoch, || run(meter).map(|(selection, _)| selection))?;
-            (selection, None)
-        };
-        clock.lap("select");
-        let completion = match stop {
-            Some(reason) => Completion::Degraded {
-                checkpoints_done: selection.protectors.len() as u64,
-                checkpoints_total: budget as u64,
-                reason,
-            },
-            None => Completion::Exact,
-        };
-        Ok(SolveReport {
-            algorithm: Algorithm::Gvs.name().to_owned(),
-            protectors: selection.protectors.clone(),
-            epoch,
-            stages: clock.stages,
-            cache_snapshot: self.cache.stats(),
-            completion,
-            detail: SolveDetail::Gvs(selection),
-        })
-    }
-
     fn solve_heuristic(&self, request: &SolveRequest) -> Result<SolveReport, LcrbError> {
         let StopRule::Budget(budget) = request.stop else {
             return Err(LcrbError::UnsupportedRequest {
@@ -2012,43 +1863,21 @@ impl Solver {
         let mut clock = StageClock::start();
         let protectors = match request.algorithm {
             Algorithm::MaxDegree => {
-                let ordering = self.cached_ordering(
-                    OrderingKey {
-                        tag: 0,
-                        damping_bits: 0,
-                    },
-                    max_degree_ordering,
-                );
+                let ordering = self.cached_ordering(OrderingKey { tag: 0 }, max_degree_ordering);
                 clock.lap("ordering");
                 let mut nodes = ordering.to_vec();
                 nodes.truncate(budget);
                 nodes
             }
             Algorithm::PageRank => {
-                let damping = request.pagerank_damping;
-                if !(damping.is_finite() && (0.0..1.0).contains(&damping)) {
-                    return Err(LcrbError::UnsupportedRequest {
-                        reason: "pagerank damping must be in [0, 1)",
-                    });
-                }
-                let key = OrderingKey {
-                    tag: 1,
-                    damping_bits: damping.to_bits(),
-                };
-                let ordering = self.cached_ordering(key, |inst| pagerank_ordering(inst, damping));
+                let ordering = self.cached_ordering(OrderingKey { tag: 1 }, pagerank_ordering);
                 clock.lap("ordering");
                 let mut nodes = ordering.to_vec();
                 nodes.truncate(budget);
                 nodes
             }
             Algorithm::Proximity => {
-                let pool = self.cached_ordering(
-                    OrderingKey {
-                        tag: 2,
-                        damping_bits: 0,
-                    },
-                    proximity_pool,
-                );
+                let pool = self.cached_ordering(OrderingKey { tag: 2 }, proximity_pool);
                 clock.lap("ordering");
                 let mut rng = self.named_rng(Algorithm::Proximity.name(), budget);
                 let mut nodes = pool.to_vec();
@@ -2069,7 +1898,7 @@ impl Solver {
                 nodes
             }
             Algorithm::NoBlocking => Vec::new(),
-            Algorithm::Greedy | Algorithm::Scbg | Algorithm::Gvs => {
+            Algorithm::Greedy | Algorithm::Scbg => {
                 unreachable!("non-heuristic algorithms are dispatched by solve()")
             }
         };
@@ -2101,7 +1930,6 @@ mod tests {
     use super::*;
     use crate::greedy_with_budget;
     use lcrb_community::Partition;
-    use lcrb_diffusion::OpoaoModel;
     use lcrb_graph::generators;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -2211,21 +2039,6 @@ mod tests {
         assert_eq!(sel.achieved, full.sigma_history[len - 1]);
         assert_eq!(sel.target_met, sel.achieved >= target);
         assert!(sel.target_met);
-        // A protector cap one below that prefix stops the same
-        // trajectory short of the target.
-        let capped = solver
-            .solve(&SolveRequest {
-                realizations: 12,
-                max_hops: 15,
-                max_protectors: len - 1,
-                ..SolveRequest::greedy_alpha(0.6)
-            })
-            .unwrap();
-        assert_eq!(capped.protectors, full.protectors[..len - 1]);
-        let SolveDetail::Greedy(sel) = &capped.detail else {
-            panic!("expected greedy detail");
-        };
-        assert!(!sel.target_met);
     }
 
     #[test]
@@ -2431,47 +2244,6 @@ mod tests {
     }
 
     #[test]
-    fn gvs_solve_matches_free_function_and_caches() {
-        let inst = community_instance(23);
-        let config = GvsConfig {
-            mc_runs: 4,
-            seed: 0,
-            ..GvsConfig::default()
-        };
-        let (free, _) = greedy_viral_stopper(
-            &inst,
-            &OpoaoModel::new(10),
-            2,
-            &config,
-            &mut WorkMeter::unlimited(),
-        )
-        .unwrap();
-        let solver = Solver::new(inst);
-        // The free function's configuration, candidate pool included:
-        // on common Monte-Carlo runs, candidates often tie, and a tie
-        // goes to the first in pool order.
-        let req = SolveRequest {
-            mc_runs: 4,
-            max_hops: 10,
-            candidates: config.candidates,
-            ..SolveRequest::gvs(2)
-        };
-        let cold = solver.solve(&req).unwrap();
-        assert_eq!(cold.protectors, free.protectors);
-        let (warm, delta) = charged(&solver, || solver.solve(&req).unwrap());
-        assert_eq!(delta.gvs.hits, 1);
-        assert_eq!(warm.protectors, free.protectors);
-        // α stops are not a GVS concept.
-        let err = solver
-            .solve(&SolveRequest {
-                stop: StopRule::Alpha(0.5),
-                ..req
-            })
-            .unwrap_err();
-        assert!(matches!(err, LcrbError::UnsupportedRequest { .. }));
-    }
-
-    #[test]
     fn heuristics_match_their_orderings_and_cache_them() {
         let inst = community_instance(25);
         let solver = Solver::new(inst.clone());
@@ -2492,7 +2264,7 @@ mod tests {
         let pr = solver
             .solve(&SolveRequest::heuristic(Algorithm::PageRank, 3))
             .unwrap();
-        let mut pr_ordering = pagerank_ordering(&inst, 0.85);
+        let mut pr_ordering = pagerank_ordering(&inst);
         pr_ordering.truncate(3);
         assert_eq!(pr.protectors, pr_ordering);
         // Proximity picks come from the pool.
@@ -2540,14 +2312,6 @@ mod tests {
             SolveRequest {
                 stop: StopRule::Alpha(0.5),
                 ..SolveRequest::heuristic(Algorithm::MaxDegree, 1)
-            },
-            SolveRequest {
-                pagerank_damping: 1.5,
-                ..SolveRequest::heuristic(Algorithm::PageRank, 1)
-            },
-            SolveRequest {
-                pagerank_damping: f64::NAN,
-                ..SolveRequest::heuristic(Algorithm::PageRank, 1)
             },
             SolveRequest {
                 stop: StopRule::Alpha(0.5),
@@ -2929,7 +2693,6 @@ mod tests {
             SolveRequest::greedy_budget(1),
             sketch_request(1),
             SolveRequest::scbg(),
-            SolveRequest::gvs(1),
         ] {
             let err = solver.solve(&req.with_budget(deadline)).unwrap_err();
             assert!(matches!(
@@ -2939,20 +2702,6 @@ mod tests {
                 }
             ));
         }
-    }
-
-    #[test]
-    fn gvs_sim_budget_interrupts_before_the_baseline() {
-        let inst = community_instance(53);
-        let err = Solver::new(inst)
-            .solve(&SolveRequest::gvs(1).with_budget(RunBudget::unlimited().with_max_sims(0)))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            LcrbError::Interrupted {
-                reason: StopReason::SimBudget
-            }
-        ));
     }
 
     #[test]

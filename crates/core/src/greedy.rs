@@ -9,8 +9,10 @@
 //! heap entry that still tops the heap after re-scoring is the true
 //! argmax. The paper's conclusion flags greedy's cost as its main
 //! drawback; CELF (plus parallel evaluation of the initial gains) is
-//! the standard remedy and is benchmarked against plain greedy in
-//! `lcrb-bench`.
+//! the standard remedy, and the only pick loop here. Its picks reach
+//! plain Algorithm 1's round maximum bit for bit, with no more
+//! evaluations (`greedy_budget_mode_invariants` in the crate's
+//! property tests).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -82,9 +84,6 @@ pub struct GreedyConfig {
     pub model: ObjectiveModel,
     /// Candidate pool to draw from.
     pub candidates: CandidatePool,
-    /// Use CELF lazy evaluation (`false` re-scores every candidate in
-    /// every round — the plain Algorithm 1, kept for ablation).
-    pub lazy: bool,
     /// Bridge-end detection rule.
     pub rule: BridgeEndRule,
     /// Worker threads for the initial gain sweep (0 = available
@@ -103,7 +102,6 @@ impl Default for GreedyConfig {
             max_hops: lcrb_diffusion::PAPER_OPOAO_HOPS,
             model: ObjectiveModel::default(),
             candidates: CandidatePool::default(),
-            lazy: true,
             rule: BridgeEndRule::default(),
             threads: 0,
             estimator: Estimator::default(),
@@ -125,10 +123,10 @@ pub struct GreedySelection {
     /// Whether the target was reached before the candidate pool or
     /// the budget ran out.
     pub target_met: bool,
-    /// Number of logical `σ̂` evaluations (the CELF-vs-plain metric):
-    /// one per candidate set scored, however the evaluations were
-    /// packed — the initial sweep scores 64 candidates per OPOAO
-    /// realization pass and still counts each of them.
+    /// Number of logical `σ̂` evaluations: one per candidate set
+    /// scored, however the evaluations were packed — the initial
+    /// sweep scores 64 candidates per OPOAO realization pass and still
+    /// counts each of them.
     pub evaluations: usize,
     /// The bridge ends protected against.
     pub bridge_ends: BridgeEnds,
@@ -190,7 +188,6 @@ pub fn greedy_with_budget(
         &mut traj,
         f64::INFINITY,
         budget,
-        config.lazy,
         config.threads,
         &pool,
         &mut meter,
@@ -440,13 +437,11 @@ fn stop_outcome(stop: StopReason) -> Result<Option<StopReason>, LcrbError> {
 /// the same picks — prefix-consistent and safe to park. Returns
 /// `Ok(None)` when a stopping rule was reached, `Ok(Some(reason))`
 /// when a budget or deadline checkpoint stopped the loop early.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn advance_trajectory(
     backend: &SigmaBackend<'_>,
     traj: &mut GreedyTrajectory,
     target: f64,
     cap: usize,
-    lazy: bool,
     threads: usize,
     pool: &ScratchPool<SigmaScratch>,
     meter: &mut WorkMeter,
@@ -503,79 +498,35 @@ pub(crate) fn advance_trajectory(
                 .collect();
             traj.swept = true;
         }
-        if lazy {
-            let Some((FiniteF64(gain), idx, scored_round)) = traj.heap.pop() else {
-                traj.exhausted = true;
-                break;
-            };
-            if scored_round < traj.round {
-                // Stale: re-score against the current selection.
-                if let Err(stop) = meter.charge_sims(sim_cost) {
-                    // Restore the popped entry so the parked heap
-                    // matches an uninterrupted run's at this boundary.
-                    traj.heap.push((FiniteF64(gain), idx, scored_round));
-                    return stop_outcome(stop);
-                }
-                let s = backend.sigma_plus(
-                    &traj.selected,
-                    traj.candidates[idx],
-                    &mut marks,
-                    scratch,
-                )?;
-                traj.evaluations += 1;
-                traj.heap
-                    .push((FiniteF64(s - traj.sigma_current), idx, traj.round));
-                continue;
-            }
-            if gain <= 1e-12 {
-                traj.exhausted = true; // no candidate can improve σ̂ any further
-                break;
-            }
-            traj.selected.push(traj.candidates[idx]);
-            traj.sigma_current += gain;
-            traj.sigma_history.push(traj.sigma_current);
-            traj.round += 1;
-            marks = None;
-            meter.note_advance();
-        } else {
-            // Plain Algorithm 1: re-score everything each round,
-            // charged whole before the scan like the initial sweep.
-            let remaining = traj
-                .candidates
-                .iter()
-                .filter(|c| !traj.selected.contains(c))
-                .count() as u64;
-            if let Err(stop) = meter.charge_sims(sim_cost * remaining) {
+        let Some((FiniteF64(gain), idx, scored_round)) = traj.heap.pop() else {
+            traj.exhausted = true;
+            break;
+        };
+        if scored_round < traj.round {
+            // Stale: re-score against the current selection.
+            if let Err(stop) = meter.charge_sims(sim_cost) {
+                // Restore the popped entry so the parked heap matches
+                // an uninterrupted run's at this boundary.
+                traj.heap.push((FiniteF64(gain), idx, scored_round));
                 return stop_outcome(stop);
             }
-            let mut best: Option<(f64, usize)> = None;
-            let mut evals = 0usize;
-            for (idx, &candidate) in traj.candidates.iter().enumerate() {
-                if traj.selected.contains(&candidate) {
-                    continue;
-                }
-                let s = backend.sigma_plus(&traj.selected, candidate, &mut marks, scratch)?;
-                evals += 1;
-                let gain = s - traj.sigma_current;
-                if best.is_none_or(|(bg, _)| gain > bg) {
-                    best = Some((gain, idx));
-                }
-            }
-            traj.evaluations += evals;
-            let Some((gain, idx)) = best else {
-                traj.exhausted = true;
-                break;
-            };
-            if gain <= 1e-12 {
-                traj.exhausted = true;
-                break;
-            }
-            traj.selected.push(traj.candidates[idx]);
-            traj.sigma_current += gain;
-            traj.sigma_history.push(traj.sigma_current);
-            marks = None;
-            meter.note_advance();
+            let s =
+                backend.sigma_plus(&traj.selected, traj.candidates[idx], &mut marks, scratch)?;
+            traj.evaluations += 1;
+            traj.heap
+                .push((FiniteF64(s - traj.sigma_current), idx, traj.round));
+            continue;
         }
+        if gain <= 1e-12 {
+            traj.exhausted = true; // no candidate can improve σ̂ any further
+            break;
+        }
+        traj.selected.push(traj.candidates[idx]);
+        traj.sigma_current += gain;
+        traj.sigma_history.push(traj.sigma_current);
+        traj.round += 1;
+        marks = None;
+        meter.note_advance();
     }
     Ok(None)
 }
@@ -622,17 +573,8 @@ pub(crate) fn selection_from_trajectory(
     }
 }
 
-/// Crate-internal access to the candidate-pool construction (shared
-/// with the GVS baseline).
-pub(crate) fn candidate_pool_for(
-    instance: &RumorBlockingInstance,
-    bridge_ends: &BridgeEnds,
-    pool: CandidatePool,
-) -> Vec<NodeId> {
-    candidate_pool(instance, bridge_ends, pool)
-}
-
-fn candidate_pool(
+/// The candidates `pool` names, in ascending id order.
+pub(crate) fn candidate_pool(
     instance: &RumorBlockingInstance,
     bridge_ends: &BridgeEnds,
     pool: CandidatePool,
@@ -908,38 +850,6 @@ mod tests {
         for w in sel.sigma_history.windows(2) {
             assert!(w[1] >= w[0] - 1e-12);
         }
-    }
-
-    #[test]
-    fn lazy_and_plain_greedy_agree_on_achieved_sigma() {
-        let inst = community_instance(7);
-        let base = SolveRequest {
-            realizations: 12,
-            max_hops: 15,
-            ..SolveRequest::greedy_alpha(0.6)
-        };
-        let lazy = solve(&inst, &base).unwrap();
-        let plain = solve(
-            &inst,
-            &SolveRequest {
-                lazy: false,
-                ..base
-            },
-        )
-        .unwrap();
-        // Both must reach the target (or both fail); the trajectories
-        // may differ on exact ties, but the achieved σ̂ of a greedy
-        // prefix of the same length is the same function being
-        // maximized, so they stay close.
-        assert_eq!(lazy.target_met, plain.target_met);
-        assert!(
-            (lazy.achieved - plain.achieved).abs() <= 1.0 + 1e-9,
-            "lazy {} vs plain {}",
-            lazy.achieved,
-            plain.achieved
-        );
-        // CELF must not evaluate more than plain greedy.
-        assert!(lazy.evaluations <= plain.evaluations);
     }
 
     #[test]

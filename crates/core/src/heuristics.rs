@@ -47,16 +47,13 @@ pub fn proximity_pool(instance: &RumorBlockingInstance) -> Vec<NodeId> {
 
 /// The PageRank baseline's ordering — an extension beyond the paper's
 /// heuristics: like MaxDegree but ranking all non-rumor nodes by
-/// decreasing PageRank score (with the given damping) on the full
-/// graph, which rewards globally central relays instead of raw
-/// out-degree. Ties break toward smaller ids.
-pub(crate) fn pagerank_ordering(instance: &RumorBlockingInstance, damping: f64) -> Vec<NodeId> {
+/// decreasing PageRank score (at `PageRankConfig::default()`, damping
+/// 0.85) on the full graph, which rewards globally central relays
+/// instead of raw out-degree. Ties break toward smaller ids.
+pub(crate) fn pagerank_ordering(instance: &RumorBlockingInstance) -> Vec<NodeId> {
     let pr = lcrb_graph::pagerank::pagerank(
         instance.graph(),
-        &lcrb_graph::pagerank::PageRankConfig {
-            damping,
-            ..Default::default()
-        },
+        &lcrb_graph::pagerank::PageRankConfig::default(),
     );
     let mut nodes: Vec<NodeId> = instance
         .graph()
@@ -213,15 +210,12 @@ mod tests {
         let g = DiGraph::from_edges(5, [(0, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 3)]).unwrap();
         let p = Partition::from_labels(vec![0, 1, 1, 1, 1]);
         let inst = RumorBlockingInstance::new(g, p, 0, vec![NodeId::new(0)]).unwrap();
-        let order = pagerank_ordering(&inst, 0.85);
+        let order = pagerank_ordering(&inst);
         assert_eq!(order[0], NodeId::new(1));
         assert!(!order.contains(&NodeId::new(0)));
         let (picked, name) = solve(&inst, Algorithm::PageRank, 1);
         assert_eq!(picked, vec![NodeId::new(1)]);
         assert_eq!(name, "pagerank");
-        // Custom damping still works.
-        let order2 = pagerank_ordering(&inst, 0.5);
-        assert_eq!(order2.len(), 4);
     }
 
     #[test]

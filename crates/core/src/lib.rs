@@ -23,10 +23,9 @@
 //!   achieves the optimal `O(ln |B|)` factor.
 //!
 //! [`Solver::solve`] is the one entry point that selects protectors:
-//! it answers both algorithms, the related-work GVS baseline, and the
-//! paper's comparison heuristics (MaxDegree, Proximity, Random,
-//! NoBlocking, plus PageRank; see [`Algorithm`]). The evaluation
-//! harness behind the figures is
+//! it answers both algorithms and the paper's comparison heuristics
+//! (MaxDegree, Proximity, Random, NoBlocking, plus PageRank; see
+//! [`Algorithm`]). The evaluation harness behind the figures is
 //! [`evaluate::evaluate_protector_sets`] over
 //! [`Solver::solve_many`]'s selections. The kernels the solver drives
 //! ([`greedy_with_budget`], [`scbg`]) stay public for direct
@@ -68,7 +67,6 @@ pub mod engine;
 mod error;
 pub mod evaluate;
 mod greedy;
-mod gvs;
 mod heuristics;
 mod instance;
 mod objective;
@@ -86,7 +84,6 @@ pub use engine::{
 // so re-export it from the problem layer too.
 pub use error::LcrbError;
 pub use greedy::{greedy_with_budget, CandidatePool, Estimator, GreedyConfig, GreedySelection};
-pub use gvs::GvsSelection;
 pub use heuristics::{max_degree_ordering, protectors_to_cover_all, proximity_pool};
 pub use instance::RumorBlockingInstance;
 pub use lcrb_diffusion::{CancelToken, RunBudget, StopReason, WorkMeter};

@@ -256,7 +256,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    use crate::greedy::candidate_pool_for;
+    use crate::greedy::candidate_pool;
     use crate::CandidatePool;
 
     fn instance(g: DiGraph, labels: Vec<usize>, seeds: Vec<usize>) -> RumorBlockingInstance {
@@ -409,7 +409,7 @@ mod tests {
             let bridges = find_bridge_ends(&inst, BridgeEndRule::default());
             let (candidates, _) =
                 build_star_sets(&inst, &bridges, None, &WorkMeter::unlimited()).unwrap();
-            let pool = candidate_pool_for(&inst, &bridges, CandidatePool::BbstUnion);
+            let pool = candidate_pool(&inst, &bridges, CandidatePool::BbstUnion);
             assert!(!pool.is_empty(), "seed {seed}: empty pool");
             assert_eq!(pool, candidates, "seed {seed}");
         }

@@ -1,9 +1,10 @@
 //! Property-based tests for the LCRB algorithms, including empirical
 //! checks of the paper's theory: per-realization monotonicity and
 //! submodularity of the protector-blocking count (Lemma 4 / Theorem
-//! 1), the exactness of SCBG covers, set-cover invariants and the
-//! cover against Algorithm 2's definition, SCBG against brute-force
-//! LCRB-D optima (Theorems 2–3), and the selection contract of
+//! 1), CELF's picks and evaluation count against plain Algorithm 1,
+//! the exactness of SCBG covers, set-cover invariants and the cover
+//! against Algorithm 2's definition, SCBG against brute-force LCRB-D
+//! optima (Theorems 2–3), and the selection contract of
 //! `Solver::solve` on degenerate instances.
 
 use std::collections::BTreeSet;
@@ -13,8 +14,8 @@ use lcrb::evaluate::evaluate_protector_sets;
 use lcrb::setcover::{greedy_set_cover, harmonic};
 use lcrb::{
     find_bridge_ends, greedy_with_budget, max_degree_ordering, protectors_to_cover_all, scbg,
-    Algorithm, BridgeEndRule, Estimator, GreedyConfig, ProtectionObjective, RumorBlockingInstance,
-    ScbgConfig, SketchParams, SolveRequest, Solver,
+    Algorithm, BridgeEndRule, CandidatePool, Estimator, GreedyConfig, ProtectionObjective,
+    RumorBlockingInstance, ScbgConfig, SketchParams, SolveRequest, Solver,
 };
 use lcrb_community::Partition;
 use lcrb_diffusion::{
@@ -231,10 +232,9 @@ fn doam_outcome(inst: &RumorBlockingInstance, protectors: Vec<NodeId>) -> Diffus
 }
 
 /// Every selection algorithm a `SolveRequest` can name.
-const ALGORITHMS: [Algorithm; 8] = [
+const ALGORITHMS: [Algorithm; 7] = [
     Algorithm::Greedy,
     Algorithm::Scbg,
-    Algorithm::Gvs,
     Algorithm::MaxDegree,
     Algorithm::Proximity,
     Algorithm::Random,
@@ -525,13 +525,21 @@ proptest! {
         }
     }
 
-    /// Budget-mode greedy respects the budget, avoids rumor seeds,
-    /// and improves σ̂ monotonically.
+    /// Budget-mode greedy respects the budget, avoids rumor seeds and
+    /// improves σ̂ monotonically, and CELF is exact. Each pick reaches
+    /// plain Algorithm 1's round maximum of σ̂(S ∪ {c}) over the
+    /// remaining candidates, bit for bit (four realizations make every
+    /// σ̂ an exact binary fraction), and a tie goes to the largest id,
+    /// the heap's order. The loop stops short of the budget only when
+    /// no candidate gains, and it makes no more σ̂ evaluations than
+    /// plain Algorithm 1's 1 + Σ_{k<r}(|pool| − k) over the r rounds
+    /// it ran. CI reruns this in release with `PROPTEST_CASES=1000`.
     #[test]
-    fn greedy_budget_mode_invariants(inst in arb_instance(), budget in 0usize..4) {
+    fn greedy_budget_mode_invariants(inst in arb_instance(), budget in 0usize..5) {
         let cfg = GreedyConfig {
             realizations: 4,
             max_hops: 12,
+            candidates: CandidatePool::AllNonRumor,
             ..GreedyConfig::default()
         };
         let sel = greedy_with_budget(&inst, budget, &cfg).unwrap();
@@ -543,6 +551,50 @@ proptest! {
             prop_assert!(w[1] >= w[0] - 1e-12);
         }
         prop_assert_eq!(sel.sigma_history.len(), sel.protectors.len());
+
+        let obj = ProtectionObjective::new(
+            &inst,
+            sel.bridge_ends.nodes.clone(),
+            cfg.realizations,
+            cfg.master_seed,
+            cfg.max_hops,
+        )
+        .unwrap();
+        let pool = non_rumor_nodes(&inst);
+        let picks = sel.protectors.len();
+        // One round per pick, plus the round that found no gain when
+        // the loop stopped short of the budget.
+        let rounds = if picks < budget { picks + 1 } else { picks };
+        let mut sigma = obj.sigma(&[]).unwrap();
+        for round in 0..rounds {
+            let selected = &sel.protectors[..round];
+            let best = pool
+                .iter()
+                .filter(|c| !selected.contains(c))
+                .map(|&c| {
+                    let mut trial = selected.to_vec();
+                    trial.push(c);
+                    (obj.sigma(&trial).unwrap(), c)
+                })
+                .max_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let Some(&pick) = sel.protectors.get(round) else {
+                prop_assert!(
+                    best.is_none_or(|(s, _)| s - sigma <= 1e-12),
+                    "stopped after {picks} picks with {best:?} left above σ̂ {sigma}"
+                );
+                break;
+            };
+            let (best_sigma, best_pick) = best.unwrap();
+            prop_assert_eq!(sel.sigma_history[round].to_bits(), best_sigma.to_bits());
+            prop_assert_eq!(pick, best_pick, "round {}", round);
+            sigma = best_sigma;
+        }
+        let plain = 1 + (0..rounds).map(|k| pool.len().saturating_sub(k)).sum::<usize>();
+        prop_assert!(
+            sel.evaluations <= plain,
+            "CELF made {} evaluations, plain Algorithm 1 {plain}",
+            sel.evaluations
+        );
     }
 
     /// The selection contract of the single entry point: on small and
@@ -563,7 +615,6 @@ proptest! {
             let base = SolveRequest {
                 realizations: 4,
                 max_hops: 8,
-                mc_runs: 2,
                 ..SolveRequest::greedy_budget(budget)
             };
             let requests = ALGORITHMS

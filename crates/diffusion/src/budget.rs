@@ -298,12 +298,6 @@ impl WorkMeter {
         self.budget.max_sketches.is_some()
     }
 
-    /// Whether a simulation cap is set.
-    #[must_use]
-    pub fn limits_sims(&self) -> bool {
-        self.budget.max_sims.is_some()
-    }
-
     /// Work-unit counters charged so far: `(sims, sketches, advances)`.
     #[must_use]
     pub fn spent(&self) -> (u64, u64, u64) {
@@ -325,7 +319,6 @@ mod tests {
         assert!(meter.charge_sketch().is_ok());
         assert!(!meter.advances_exhausted());
         assert!(!meter.polls_needed());
-        assert!(!meter.limits_sims());
         assert!(!meter.limits_sketches());
         assert_eq!(meter.spent(), (1_000_000, 1, 0));
     }
@@ -363,7 +356,6 @@ mod tests {
     #[test]
     fn sim_charges_are_all_or_nothing() {
         let mut meter = WorkMeter::new(RunBudget::unlimited().with_max_sims(10), None, None);
-        assert!(meter.limits_sims());
         assert!(meter.charge_sims(6).is_ok());
         // 6 + 5 > 10: rejected whole, nothing charged...
         assert_eq!(meter.charge_sims(5), Err(StopReason::SimBudget));

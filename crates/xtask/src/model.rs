@@ -505,6 +505,22 @@ impl WorkspaceModel {
             self.fns[fi].passthrough_lock = passthrough;
             self.fns[fi].returns_guard = if sig_guard { first_direct } else { None };
         }
+        // A guard-returning fn may take its guard through a passthrough
+        // helper (`lock(&self.map)`) instead of a direct `.lock()`.
+        for fi in 0..self.fns.len() {
+            let f = &self.fns[fi];
+            if f.returns_guard.is_some() || !f.signature.contains("Guard") {
+                continue;
+            }
+            let toks = &self.files[f.file_index].tokens;
+            let (start, end) = f.body;
+            let through_helper = (start..end).find_map(|i| {
+                let call = call_site_at(toks, start, i)?;
+                let &ti = self.resolve_call(f, &call).first()?;
+                self.passthrough_lock_at(f, &self.fns[ti], toks, i, end)
+            });
+            self.fns[fi].returns_guard = through_helper;
+        }
         // Pass 2b: the full ordered event stream.
         for fi in 0..self.fns.len() {
             let scanned = self.scan_one_body(fi);
@@ -628,74 +644,57 @@ impl WorkspaceModel {
                     out.self_assigns.push((field.clone(), t.line));
                 }
             }
-            // Call site: ident followed by `(` or a `::<..>(` turbofish.
-            if t.kind == TokKind::Ident && !KEYWORDS.contains(&t.text.as_str()) {
-                let next_paren = toks.get(i + 1).is_some_and(|p| p.is_punct('('));
-                let turbofish = toks.get(i + 1).is_some_and(|p| p.is_punct(':'))
-                    && toks.get(i + 2).is_some_and(|p| p.is_punct(':'))
-                    && toks.get(i + 3).is_some_and(|p| p.is_punct('<'));
-                if next_paren || turbofish {
-                    let is_method = i > start && toks[i - 1].is_punct('.');
-                    let qualifier = (!is_method
-                        && i >= start + 3
-                        && toks[i - 1].is_punct(':')
-                        && toks[i - 2].is_punct(':')
-                        && toks[i - 3].kind == TokKind::Ident)
-                        .then(|| toks[i - 3].text.clone());
-                    let receiver = is_method.then(|| receiver_chain(toks, i - 1)).flatten();
-                    let call = CallSite {
-                        callee: t.text.clone(),
-                        qualifier,
-                        method: is_method,
-                        receiver,
+            if let Some(call) = call_site_at(toks, start, i) {
+                // Acquisition-through-helper: a resolved call to a
+                // guard-returning or lock-passthrough fn is a lock
+                // event at this site. A guard-returning fn's call stays
+                // in the stream, ahead of the acquisition, so what it
+                // does before handing the guard back (a gate wait)
+                // still propagates to this caller.
+                let target = self.resolve_call(f, &call).first().map(|&ti| &self.fns[ti]);
+                let returned = target.and_then(|h| h.returns_guard.clone());
+                let lock = returned
+                    .clone()
+                    .or_else(|| self.passthrough_lock_at(f, target?, toks, i, end));
+                if lock.is_none() || returned.is_some() {
+                    out.events.push(BodyEvent::Call {
+                        index: out.calls.len(),
                         line: t.line,
-                    };
-                    // Acquisition-through-helper: a resolved call to a
-                    // guard-returning or lock-passthrough fn is a lock
-                    // event at this site, not a plain call.
-                    let targets = self.resolve_call(f, &call);
-                    let mut handled = false;
-                    if let Some(&ti) = targets.first() {
-                        if let Some(lock) = self.fns[ti].returns_guard.clone() {
-                            let binding = pending_let.take().map(|(n, _)| n);
-                            out.events.push(BodyEvent::Acquire {
-                                lock,
-                                binding,
-                                depth,
-                                line: t.line,
-                            });
-                            handled = true;
-                        } else if self.fns[ti].passthrough_lock {
-                            // The lock is named by the argument list:
-                            // `lock(&self.map)`.
-                            if let Some(lock) = self
-                                .arg_chain(toks, i, end)
-                                .and_then(|c| self.resolve_chain_field(f, &c))
-                                .and_then(|(s, fld)| self.lock_id(&s, &fld))
-                            {
-                                let binding = pending_let.take().map(|(n, _)| n);
-                                out.events.push(BodyEvent::Acquire {
-                                    lock,
-                                    binding,
-                                    depth,
-                                    line: t.line,
-                                });
-                                handled = true;
-                            }
-                        }
-                    }
-                    if !handled {
-                        out.events.push(BodyEvent::Call {
-                            index: out.calls.len(),
-                            line: t.line,
-                        });
-                        out.calls.push(call);
-                    }
+                    });
+                    out.calls.push(call);
+                }
+                if let Some(lock) = lock {
+                    let binding = pending_let.take().map(|(n, _)| n);
+                    out.events.push(BodyEvent::Acquire {
+                        lock,
+                        binding,
+                        depth,
+                        line: t.line,
+                    });
                 }
             }
             i += 1;
         }
         out
+    }
+
+    /// The lock a call at `call_ident` to `target` takes when `target`
+    /// is a passthrough helper: the lock its argument list names
+    /// (`lock(&self.map)`), resolved to a mutex field.
+    fn passthrough_lock_at(
+        &self,
+        caller: &FnItem,
+        target: &FnItem,
+        toks: &[Token],
+        call_ident: usize,
+        end: usize,
+    ) -> Option<String> {
+        if !target.passthrough_lock {
+            return None;
+        }
+        let chain = self.arg_chain(toks, call_ident, end)?;
+        let (s, fld) = self.resolve_chain_field(caller, &chain)?;
+        self.lock_id(&s, &fld)
     }
 
     /// The first dotted ident chain in a call's argument list
@@ -884,6 +883,36 @@ struct ScannedBody {
     self_assigns: Vec<(String, usize)>,
     bumps_epoch: bool,
     direct_waits: bool,
+}
+
+/// The call site at token `i` of a body starting at `start`: a
+/// non-keyword ident followed by `(` or a `::<..>(` turbofish.
+fn call_site_at(toks: &[Token], start: usize, i: usize) -> Option<CallSite> {
+    let t = &toks[i];
+    if t.kind != TokKind::Ident || KEYWORDS.contains(&t.text.as_str()) {
+        return None;
+    }
+    let next_paren = toks.get(i + 1).is_some_and(|p| p.is_punct('('));
+    let turbofish = toks.get(i + 1).is_some_and(|p| p.is_punct(':'))
+        && toks.get(i + 2).is_some_and(|p| p.is_punct(':'))
+        && toks.get(i + 3).is_some_and(|p| p.is_punct('<'));
+    if !(next_paren || turbofish) {
+        return None;
+    }
+    let method = i > start && toks[i - 1].is_punct('.');
+    let qualifier = (!method
+        && i >= start + 3
+        && toks[i - 1].is_punct(':')
+        && toks[i - 2].is_punct(':')
+        && toks[i - 3].kind == TokKind::Ident)
+        .then(|| toks[i - 3].text.clone());
+    Some(CallSite {
+        callee: t.text.clone(),
+        qualifier,
+        method,
+        receiver: method.then(|| receiver_chain(toks, i - 1)).flatten(),
+        line: t.line,
+    })
 }
 
 /// Walks a dotted receiver chain backwards from the `.` at `dot`:

@@ -350,6 +350,58 @@ fn g(solver: &Solver, traj: &mut Trajectory) -> Result<(), E> {
 }
 
 #[test]
+fn lockorder_flags_a_guard_returned_through_the_lock_helper() {
+    // `lock_unclaimed` takes its guard through the passthrough
+    // `lock(&self.map)` helper and hands it back, so its caller holds
+    // `Cache.map` from that call on.
+    let src = r#"
+pub struct Cache { map: Mutex<Map> }
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+impl Cache {
+    fn lock_unclaimed(&self, key: u8) -> MutexGuard<'_, Map> {
+        let map = lock(&self.map);
+        map
+    }
+    fn f(&self, traj: &mut Trajectory) -> Result<(), E> {
+        let map = self.lock_unclaimed(7);
+        advance_trajectory(&map.backend, traj)?;
+        Ok(())
+    }
+}
+"#;
+    let v = assert_rule(COLD, src, "lockorder", 1);
+    assert_eq!(v[0].line, 13);
+    assert!(v[0].message.contains("`map`"));
+    assert!(v[0].message.contains("Cache.map"));
+}
+
+#[test]
+fn lockorder_accepts_a_helper_returned_guard_dropped_before_the_kernel_call() {
+    let src = r#"
+pub struct Cache { map: Mutex<Map> }
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+impl Cache {
+    fn lock_unclaimed(&self, key: u8) -> MutexGuard<'_, Map> {
+        let map = lock(&self.map);
+        map
+    }
+    fn f(&self, traj: &mut Trajectory) -> Result<(), E> {
+        let map = self.lock_unclaimed(7);
+        let backend = map.backend_arc();
+        drop(map);
+        advance_trajectory(&backend, traj)?;
+        Ok(())
+    }
+}
+"#;
+    assert_rule(COLD, src, "lockorder", 0);
+}
+
+#[test]
 fn lockorder_flags_interior_mutability_statics() {
     // Module-level statics, statics declared inside a fn body, and
     // `thread_local!` statics.

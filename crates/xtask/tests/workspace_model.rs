@@ -70,7 +70,7 @@ fn model_extracts_the_real_cache_families() {
         .find(|f| f.struct_name == "FamilyCache")
         .unwrap();
     assert!(fam.generic_key);
-    for key in ["SketchKey", "CelfKey", "ScbgKey", "OrderingKey", "GvsKey"] {
+    for key in ["SketchKey", "CelfKey", "ScbgKey", "OrderingKey"] {
         assert!(
             fam.concrete_keys.iter().any(|k| k == key),
             "missing {key} in {:?}",
