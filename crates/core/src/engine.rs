@@ -463,12 +463,11 @@ pub enum Completion {
     /// the report carries the best-so-far selection.
     Degraded {
         /// Checkpoints completed before the stop, in the stage's own
-        /// units: CELF picks made, RR sketches generated, or bridge
-        /// ends covered.
+        /// units: CELF picks made or bridge ends covered.
         checkpoints_done: u64,
         /// The checkpoint total an uninterrupted run would reach: the
-        /// pick budget (or candidate-pool size in α mode), the
-        /// scheduled sketch count, or the bridge-end count.
+        /// pick budget (or candidate-pool size in α mode) or the
+        /// bridge-end count.
         checkpoints_total: u64,
         /// Which budget dimension stopped the solve.
         reason: StopReason,
@@ -1379,17 +1378,7 @@ impl Solver {
     /// # }
     /// ```
     pub fn solve(&self, request: &SolveRequest) -> Result<SolveReport, LcrbError> {
-        self.solve_with_batch_cancel(request, None)
-    }
-
-    /// One solve under an optional batch-wide cancel token (the
-    /// request's own budget and token always apply on top).
-    fn solve_with_batch_cancel(
-        &self,
-        request: &SolveRequest,
-        batch_cancel: Option<CancelToken>,
-    ) -> Result<SolveReport, LcrbError> {
-        let mut meter = WorkMeter::new(request.budget, request.cancel.clone(), batch_cancel);
+        let mut meter = WorkMeter::new(request.budget, request.cancel.clone());
         // Entry checkpoint: an already-cancelled or already-expired
         // request fails fast before touching any shared state.
         meter
@@ -1453,11 +1442,17 @@ impl Solver {
     /// degenerates to a serial in-order loop; any other count
     /// produces bitwise-identical reports in the same order.
     ///
+    /// To cancel a whole batch, put clones of one [`CancelToken`] on
+    /// every request: clones share the flag, so cancelling any of them
+    /// stops every in-flight request at its next checkpoint and fails
+    /// every queued one fast, each as its own
+    /// [`LcrbError::Interrupted`] slot.
+    ///
     /// # Examples
     ///
     /// ```
     /// use lcrb::engine::{Solver, SolveRequest};
-    /// use lcrb::RumorBlockingInstance;
+    /// use lcrb::{CancelToken, RumorBlockingInstance};
     /// use lcrb_community::Partition;
     /// use lcrb_graph::{DiGraph, NodeId};
     ///
@@ -1473,6 +1468,11 @@ impl Solver {
     ///     r.as_ref().unwrap().protectors.clone()
     /// };
     /// assert_eq!(picks(&serial[1]), picks(&parallel[1]));
+    /// // One token shared by the batch cancels it slot by slot.
+    /// let token = CancelToken::new();
+    /// let batch = batch.map(|r| r.with_cancel(token.clone()));
+    /// token.cancel();
+    /// assert!(solver.solve_many_threaded(&batch, 2).iter().all(Result::is_err));
     /// # Ok(())
     /// # }
     /// ```
@@ -1481,55 +1481,6 @@ impl Solver {
         &self,
         requests: &[SolveRequest],
         threads: usize,
-    ) -> Vec<Result<SolveReport, LcrbError>> {
-        self.solve_many_inner(requests, threads, None)
-    }
-
-    /// [`Solver::solve_many_threaded`] with a batch-wide kill switch:
-    /// cancelling `cancel` aborts every in-flight request at its next
-    /// checkpoint and fails every still-queued request fast, each as
-    /// its own [`LcrbError::Interrupted`] slot — failure isolation is
-    /// preserved, the batch itself never panics or hangs.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lcrb::engine::{Solver, SolveRequest};
-    /// use lcrb::{CancelToken, RumorBlockingInstance};
-    /// use lcrb_community::Partition;
-    /// use lcrb_graph::{DiGraph, NodeId};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let g = DiGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)])?;
-    /// let p = Partition::from_labels(vec![0, 0, 1, 1]);
-    /// let inst = RumorBlockingInstance::new(g, p, 0, vec![NodeId::new(0)])?;
-    /// let solver = Solver::new(inst);
-    /// let batch = [SolveRequest::greedy_budget(1), SolveRequest::scbg()];
-    /// let token = CancelToken::new();
-    /// let reports = solver.solve_many_with_cancel(&batch, 2, &token);
-    /// assert!(reports.iter().all(Result::is_ok));
-    /// // A cancelled batch fails fast, slot by slot.
-    /// token.cancel();
-    /// let reports = solver.solve_many_with_cancel(&batch, 2, &token);
-    /// assert!(reports.iter().all(Result::is_err));
-    /// # Ok(())
-    /// # }
-    /// ```
-    #[must_use]
-    pub fn solve_many_with_cancel(
-        &self,
-        requests: &[SolveRequest],
-        threads: usize,
-        cancel: &CancelToken,
-    ) -> Vec<Result<SolveReport, LcrbError>> {
-        self.solve_many_inner(requests, threads, Some(cancel))
-    }
-
-    fn solve_many_inner(
-        &self,
-        requests: &[SolveRequest],
-        threads: usize,
-        batch_cancel: Option<&CancelToken>,
     ) -> Vec<Result<SolveReport, LcrbError>> {
         let threads = if threads > 0 {
             threads
@@ -1541,10 +1492,7 @@ impl Solver {
         .min(requests.len())
         .max(1);
         if threads == 1 {
-            return requests
-                .iter()
-                .map(|r| self.solve_with_batch_cancel(r, batch_cancel.cloned()))
-                .collect();
+            return requests.iter().map(|r| self.solve(r)).collect();
         }
         let next = AtomicUsize::new(0);
         let mut indexed = lcrb_sync::thread::scope(|scope| {
@@ -1562,10 +1510,7 @@ impl Solver {
                         let Some(request) = requests.get(i) else {
                             break;
                         };
-                        out.push((
-                            i,
-                            self.solve_with_batch_cancel(request, batch_cancel.cloned()),
-                        ));
+                        out.push((i, self.solve(request)));
                     }
                     out
                 }));
@@ -1610,9 +1555,6 @@ impl Solver {
         clock.lap("bridge");
 
         let model = normalized_model(&config);
-        // `(generated, scheduled)` when a sketch cap truncated the
-        // sample below its accuracy schedule.
-        let mut sketch_truncation: Option<(u64, u64)> = None;
         let backend = match config.estimator {
             Estimator::MonteCarlo => SigmaBackend::Mc(ProtectionObjective::with_model(
                 &self.instance,
@@ -1625,48 +1567,29 @@ impl Solver {
                 if !matches!(model, ObjectiveModel::Opoao(_)) {
                     return Err(LcrbError::SketchModelUnsupported);
                 }
-                let index = if meter.limits_sketches() {
-                    // A sketch-capped request may truncate the sample,
-                    // and a truncated index must never be published as
-                    // the exact artifact — build privately, bypassing
-                    // the cache on both the read and the write side.
-                    Arc::new(SketchIndex::build_metered(
+                let key = SketchKey {
+                    rule: rule_tag(config.rule),
+                    max_hops: config.max_hops,
+                    epsilon_bits: params.epsilon.to_bits(),
+                    delta_bits: params.delta.to_bits(),
+                    min_sketches: params.min_sketches,
+                    max_sketches: params.max_sketches,
+                };
+                // Cancel/deadline stops inside the builder surface as
+                // errors; the BuildGuard then vacates the Building
+                // slot and frees same-key waiters — cancellation is a
+                // recovery window exactly like a failed build.
+                let index = self.cache.sketch.get_or_try_build(key, epoch, || {
+                    SketchIndex::build_metered(
                         &self.instance,
                         bridge.nodes.clone(),
                         params,
                         self.master_seed,
                         config.max_hops,
                         meter,
-                    )?)
-                } else {
-                    let key = SketchKey {
-                        rule: rule_tag(config.rule),
-                        max_hops: config.max_hops,
-                        epsilon_bits: params.epsilon.to_bits(),
-                        delta_bits: params.delta.to_bits(),
-                        min_sketches: params.min_sketches,
-                        max_sketches: params.max_sketches,
-                    };
-                    // Cancel/deadline stops inside the builder surface
-                    // as errors; the BuildGuard then vacates the
-                    // Building slot and frees same-key waiters —
-                    // cancellation is a recovery window exactly like a
-                    // failed build.
-                    self.cache.sketch.get_or_try_build(key, epoch, || {
-                        SketchIndex::build_metered(
-                            &self.instance,
-                            bridge.nodes.clone(),
-                            params,
-                            self.master_seed,
-                            config.max_hops,
-                            meter,
-                        )
-                        .map(Arc::new)
-                    })?
-                };
-                if index.is_truncated() {
-                    sketch_truncation = Some((index.sketch_count(), index.sketch_target()));
-                }
+                    )
+                    .map(Arc::new)
+                })?;
                 SigmaBackend::Sketch(SketchObjective::from_index(&self.instance, index))
             }
         };
@@ -1685,19 +1608,13 @@ impl Solver {
         };
         // A trajectory parked with the answer already in it (a replay)
         // is read in place: no claim, gate or scratch, so concurrent
-        // replays never wait on each other. A sketch-capped request
-        // skips the cache entirely (below).
-        let answered = if meter.limits_sketches() {
-            None
-        } else {
-            self.cache.celf.peek(celf_key, epoch, |traj| {
-                traj.answers(target, cap).then(|| {
-                    let selection =
-                        selection_from_trajectory(traj, target, cap, 0, (*bridge).clone());
-                    (selection, traj.candidate_count())
-                })
+        // replays never wait on each other.
+        let answered = self.cache.celf.peek(celf_key, epoch, |traj| {
+            traj.answers(target, cap).then(|| {
+                let selection = selection_from_trajectory(traj, target, cap, 0, (*bridge).clone());
+                (selection, traj.candidate_count())
             })
-        };
+        });
         let (selection, candidate_count, advance_stop) = match answered {
             Some((selection, candidate_count)) => (selection, candidate_count, None),
             None => {
@@ -1706,16 +1623,7 @@ impl Solver {
         };
         clock.lap("select");
 
-        let completion = if let Some((generated, scheduled)) = sketch_truncation {
-            // Sketch truncation outranks any later advance stop: the
-            // whole σ̂ surface is coarser than requested, not just the
-            // pick sequence shorter.
-            Completion::Degraded {
-                checkpoints_done: generated,
-                checkpoints_total: scheduled,
-                reason: StopReason::SketchBudget,
-            }
-        } else if let Some(reason) = advance_stop {
+        let completion = if let Some(reason) = advance_stop {
             Completion::Degraded {
                 checkpoints_done: selection.protectors.len() as u64,
                 checkpoints_total: if cap == usize::MAX {
@@ -1753,20 +1661,9 @@ impl Solver {
         cap: usize,
         meter: &mut WorkMeter,
     ) -> Result<(GreedySelection, usize, Option<StopReason>), LcrbError> {
-        let epoch = self.epoch;
-        // A sketch-capped request ran on a privately built (possibly
-        // truncated) index, so its trajectory is not comparable to the
-        // shared one: it must neither resume nor park it. Bypass the
-        // CELF cache on both ends for those requests.
-        let (cached, claim) = if meter.limits_sketches() {
-            (None, None)
-        } else {
-            // The claim holds this key exclusively: concurrent
-            // same-key solves wait here and then resume the
-            // trajectory we store.
-            let (cached, claim) = self.cache.celf.take(celf_key, epoch);
-            (cached, Some(claim))
-        };
+        // The claim holds this key exclusively: concurrent same-key
+        // solves wait here and then resume the trajectory we store.
+        let (cached, claim) = self.cache.celf.take(celf_key, self.epoch);
         let mut traj = cached.unwrap_or_else(|| {
             GreedyTrajectory::new(candidate_pool(&self.instance, bridge, config.candidates))
         });
@@ -1793,9 +1690,7 @@ impl Solver {
         let evaluations = traj.evaluations() - evals_before;
         let selection = selection_from_trajectory(&traj, target, cap, evaluations, bridge.clone());
         let candidate_count = traj.candidate_count();
-        if let Some(claim) = claim {
-            claim.store(traj);
-        }
+        claim.store(traj);
         Ok((selection, candidate_count, advance_stop))
     }
 
@@ -2637,28 +2532,6 @@ mod tests {
     }
 
     #[test]
-    fn sketch_cap_truncates_and_bypasses_the_shared_caches() {
-        let inst = community_instance(47);
-        let solver = Solver::new(inst);
-        // Warm the bridge cache so the delta isolates the sketch path.
-        solver.solve(&sketch_request(1)).unwrap();
-        let capped = sketch_request(2).with_budget(RunBudget::unlimited().with_max_sketches(3));
-        let (report, delta) = charged(&solver, || solver.solve(&capped).unwrap());
-        let Completion::Degraded { reason, .. } = report.completion else {
-            panic!("expected a degraded completion");
-        };
-        assert_eq!(reason, StopReason::SketchBudget);
-        // A truncated index and its trajectory are private to the
-        // request: neither the sketch family nor the CELF cache is
-        // read or written.
-        assert_eq!(delta.sketch.hits + delta.sketch.misses, 0);
-        assert_eq!(delta.celf.hits + delta.celf.misses, 0);
-        // And the session still answers exact sketch solves untainted.
-        let exact = solver.solve(&sketch_request(2)).unwrap();
-        assert_eq!(exact.completion, Completion::Exact);
-    }
-
-    #[test]
     fn cancelled_request_errors_without_poisoning_the_session() {
         let inst = community_instance(49);
         let solver = Solver::new(inst.clone());
@@ -2713,26 +2586,27 @@ mod tests {
             max_hops: 10,
             ..SolveRequest::greedy_budget(1)
         };
-        let batch = vec![req.clone(); 4];
+        let plain_batch = vec![req.clone(); 4];
+        // One token cloned onto every request: clones share the flag.
         let token = CancelToken::new();
+        let batch = vec![req.with_cancel(token.clone()); 4];
+        // An untripped token leaves the batch equal to a plain one.
+        let with_token = solver.solve_many_threaded(&batch, 2);
+        let plain = solver.solve_many_threaded(&plain_batch, 2);
+        for (a, b) in with_token.iter().zip(&plain) {
+            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+            assert_eq!(a.protectors, b.protectors);
+            assert_eq!(a.completion, Completion::Exact);
+            assert_eq!(b.completion, Completion::Exact);
+        }
         token.cancel();
-        for slot in solver.solve_many_with_cancel(&batch, 2, &token) {
+        for slot in solver.solve_many_threaded(&batch, 2) {
             assert!(matches!(
                 slot,
                 Err(LcrbError::Interrupted {
                     reason: StopReason::Cancelled
                 })
             ));
-        }
-        // An untripped token leaves the batch equal to a plain one.
-        let fresh = CancelToken::new();
-        let with_token = solver.solve_many_with_cancel(&batch, 2, &fresh);
-        let plain = solver.solve_many(&batch);
-        for (a, b) in with_token.iter().zip(&plain) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.protectors, b.protectors);
-            assert_eq!(a.completion, Completion::Exact);
-            assert_eq!(b.completion, Completion::Exact);
         }
     }
 }

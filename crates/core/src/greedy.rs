@@ -1057,7 +1057,7 @@ mod tests {
         let backend = build_backend(&inst, &cfg, bridges.nodes).unwrap();
         let token = lcrb_diffusion::CancelToken::new();
         token.cancel();
-        let meter = WorkMeter::new(lcrb_diffusion::RunBudget::unlimited(), Some(token), None);
+        let meter = WorkMeter::new(lcrb_diffusion::RunBudget::unlimited(), Some(token));
         for threads in [1, 3] {
             let err = parallel_initial_gains(
                 &backend,

@@ -86,7 +86,7 @@ pub use error::LcrbError;
 pub use greedy::{greedy_with_budget, CandidatePool, Estimator, GreedyConfig, GreedySelection};
 pub use heuristics::{max_degree_ordering, protectors_to_cover_all, proximity_pool};
 pub use instance::RumorBlockingInstance;
-pub use lcrb_diffusion::{CancelToken, RunBudget, StopReason, WorkMeter};
+pub use lcrb_diffusion::{CancelToken, RunBudget, StopReason};
 pub use objective::{ObjectiveModel, ProtectionObjective};
 pub use scbg::{scbg, ScbgConfig, ScbgSolution};
 pub use sketch_objective::{CoverageScratch, SketchIndex, SketchObjective, SketchParams};

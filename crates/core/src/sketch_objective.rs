@@ -179,13 +179,6 @@ pub struct SketchIndex {
     total: u64,
     always_saved: u64,
     set_count: usize,
-    /// θ* the `(ε, δ)` schedule called for at the point generation
-    /// stopped; equals `total` unless the build was truncated by a
-    /// sketch budget.
-    target: u64,
-    /// Whether a sketch budget stopped generation short of the
-    /// schedule.
-    truncated: bool,
     /// Inverted node → sketch-id index, CSR layout over all nodes.
     index_offsets: Vec<u32>,
     index_ids: Vec<u32>,
@@ -212,40 +205,12 @@ impl SketchIndex {
         self.always_saved
     }
 
-    /// θ* the adaptive schedule called for when generation stopped.
-    /// Equals [`SketchIndex::sketch_count`] unless the build was
-    /// budget-truncated.
-    #[must_use]
-    pub fn sketch_target(&self) -> u64 {
-        self.target
-    }
-
-    /// Whether a sketch budget stopped generation short of the
-    /// `(ε, δ)` schedule — estimates from a truncated index carry a
-    /// widened confidence interval (see
-    /// [`SketchIndex::ci_widening`]).
-    #[must_use]
-    pub fn is_truncated(&self) -> bool {
-        self.truncated
-    }
-
     /// Ids of the stored sketches containing `node`: its row of the
     /// inverted index.
     fn sketches_of(&self, node: NodeId) -> &[u32] {
         let lo = self.index_offsets[node.index()] as usize;
         let hi = self.index_offsets[node.index() + 1] as usize;
         &self.index_ids[lo..hi]
-    }
-
-    /// Multiplicative widening of the estimator's confidence interval
-    /// from budget truncation: `sqrt(θ*/θ)` (the sampling error of an
-    /// RIS mean scales as `1/sqrt(θ)`). `1.0` for a full build.
-    #[must_use]
-    pub fn ci_widening(&self) -> f64 {
-        if !self.truncated || self.total == 0 {
-            return 1.0;
-        }
-        (self.target as f64 / self.total as f64).sqrt()
     }
 }
 
@@ -304,43 +269,31 @@ impl SketchIndex {
         master_seed: u64,
         max_hops: u32,
     ) -> Result<Self, LcrbError> {
-        let mut meter = WorkMeter::unlimited();
         SketchIndex::build_metered(
             instance,
             bridge_ends,
             params,
             master_seed,
             max_hops,
-            &mut meter,
+            &WorkMeter::unlimited(),
         )
     }
 
     /// [`SketchIndex::build`] under a [`WorkMeter`]: each sketch is a
-    /// checkpoint.
-    ///
-    /// Sketch `g`'s `(target, realization)` pair depends only on
-    /// `(master_seed, g)`, so a budget stop at any checkpoint yields
-    /// the exact prefix an uninterrupted build would have drawn —
-    /// truncation is deterministic. A truncated build still inverts
-    /// the generated prefix into a usable index
-    /// ([`SketchIndex::is_truncated`] is set and
-    /// [`SketchIndex::ci_widening`] quantifies the accuracy loss); a
-    /// cancellation or deadline stop abandons the build instead.
+    /// checkpoint, and a cancellation or deadline stop abandons the
+    /// build.
     ///
     /// # Errors
     ///
-    /// [`LcrbError::InvalidSketchParams`] if `params` is out of
-    /// range; [`LcrbError::Seeds`] with
-    /// [`lcrb_diffusion::SeedError::OutOfBounds`] if a bridge end is
-    /// not a node of the instance; [`LcrbError::Interrupted`] when a
-    /// cancellation or deadline poll fires during generation.
-    pub fn build_metered(
+    /// Everything [`SketchIndex::build`] returns, plus
+    /// [`LcrbError::Interrupted`] when a poll fires during generation.
+    pub(crate) fn build_metered(
         instance: &RumorBlockingInstance,
         bridge_ends: Vec<NodeId>,
         params: SketchParams,
         master_seed: u64,
         max_hops: u32,
-        meter: &mut WorkMeter,
+        meter: &WorkMeter,
     ) -> Result<Self, LcrbError> {
         params.validate()?;
         instance.check_in_bounds(&bridge_ends)?;
@@ -356,15 +309,11 @@ impl SketchIndex {
             is_rumor[r.index()] = true;
         }
 
-        let mut truncated = false;
-        let mut schedule_target = 0u64;
         if !bridge_ends.is_empty() {
             let mut theta = params.floor();
-            let mut generated = 0usize;
             let mut first_stored = 0usize;
             loop {
-                schedule_target = theta as u64;
-                let drawn = rr_sketch_batch_into(
+                rr_sketch_batch_into(
                     csr,
                     rumors,
                     |g| {
@@ -376,7 +325,7 @@ impl SketchIndex {
                             OpoaoRealization::new(derive_stream(master_seed, 2 * g + 1)),
                         )
                     },
-                    generated as u64,
+                    batch.total(),
                     theta as u64,
                     max_hops,
                     &mut scratch,
@@ -384,15 +333,13 @@ impl SketchIndex {
                     meter,
                 )
                 .map_err(|reason| LcrbError::Interrupted { reason })?;
-                generated += drawn as usize;
-                truncated = generated < theta;
                 for s in first_stored..batch.set_count() {
                     for &u in batch.members(s) {
                         cover[u.index()] += 1;
                     }
                 }
                 first_stored = batch.set_count();
-                if truncated || theta >= params.max_sketches {
+                if theta >= params.max_sketches {
                     break;
                 }
                 // Best observed placeable singleton coverage p̂ (rumor
@@ -413,9 +360,7 @@ impl SketchIndex {
         }
 
         // Invert: CSR index node -> ids of stored sketches containing
-        // it. `cover` already holds the per-node counts. Runs for
-        // truncated builds too: the generated prefix is a valid
-        // (smaller) sample.
+        // it. `cover` already holds the per-node counts.
         let mut index_offsets = vec![0u32; n + 1];
         for v in 0..n {
             index_offsets[v + 1] = index_offsets[v] + cover[v];
@@ -436,12 +381,6 @@ impl SketchIndex {
             total: batch.total(),
             always_saved: batch.always_saved(),
             set_count: batch.set_count(),
-            target: if truncated {
-                schedule_target
-            } else {
-                batch.total()
-            },
-            truncated,
             index_offsets,
             index_ids,
         })

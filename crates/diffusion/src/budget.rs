@@ -11,9 +11,9 @@
 //! Two stop families behave differently by design:
 //!
 //! - **Work-unit caps** ([`RunBudget::max_sims`] /
-//!   [`RunBudget::max_sketches`] / [`RunBudget::max_advances`]) are
-//!   counted in deterministic units, so the same request stops at the
-//!   same checkpoint on every run and every worker count.
+//!   [`RunBudget::max_advances`]) are counted in deterministic units,
+//!   so the same request stops at the same checkpoint on every run and
+//!   every worker count.
 //! - **Wall-clock deadlines and [`CancelToken`]s** are advisory: they
 //!   are observed only at checkpoints, so *where* they land depends on
 //!   machine speed, but the result at whichever checkpoint they land
@@ -71,8 +71,6 @@ impl PartialEq for CancelToken {
 pub struct RunBudget {
     /// Cap on Monte-Carlo simulation runs charged this solve.
     pub max_sims: Option<u64>,
-    /// Cap on RR sketches generated this solve.
-    pub max_sketches: Option<u64>,
     /// Cap on CELF advances (greedy picks committed) this solve.
     pub max_advances: Option<u64>,
     /// Advisory wall-clock deadline, measured from solve start.
@@ -93,13 +91,6 @@ impl RunBudget {
     #[must_use]
     pub fn with_max_sims(mut self, max_sims: u64) -> Self {
         self.max_sims = Some(max_sims);
-        self
-    }
-
-    /// Caps RR sketch generation.
-    #[must_use]
-    pub fn with_max_sketches(mut self, max_sketches: u64) -> Self {
-        self.max_sketches = Some(max_sketches);
         self
     }
 
@@ -128,14 +119,12 @@ impl RunBudget {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum StopReason {
-    /// A [`CancelToken`] on the request (or its batch) was raised.
+    /// A [`CancelToken`] on the request was raised.
     Cancelled,
     /// The wall-clock deadline passed.
     DeadlineExpired,
     /// The Monte-Carlo simulation cap was reached.
     SimBudget,
-    /// The RR-sketch generation cap was reached.
-    SketchBudget,
     /// The CELF advance cap was reached.
     AdvanceBudget,
 }
@@ -146,15 +135,14 @@ impl std::fmt::Display for StopReason {
             StopReason::Cancelled => "cancelled",
             StopReason::DeadlineExpired => "deadline expired",
             StopReason::SimBudget => "simulation budget exhausted",
-            StopReason::SketchBudget => "sketch budget exhausted",
             StopReason::AdvanceBudget => "advance budget exhausted",
         };
         f.write_str(text)
     }
 }
 
-/// Per-solve checkpoint state: the budget, the cancellation tokens in
-/// scope, the deadline clock, and the work-unit counters.
+/// Per-solve checkpoint state: the budget, the request's cancellation
+/// token, the deadline clock, and the work-unit counters.
 ///
 /// One meter lives for exactly one solve. Charging methods take
 /// `&mut self` and run only on serial checkpoint boundaries;
@@ -164,24 +152,17 @@ impl std::fmt::Display for StopReason {
 pub struct WorkMeter {
     budget: RunBudget,
     cancel: Option<CancelToken>,
-    batch_cancel: Option<CancelToken>,
     started: Option<Instant>,
     sims: u64,
-    sketches: u64,
     advances: u64,
 }
 
 impl WorkMeter {
-    /// A meter for `budget` observing the given cancellation tokens
-    /// (`cancel` rides on the request, `batch_cancel` on a
-    /// `solve_many` batch). Starts the deadline clock now if the
-    /// budget has one.
+    /// A meter for `budget` observing the request's cancellation
+    /// token, if any. Starts the deadline clock now if the budget has
+    /// one.
     #[must_use]
-    pub fn new(
-        budget: RunBudget,
-        cancel: Option<CancelToken>,
-        batch_cancel: Option<CancelToken>,
-    ) -> Self {
+    pub fn new(budget: RunBudget, cancel: Option<CancelToken>) -> Self {
         #[expect(
             clippy::disallowed_methods,
             reason = "the deadline clock is the one sanctioned wall-clock source; deadlines are advisory and resolve to checkpoint boundaries (see module docs)"
@@ -190,10 +171,8 @@ impl WorkMeter {
         WorkMeter {
             budget,
             cancel,
-            batch_cancel,
             started,
             sims: 0,
-            sketches: 0,
             advances: 0,
         }
     }
@@ -202,7 +181,7 @@ impl WorkMeter {
     /// budget-unaware caller takes.
     #[must_use]
     pub fn unlimited() -> Self {
-        WorkMeter::new(RunBudget::unlimited(), None, None)
+        WorkMeter::new(RunBudget::unlimited(), None)
     }
 
     /// Checkpoint poll: observes cancellation and the deadline, never
@@ -211,15 +190,10 @@ impl WorkMeter {
     ///
     /// # Errors
     ///
-    /// [`StopReason::Cancelled`] if any token in scope is raised,
+    /// [`StopReason::Cancelled`] if the token is raised,
     /// [`StopReason::DeadlineExpired`] if the deadline passed.
     pub fn poll(&self) -> Result<(), StopReason> {
-        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-            || self
-                .batch_cancel
-                .as_ref()
-                .is_some_and(CancelToken::is_cancelled)
-        {
+        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             return Err(StopReason::Cancelled);
         }
         if let (Some(deadline), Some(started)) = (self.budget.deadline, self.started) {
@@ -249,23 +223,6 @@ impl WorkMeter {
         Ok(())
     }
 
-    /// Checkpoint: charges one RR sketch.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`WorkMeter::poll`] reports, plus
-    /// [`StopReason::SketchBudget`] when the cap is already reached.
-    pub fn charge_sketch(&mut self) -> Result<(), StopReason> {
-        self.poll()?;
-        if let Some(cap) = self.budget.max_sketches {
-            if self.sketches >= cap {
-                return Err(StopReason::SketchBudget);
-            }
-        }
-        self.sketches = self.sketches.saturating_add(1);
-        Ok(())
-    }
-
     /// Whether the CELF advance cap is already spent. Checked at the
     /// top of each greedy iteration; charging happens separately via
     /// [`WorkMeter::note_advance`] when a pick actually commits, so
@@ -289,19 +246,13 @@ impl WorkMeter {
     /// on interruption and shared caches must be bypassed.
     #[must_use]
     pub fn polls_needed(&self) -> bool {
-        self.cancel.is_some() || self.batch_cancel.is_some() || self.budget.deadline.is_some()
+        self.cancel.is_some() || self.budget.deadline.is_some()
     }
 
-    /// Whether a sketch-generation cap is set.
+    /// Work-unit counters charged so far: `(sims, advances)`.
     #[must_use]
-    pub fn limits_sketches(&self) -> bool {
-        self.budget.max_sketches.is_some()
-    }
-
-    /// Work-unit counters charged so far: `(sims, sketches, advances)`.
-    #[must_use]
-    pub fn spent(&self) -> (u64, u64, u64) {
-        (self.sims, self.sketches, self.advances)
+    pub fn spent(&self) -> (u64, u64) {
+        (self.sims, self.advances)
     }
 }
 
@@ -316,11 +267,9 @@ mod tests {
         let mut meter = WorkMeter::unlimited();
         assert!(meter.poll().is_ok());
         assert!(meter.charge_sims(1_000_000).is_ok());
-        assert!(meter.charge_sketch().is_ok());
         assert!(!meter.advances_exhausted());
         assert!(!meter.polls_needed());
-        assert!(!meter.limits_sketches());
-        assert_eq!(meter.spent(), (1_000_000, 1, 0));
+        assert_eq!(meter.spent(), (1_000_000, 0));
     }
 
     #[test]
@@ -335,19 +284,10 @@ mod tests {
     }
 
     #[test]
-    fn poll_observes_request_and_batch_tokens() {
+    fn poll_observes_the_request_token() {
         let request = CancelToken::new();
-        let batch = CancelToken::new();
-        let meter = WorkMeter::new(
-            RunBudget::unlimited(),
-            Some(request.clone()),
-            Some(batch.clone()),
-        );
+        let meter = WorkMeter::new(RunBudget::unlimited(), Some(request.clone()));
         assert!(meter.polls_needed());
-        assert!(meter.poll().is_ok());
-        batch.cancel();
-        assert_eq!(meter.poll(), Err(StopReason::Cancelled));
-        let meter = WorkMeter::new(RunBudget::unlimited(), Some(request.clone()), None);
         assert!(meter.poll().is_ok());
         request.cancel();
         assert_eq!(meter.poll(), Err(StopReason::Cancelled));
@@ -355,7 +295,7 @@ mod tests {
 
     #[test]
     fn sim_charges_are_all_or_nothing() {
-        let mut meter = WorkMeter::new(RunBudget::unlimited().with_max_sims(10), None, None);
+        let mut meter = WorkMeter::new(RunBudget::unlimited().with_max_sims(10), None);
         assert!(meter.charge_sims(6).is_ok());
         // 6 + 5 > 10: rejected whole, nothing charged...
         assert_eq!(meter.charge_sims(5), Err(StopReason::SimBudget));
@@ -366,33 +306,19 @@ mod tests {
     }
 
     #[test]
-    fn sketch_charges_stop_at_the_cap() {
-        let mut meter = WorkMeter::new(RunBudget::unlimited().with_max_sketches(2), None, None);
-        assert!(meter.limits_sketches());
-        assert!(meter.charge_sketch().is_ok());
-        assert!(meter.charge_sketch().is_ok());
-        assert_eq!(meter.charge_sketch(), Err(StopReason::SketchBudget));
-        assert_eq!(meter.spent().1, 2);
-    }
-
-    #[test]
     fn advances_check_then_note_never_double_charges() {
-        let mut meter = WorkMeter::new(RunBudget::unlimited().with_max_advances(2), None, None);
+        let mut meter = WorkMeter::new(RunBudget::unlimited().with_max_advances(2), None);
         assert!(!meter.advances_exhausted());
         meter.note_advance();
         assert!(!meter.advances_exhausted());
         meter.note_advance();
         assert!(meter.advances_exhausted());
-        assert_eq!(meter.spent().2, 2);
+        assert_eq!(meter.spent().1, 2);
     }
 
     #[test]
     fn zero_deadline_expires_immediately() {
-        let meter = WorkMeter::new(
-            RunBudget::unlimited().with_deadline(Duration::ZERO),
-            None,
-            None,
-        );
+        let meter = WorkMeter::new(RunBudget::unlimited().with_deadline(Duration::ZERO), None);
         assert!(meter.polls_needed());
         assert_eq!(meter.poll(), Err(StopReason::DeadlineExpired));
     }
@@ -402,7 +328,6 @@ mod tests {
         let meter = WorkMeter::new(
             RunBudget::unlimited().with_deadline(Duration::from_secs(3600)),
             None,
-            None,
         );
         assert!(meter.poll().is_ok());
     }
@@ -411,7 +336,7 @@ mod tests {
     fn cancellation_outranks_the_work_caps() {
         let token = CancelToken::new();
         token.cancel();
-        let mut meter = WorkMeter::new(RunBudget::unlimited().with_max_sims(0), Some(token), None);
+        let mut meter = WorkMeter::new(RunBudget::unlimited().with_max_sims(0), Some(token));
         assert_eq!(meter.charge_sims(1), Err(StopReason::Cancelled));
     }
 
@@ -421,7 +346,6 @@ mod tests {
             (StopReason::Cancelled, "cancelled"),
             (StopReason::DeadlineExpired, "deadline expired"),
             (StopReason::SimBudget, "simulation budget exhausted"),
-            (StopReason::SketchBudget, "sketch budget exhausted"),
             (StopReason::AdvanceBudget, "advance budget exhausted"),
         ] {
             assert_eq!(reason.to_string(), text);

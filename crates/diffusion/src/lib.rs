@@ -20,16 +20,16 @@
 //!   §V-A), which make the greedy objective a deterministic
 //!   submodular function per realization; every OPOAO run, Monte
 //!   Carlo included, is one;
-//! - [`monte_carlo_sets_budgeted`]: the thread-parallel,
-//!   seed-reproducible Monte-Carlo loop over any [`TwoCascadeModel`],
-//!   which scores one protector set or many on common runs (one
-//!   lane-packed pass per run under OPOAO, a single set on one lane)
-//!   under a [`WorkMeter`]; [`monte_carlo_csr`] (one set) and
-//!   [`monte_carlo_sets`] are its unmetered calls;
+//! - [`monte_carlo_sets`]: the thread-parallel, seed-reproducible
+//!   Monte-Carlo loop over any [`TwoCascadeModel`], which scores one
+//!   protector set or many on common runs (one lane-packed pass per
+//!   run under OPOAO, a single set on one lane); [`monte_carlo_csr`]
+//!   is its one-set call;
 //! - [`rr_sketch_into`]: reverse-reachable sketch generation under
 //!   the OPOAO timestamp semantics, with [`RrScratch`] /
 //!   [`SketchBatch`] storage (the RIS estimator's sampling
-//!   primitive);
+//!   primitive); [`rr_sketch_batch_into`] draws a run of sketches,
+//!   polling a [`WorkMeter`] before each;
 //! - [`CompetitiveIcModel`] / [`CompetitiveLtModel`]: the competitive
 //!   IC / LT extension models from the paper's related work.
 //!
@@ -86,9 +86,7 @@ pub use doam::DoamModel;
 pub use ic::{CompetitiveIcModel, IcRealization, InvalidProbabilityError};
 pub use lt::CompetitiveLtModel;
 pub use model::TwoCascadeModel;
-pub use montecarlo::{
-    monte_carlo_csr, monte_carlo_sets, monte_carlo_sets_budgeted, AveragedOutcome, MonteCarloConfig,
-};
+pub use montecarlo::{monte_carlo_csr, monte_carlo_sets, AveragedOutcome, MonteCarloConfig};
 pub use opoao::{LaneWorkspace, OpoaoModel, OPOAO_LANES, PAPER_OPOAO_HOPS};
 pub use outcome::{DiffusionOutcome, HopRecord, Status};
 pub use pool::{ScratchLease, ScratchPool};

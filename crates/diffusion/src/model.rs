@@ -40,7 +40,7 @@ pub trait TwoCascadeModel {
     );
 
     /// The OPOAO model behind `self`, if it is one. The Monte-Carlo
-    /// loop ([`crate::monte_carlo_sets_budgeted`]) uses it to score
+    /// loop ([`crate::monte_carlo_sets`]) uses it to score
     /// every protector set, one or many, in one lane-packed pass per
     /// run; every other model returns `None` and runs set by set
     /// through [`TwoCascadeModel::run_into`].

@@ -3,8 +3,8 @@
 //! The paper's Figures 4–6 report "the average results obtained by
 //! repeated Monte Carlo simulation"; this module is that averaging
 //! loop, parallelized across std scoped threads and reproducible from
-//! a single base seed. One loop, [`monte_carlo_sets_budgeted`], scores
-//! one protector set or many. It alone decides which stream run `r`
+//! a single base seed. One loop, [`monte_carlo_sets`], scores one
+//! protector set or many. It alone decides which stream run `r`
 //! draws from, so run `r` of every set scored with one
 //! [`MonteCarloConfig`] sees the same randomness, and under OPOAO one
 //! lane-packed pass per run scores up to [`OPOAO_LANES`] sets.
@@ -15,7 +15,6 @@ use rand::SeedableRng;
 
 use lcrb_graph::CsrGraph;
 
-use crate::budget::{StopReason, WorkMeter};
 use crate::{
     derive_stream, HopRecord, LaneWorkspace, OpoaoRealization, SeedSets, SimWorkspace,
     TwoCascadeModel, OPOAO_LANES,
@@ -182,8 +181,8 @@ fn run_rng(base_seed: u64, run: usize) -> SmallRng {
 
 /// Runs `config.runs` independent simulations of `model` on the
 /// snapshot `graph` and averages the hop series: the one-set case of
-/// [`monte_carlo_sets_budgeted`], unmetered. Deterministic for a
-/// fixed `config` regardless of `threads`.
+/// [`monte_carlo_sets`]. Deterministic for a fixed `config` regardless
+/// of `threads`.
 ///
 /// # Panics
 ///
@@ -224,11 +223,23 @@ where
         .expect("one set scored")
 }
 
-/// Scores several protector sets, one [`AveragedOutcome`] per entry of
-/// `seeds`, in order: [`monte_carlo_sets_budgeted`], unmetered. Entry
-/// `i` equals [`monte_carlo_csr`]`(model, graph, &seeds[i], config)`
-/// bit for bit, and run `r` of every set meets the same randomness,
-/// so the sets' [`AveragedOutcome::final_infected_by_run`] pair up.
+/// The Monte-Carlo loop: `config.runs` runs of `model` on `graph` for
+/// each set of `seeds`, one [`AveragedOutcome`] per set, in order.
+/// Entry `i` equals [`monte_carlo_csr`]`(model, graph, &seeds[i],
+/// config)` bit for bit.
+///
+/// Worker `t` of `w` runs runs `t, t + w, ...` and keeps its
+/// workspace across them, so the steady-state loop makes no per-run
+/// heap allocation. Run `r` of every set draws from the stream
+/// [`derive_stream`]`(base_seed, r)`, so the sets'
+/// [`AveragedOutcome::final_infected_by_run`] pair up. For an OPOAO model
+/// ([`TwoCascadeModel::as_opoao`]) and sets with equal rumors, run
+/// `r` draws one [`OpoaoRealization`], and one
+/// [`crate::OpoaoModel::run_lanes_into`] pass scores up to
+/// [`OPOAO_LANES`] sets on it, a single set on one lane. Otherwise
+/// each set's [`TwoCascadeModel::run_into`] starts from that stream
+/// afresh. Either way every set gets, bit for bit and at any thread
+/// count, what the scalar kernel gives it alone.
 ///
 /// # Panics
 ///
@@ -265,59 +276,11 @@ pub fn monte_carlo_sets<M>(
 where
     M: TwoCascadeModel + Sync,
 {
-    monte_carlo_sets_budgeted(model, graph, seeds, config, &mut WorkMeter::unlimited())
-        // xtask-allow: panic -- an unlimited meter has no cap to charge against and no token or deadline to observe
-        .expect("an unlimited meter cannot stop the batch")
-}
-
-/// The Monte-Carlo loop: `config.runs` runs of `model` on `graph` for
-/// each set of `seeds`, averaged per set, in order, under `meter`.
-///
-/// Worker `t` of `w` runs runs `t, t + w, ...` and keeps its
-/// workspace across them, so the steady-state loop makes no per-run
-/// heap allocation. Run `r` of every set draws from the stream
-/// [`derive_stream`]`(base_seed, r)`. For an OPOAO model
-/// ([`TwoCascadeModel::as_opoao`]) and sets with equal rumors, run
-/// `r` draws one [`OpoaoRealization`], and one
-/// [`crate::OpoaoModel::run_lanes_into`] pass scores up to
-/// [`OPOAO_LANES`] sets on it, a single set on one lane. Otherwise
-/// each set's [`TwoCascadeModel::run_into`] starts from that stream
-/// afresh. Either way every set gets, bit for bit and at any thread
-/// count, what the scalar kernel gives it alone.
-///
-/// The batch's `runs × sets` simulations are charged up front,
-/// all-or-nothing against [`crate::RunBudget::max_sims`], and each
-/// worker polls once per run when the meter has a token or deadline
-/// to observe. So either the whole batch runs, bitwise-identical to
-/// an unlimited run, or the stop is returned: a truncated average is
-/// never produced.
-///
-/// # Errors
-///
-/// The [`StopReason`] that fired: a work-cap rejection up front, or a
-/// cancellation/deadline observed during the batch.
-///
-/// # Panics
-///
-/// Panics if a seed set refers to nodes outside `graph`.
-pub fn monte_carlo_sets_budgeted<M>(
-    model: &M,
-    graph: &CsrGraph,
-    seeds: &[SeedSets],
-    config: &MonteCarloConfig,
-    meter: &mut WorkMeter,
-) -> Result<Vec<AveragedOutcome>, StopReason>
-where
-    M: TwoCascadeModel + Sync,
-{
-    meter.charge_sims((config.runs as u64).saturating_mul(seeds.len() as u64))?;
     // The lanes score sets that share their rumors.
     let shared_rumors = (seeds.first().map(SeedSets::rumors))
         .filter(|&rumors| seeds.iter().all(|s| s.rumors() == rumors));
     let lanes = model.as_opoao().zip(shared_rumors);
     let (runs, workers) = (config.runs, config.workers());
-    let polls = meter.polls_needed();
-    let shared: &WorkMeter = meter;
     let work = |t: usize| {
         // xtask-allow: hotreach -- one accumulator per set per worker per batch, outside the per-run loop
         let mut accs: Vec<SeriesAccumulator> = seeds.iter().map(|_| Default::default()).collect();
@@ -326,12 +289,6 @@ where
         // xtask-allow: hotreach -- one trace buffer per worker per batch, refilled by every run
         let mut trace = Vec::new();
         for run in (t..runs).step_by(workers) {
-            if polls && shared.poll().is_err() {
-                // The stop is re-observed (and reported) by the
-                // coordinator's poll below; both stop conditions are
-                // monotone.
-                break;
-            }
             let Some((opoao, rumors)) = lanes else {
                 for (set, acc) in seeds.iter().zip(&mut accs) {
                     model.run_into(graph, set, &mut ws, &mut run_rng(config.base_seed, run));
@@ -372,8 +329,7 @@ where
         // xtask-allow: hotreach -- one result per worker per batch, gathered once for the merge
         std::iter::once(first).chain(joined).collect()
     });
-    meter.poll()?;
-    Ok((0..seeds.len())
+    (0..seeds.len())
         .map(|set| {
             let accs: Vec<_> = per_worker
                 .iter_mut()
@@ -391,18 +347,16 @@ where
                 .into_average(finals)
         })
         // xtask-allow: hotreach -- one average per set, gathered once per batch
-        .collect())
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::{CancelToken, RunBudget};
     use crate::testutil::{fresh_run, seeds};
     use crate::{DoamModel, OpoaoModel, TwoCascadeModel};
     use lcrb_graph::{generators, DiGraph};
     use rand::Rng;
-    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
     /// OPOAO through the scalar kernel alone: `as_opoao` stays `None`,
     /// so the loop runs it set by set — the reference for the lanes.
@@ -672,120 +626,5 @@ mod tests {
         for w in avg.mean_infected_by_hop.windows(2) {
             assert!(w[1] >= w[0] - 1e-12);
         }
-    }
-
-    #[test]
-    fn budgeted_driver_matches_unbudgeted_when_the_batch_fits() {
-        let mut rng = SmallRng::seed_from_u64(13);
-        let g = generators::gnm_directed(40, 160, &mut rng).unwrap();
-        let csr = CsrGraph::from(&g);
-        let s = seeds(&g, &[0], &[1]);
-        let cfg = MonteCarloConfig {
-            runs: 16,
-            base_seed: 7,
-            threads: 3,
-        };
-        let sets = [s.clone(), s];
-        let plain = monte_carlo_sets(&OpoaoModel::new(8), &csr, &sets, &cfg);
-        for budget in [
-            RunBudget::unlimited(),
-            RunBudget::unlimited().with_max_sims(32),
-        ] {
-            let mut meter = WorkMeter::new(budget, Some(CancelToken::new()), None);
-            let metered =
-                monte_carlo_sets_budgeted(&OpoaoModel::new(8), &csr, &sets, &cfg, &mut meter)
-                    .expect("batch fits");
-            assert_eq!(plain, metered);
-            assert_eq!(meter.spent().0, 32, "runs × sets");
-        }
-    }
-
-    #[test]
-    fn budgeted_driver_rejects_an_oversized_batch_without_charging() {
-        let g = generators::path_graph(4);
-        let csr = CsrGraph::from(&g);
-        let s = seeds(&g, &[0], &[]);
-        let cfg = MonteCarloConfig {
-            runs: 8,
-            base_seed: 1,
-            threads: 1,
-        };
-        let (sets, model) = ([s.clone(), s], OpoaoModel::default());
-        let mut meter = WorkMeter::new(RunBudget::unlimited().with_max_sims(15), None, None);
-        assert_eq!(
-            monte_carlo_sets_budgeted(&model, &csr, &sets, &cfg, &mut meter),
-            Err(StopReason::SimBudget)
-        );
-        assert_eq!(meter.spent().0, 0, "rejected batch must not charge");
-    }
-
-    #[test]
-    fn budgeted_driver_observes_cancellation_in_serial_and_threaded_paths() {
-        let g = generators::path_graph(5);
-        let csr = CsrGraph::from(&g);
-        let s = seeds(&g, &[0], &[]);
-        let token = CancelToken::new();
-        token.cancel();
-        for threads in [1, 3] {
-            let cfg = MonteCarloConfig {
-                runs: 8,
-                base_seed: 2,
-                threads,
-            };
-            let mut meter = WorkMeter::new(RunBudget::unlimited(), Some(token.clone()), None);
-            let sets = [s.clone()];
-            assert_eq!(
-                monte_carlo_sets_budgeted(&OpoaoModel::default(), &csr, &sets, &cfg, &mut meter),
-                Err(StopReason::Cancelled)
-            );
-        }
-    }
-
-    /// Cancels its token from inside every run and counts the runs;
-    /// `as_opoao` stays `None`, so the loop calls `run_into` per run.
-    struct CancelsWhileRunning {
-        token: CancelToken,
-        runs: AtomicUsize,
-    }
-
-    impl TwoCascadeModel for CancelsWhileRunning {
-        fn run_into<R: Rng + ?Sized>(
-            &self,
-            graph: &CsrGraph,
-            seeds: &SeedSets,
-            ws: &mut SimWorkspace,
-            rng: &mut R,
-        ) {
-            self.runs.fetch_add(1, AtomicOrdering::Relaxed);
-            self.token.cancel();
-            DoamModel::default().run_into(graph, seeds, ws, rng);
-        }
-
-        fn name(&self) -> &'static str {
-            "cancels-while-running"
-        }
-    }
-
-    #[test]
-    fn budgeted_driver_stops_at_the_next_run_after_a_cancellation() {
-        let g = generators::path_graph(5);
-        let csr = CsrGraph::from(&g);
-        let model = CancelsWhileRunning {
-            token: CancelToken::new(),
-            runs: AtomicUsize::new(0),
-        };
-        let mut meter = WorkMeter::new(RunBudget::unlimited(), Some(model.token.clone()), None);
-        let cfg = MonteCarloConfig {
-            runs: 8,
-            base_seed: 2,
-            threads: 1,
-        };
-        assert_eq!(
-            monte_carlo_sets_budgeted(&model, &csr, &[seeds(&g, &[0], &[])], &cfg, &mut meter),
-            Err(StopReason::Cancelled)
-        );
-        // Run 0 passed its poll and cancelled; run 1's poll stopped
-        // the worker.
-        assert_eq!(model.runs.load(AtomicOrdering::Relaxed), 1);
     }
 }

@@ -315,20 +315,13 @@ pub fn rr_sketch_into(
 }
 
 /// Generates sketches `start..end` (global indices) into `batch`,
-/// metered: each sketch is a checkpoint — the meter is polled and one
-/// sketch is charged before it is drawn.
+/// metered: each sketch is a checkpoint — the meter is polled before
+/// it is drawn.
 ///
 /// `draw` maps a global sketch index to its `(target, realization)`
 /// pair; keeping the drawing rule in the caller keeps this loop
-/// independent of how targets and seeds are derived, and the
-/// index-based contract is what makes budget truncation deterministic
-/// (sketch `g` is the same sketch regardless of where the budget
-/// stops).
-///
-/// Returns the number of sketches actually generated. A return less
-/// than `end - start` means [`crate::RunBudget::max_sketches`]
-/// stopped generation — a valid truncation, the caller widens its
-/// confidence interval accordingly.
+/// independent of how targets and seeds are derived, and sketch `g`
+/// is the same sketch whichever batch draws it.
 ///
 /// # Errors
 ///
@@ -345,14 +338,10 @@ pub fn rr_sketch_batch_into(
     max_hops: u32,
     scratch: &mut RrScratch,
     batch: &mut SketchBatch,
-    meter: &mut WorkMeter,
-) -> Result<u64, StopReason> {
+    meter: &WorkMeter,
+) -> Result<(), StopReason> {
     for g in start..end {
-        match meter.charge_sketch() {
-            Ok(()) => {}
-            Err(StopReason::SketchBudget) => return Ok(g - start),
-            Err(stop) => return Err(stop),
-        }
+        meter.poll()?;
         let (target, realization) = draw(g);
         rr_sketch_into(
             graph,
@@ -364,7 +353,7 @@ pub fn rr_sketch_batch_into(
             batch,
         );
     }
-    Ok(end - start)
+    Ok(())
 }
 
 /// Forward temporal pass: earliest rumor arrival at `target`, or

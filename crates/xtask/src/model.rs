@@ -113,6 +113,8 @@ pub enum BodyEvent {
     Drop {
         /// The dropped binding.
         name: String,
+        /// Brace depth (relative to the body) of the `drop` call.
+        depth: usize,
     },
     /// A `}` closed; guards living deeper than `depth` die.
     Close {
@@ -577,6 +579,7 @@ impl WorkspaceModel {
             {
                 out.events.push(BodyEvent::Drop {
                     name: toks[i + 2].text.clone(),
+                    depth,
                 });
                 i += 4;
                 continue;

@@ -53,8 +53,9 @@ use crate::rules::{classify, Violation, HOT_FILES};
 
 /// Simulation kernel entry points: the roots of `hotreach`, the calls
 /// a lock guard must not span, and the loop bodies `cancelpoint`
-/// checks. The last three poll a `WorkMeter` internally.
-pub const KERNELS: [&str; 11] = [
+/// checks. `advance_trajectory` and `rr_sketch_batch_into` poll a
+/// `WorkMeter` internally.
+pub const KERNELS: [&str; 10] = [
     "sigma_with",
     "sigma_with_cached_seeds",
     "run_into",
@@ -65,7 +66,6 @@ pub const KERNELS: [&str; 11] = [
     "monte_carlo_sets",
     "rr_sketch_into",
     "rr_sketch_batch_into",
-    "monte_carlo_sets_budgeted",
 ];
 
 /// Types whose presence in a `static` item's type makes it shared
@@ -117,6 +117,10 @@ pub fn lockorder(model: &WorkspaceModel) -> Vec<Violation> {
 
     for f in &model.fns {
         let mut live: Vec<LiveGuard> = Vec::new();
+        // Guards dropped in a block nested below their own scope, with
+        // the drop's depth: the path that skips the block still holds
+        // them, so they are live again once it closes.
+        let mut suspended: Vec<(LiveGuard, usize)> = Vec::new();
         for ev in &f.events {
             match ev {
                 BodyEvent::Acquire {
@@ -217,11 +221,25 @@ pub fn lockorder(model: &WorkspaceModel) -> Vec<Violation> {
                         });
                     }
                 }
-                BodyEvent::Drop { name } => {
-                    live.retain(|g| g.binding.as_deref() != Some(name.as_str()));
+                BodyEvent::Drop { name, depth } => {
+                    let (dropped, kept): (Vec<_>, Vec<_>) = live
+                        .into_iter()
+                        .partition(|g| g.binding.as_deref() == Some(name.as_str()));
+                    live = kept;
+                    suspended.extend(
+                        dropped
+                            .into_iter()
+                            .filter(|g| *depth > g.depth)
+                            .map(|g| (g, *depth)),
+                    );
                 }
                 BodyEvent::Close { depth } => {
                     live.retain(|g| g.depth <= *depth);
+                    suspended.retain(|(g, _)| g.depth <= *depth);
+                    let (back, still): (Vec<_>, Vec<_>) =
+                        suspended.drain(..).partition(|&(_, at)| at > *depth);
+                    live.extend(back.into_iter().map(|(g, _)| g));
+                    suspended = still;
                 }
                 BodyEvent::Stmt => {
                     live.retain(|g| g.binding.is_some());
@@ -604,13 +622,7 @@ fn hot_sites(model: &WorkspaceModel, fi: usize) -> Vec<(usize, String)> {
 
 /// `WorkMeter` checkpoint methods: a call reaching any of these
 /// counts as a budget/cancellation poll for `cancelpoint`.
-const CHECKPOINT_CALLS: [&str; 5] = [
-    "poll",
-    "charge_sims",
-    "charge_sketch",
-    "advances_exhausted",
-    "note_advance",
-];
+const CHECKPOINT_CALLS: [&str; 4] = ["poll", "charge_sims", "advances_exhausted", "note_advance"];
 
 /// The set of fns that transitively contain a call site naming one
 /// of `names`: seeds are direct callers (resolved or not, so

@@ -350,6 +350,45 @@ fn g(solver: &Solver, traj: &mut Trajectory) -> Result<(), E> {
 }
 
 #[test]
+fn lockorder_flags_a_kernel_call_after_a_guard_dropped_on_one_branch() {
+    // The `drop` sits in a block that returns, so the fall-through path
+    // still holds `map` when it reaches the kernel.
+    let src = r#"
+pub struct Solver { cache: Mutex<Cache> }
+fn f(solver: &Solver, traj: &mut Trajectory, c: bool) -> Result<(), E> {
+    let map = solver.cache.lock().unwrap_or_default();
+    if c {
+        drop(map);
+        return Ok(());
+    }
+    advance_trajectory(&map.backend, traj)?;
+    Ok(())
+}
+"#;
+    let v = assert_rule(COLD, src, "lockorder", 1);
+    assert_eq!(v[0].line, 9);
+    assert!(v[0].message.contains("`map`"));
+}
+
+#[test]
+fn lockorder_accepts_a_kernel_call_after_the_drop_on_the_same_branch() {
+    let src = r#"
+pub struct Solver { cache: Mutex<Cache> }
+fn f(solver: &Solver, traj: &mut Trajectory, c: bool) -> Result<(), E> {
+    let map = solver.cache.lock().unwrap_or_default();
+    if c {
+        let backend = map.backend_arc();
+        drop(map);
+        advance_trajectory(&backend, traj)?;
+        return Ok(());
+    }
+    Ok(())
+}
+"#;
+    assert_rule(COLD, src, "lockorder", 0);
+}
+
+#[test]
 fn lockorder_flags_a_guard_returned_through_the_lock_helper() {
     // `lock_unclaimed` takes its guard through the passthrough
     // `lock(&self.map)` helper and hands it back, so its caller holds

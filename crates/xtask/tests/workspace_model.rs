@@ -610,15 +610,15 @@ fn cancelpoint_accepts_an_internally_metered_kernel() {
     // The metered kernels poll for themselves, so a loop driving one
     // needs no redundant outer checkpoint.
     let src = r#"
-pub fn drain(n: u32, meter: &mut WorkMeter) -> u32 {
+pub fn drain(n: u32, meter: &WorkMeter) -> u32 {
     let mut acc = 0;
     while acc < n {
-        acc += monte_carlo_sets_budgeted(acc, meter);
+        acc += rr_sketch_batch_into(acc, meter);
     }
     acc
 }
-fn monte_carlo_sets_budgeted(x: u32, meter: &mut WorkMeter) -> u32 {
-    meter.charge_sims(1);
+fn rr_sketch_batch_into(x: u32, meter: &WorkMeter) -> u32 {
+    meter.poll();
     x + 1
 }
 "#;
@@ -628,8 +628,8 @@ fn monte_carlo_sets_budgeted(x: u32, meter: &mut WorkMeter) -> u32 {
 
 #[test]
 fn cancelpoint_flags_a_kernel_behind_an_unlimited_meter() {
-    // The wrapper reaches `charge_sims`, but only on a meter that never
-    // stops, so the loop still cannot observe a cancel or a deadline.
+    // The wrapper reaches `poll`, but only on a meter that never stops,
+    // so the loop still cannot observe a cancel or a deadline.
     let src = r#"
 pub fn drain(n: u32) -> u32 {
     let mut acc = 0;
@@ -639,10 +639,10 @@ pub fn drain(n: u32) -> u32 {
     acc
 }
 fn estimate(x: u32) -> u32 {
-    monte_carlo_sets_budgeted(x, &mut WorkMeter::unlimited())
+    rr_sketch_batch_into(x, &WorkMeter::unlimited())
 }
-fn monte_carlo_sets_budgeted(x: u32, meter: &mut WorkMeter) -> u32 {
-    meter.charge_sims(1);
+fn rr_sketch_batch_into(x: u32, meter: &WorkMeter) -> u32 {
+    meter.poll();
     x + 1
 }
 "#;
