@@ -1403,10 +1403,16 @@ impl Solver {
     /// come back in request order; each element is that request's own
     /// `Result`, so one failing request never poisons the batch.
     ///
-    /// Outputs are bitwise identical to solving the same requests
-    /// serially in any order: randomness streams derive from request
-    /// content, and shared artifacts (CELF trajectories above all)
-    /// are built once and resumed under a single-builder claim.
+    /// Requests without a work cap (`max_sims`, `max_advances`) give
+    /// outputs bitwise identical to solving them serially in any order:
+    /// randomness streams derive from request content, and shared
+    /// artifacts (CELF trajectories above all) are built once and
+    /// resumed under a single-builder claim. Capped requests that share
+    /// a CELF trajectory are not order-free: each spends its own
+    /// allowance from wherever the trajectory stands when it resumes
+    /// it, so the answers depend on which runs first. For a
+    /// reproducible capped batch, call [`Solver::solve_many_threaded`]
+    /// with one worker, which solves in request order.
     ///
     /// # Examples
     ///
@@ -1439,8 +1445,11 @@ impl Solver {
 
     /// [`Solver::solve_many`] with an explicit worker count
     /// (`0` means one worker per available core). `threads == 1`
-    /// degenerates to a serial in-order loop; any other count
-    /// produces bitwise-identical reports in the same order.
+    /// degenerates to a serial in-order loop. Any other count produces
+    /// bitwise-identical reports in the same order, unless requests
+    /// with a work cap share a CELF trajectory: those race for it, and
+    /// each one's answer depends on how far the others have advanced
+    /// it, so only `threads == 1` repeats such a batch run to run.
     ///
     /// To cancel a whole batch, put clones of one [`CancelToken`] on
     /// every request: clones share the flag, so cancelling any of them

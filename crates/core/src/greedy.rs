@@ -18,7 +18,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use lcrb_diffusion::{
-    LaneWorkspace, ScratchPool, SimWorkspace, StopReason, WorkMeter, OPOAO_LANES,
+    LaneWorkspace, ScratchPool, SimWorkspace, StopReason, TargetTable, WorkMeter, OPOAO_LANES,
 };
 use lcrb_graph::traversal::{CsrBfsScratch, Direction};
 use lcrb_graph::NodeId;
@@ -216,14 +216,15 @@ pub(crate) enum SigmaBackend<'a> {
 /// Per-worker scratch covering either backend (all parts are empty
 /// until first used, so carrying the unused ones is free): a
 /// [`SimWorkspace`], a reusable seed pair and a trial-set buffer for
-/// Monte Carlo, lane masks for the packed OPOAO sweep, coverage
-/// stamps for sketches.
+/// Monte Carlo, lane masks and one realization's target table for the
+/// packed OPOAO sweep, coverage stamps for sketches.
 #[derive(Debug, Default)]
 pub(crate) struct SigmaScratch {
     ws: SimWorkspace,
     seeds: Option<lcrb_diffusion::SeedSets>,
     trial: Vec<NodeId>,
     lanes: LaneWorkspace,
+    targets: TargetTable,
     coverage: CoverageScratch,
 }
 
@@ -612,10 +613,14 @@ pub(crate) fn candidate_pool(
 ///
 /// The OPOAO Monte-Carlo backend packs the pool, in order, into chunks
 /// of [`OPOAO_LANES`] candidates and runs one lane-kernel pass per
-/// (chunk, realization) unit. Each candidate's saved-bridge-end count
-/// is summed as an integer, so its `σ̂` equals what `sigma_with`
-/// returns, bit for bit, at any thread count. The sketch backend and
-/// the IC objective score one candidate per unit.
+/// (realization, chunk) unit. Units are numbered realization-major, so
+/// a worker's contiguous run of them visits each realization in one
+/// stretch: the worker fills that realization's [`TargetTable`] once,
+/// at its first unit there, and every pass of the stretch reads it.
+/// The tables are refilled at every sweep's start. Each candidate's
+/// saved-bridge-end count is summed as an integer, so its `σ̂` equals
+/// what `sigma_with` returns, bit for bit, at any thread count. The
+/// sketch backend and the IC objective score one candidate per unit.
 ///
 /// Cancellation/deadline polls run per unit (the simulation cost was
 /// already charged whole by the caller); a stop surfaces as
@@ -631,20 +636,26 @@ fn parallel_initial_gains(
 ) -> Result<Vec<f64>, LcrbError> {
     if let SigmaBackend::Mc(obj) = objective {
         if let Some(scorer) = obj.lane_scorer() {
-            let realizations = obj.realization_count();
-            let units = candidates.len().div_ceil(OPOAO_LANES) * realizations;
+            let chunks = candidates.len().div_ceil(OPOAO_LANES);
             let partials = run_units(
-                units,
+                obj.realization_count() * chunks,
                 threads,
                 pool,
                 meter,
+                // Per worker: its totals, and the realization its table
+                // holds (none at the sweep's start).
                 // xtask-allow: hotreach -- one accumulator per worker thread for the whole sweep
-                || vec![0; candidates.len()],
-                |unit, scratch, totals| {
-                    let lo = unit / realizations * OPOAO_LANES;
+                || (vec![0; candidates.len()], None),
+                |unit, scratch, (totals, filled)| {
+                    let realization = unit / chunks;
+                    if *filled != Some(realization) {
+                        scorer.fill(realization, &mut scratch.targets);
+                        *filled = Some(realization);
+                    }
+                    let lo = unit % chunks * OPOAO_LANES;
                     let hi = (lo + OPOAO_LANES).min(candidates.len());
                     scorer.add_saved(
-                        unit % realizations,
+                        &scratch.targets,
                         candidates[lo..hi].iter().map(std::slice::from_ref),
                         &mut scratch.lanes,
                         &mut totals[lo..hi],
@@ -653,7 +664,7 @@ fn parallel_initial_gains(
             )?;
             // xtask-allow: hotreach -- once-per-sweep result buffer sized to the candidate pool
             let mut totals = vec![0; candidates.len()];
-            for partial in partials {
+            for (partial, _) in partials {
                 for (total, saved) in totals.iter_mut().zip(partial) {
                     *total += saved;
                 }
@@ -686,10 +697,11 @@ fn parallel_initial_gains(
 }
 
 /// Runs work units `0..units` on up to `threads` workers (0 = available
-/// parallelism), worker `t` taking units `t, t + workers, …`. Each
-/// worker leases one scratch for its whole share (the objective is
-/// shared immutably) and folds its units into its own accumulator
-/// from `init`; the accumulators come back in worker order.
+/// parallelism), worker `t` of `w` taking the contiguous run
+/// `t·units/w .. (t+1)·units/w`. Each worker leases one scratch for
+/// its whole run (the objective is shared immutably) and folds its
+/// units into its own accumulator from `init`, in order; the
+/// accumulators come back in worker order.
 ///
 /// Polls `meter` once per unit. After a stop the coordinator
 /// re-observes it (both stop conditions are monotone) and returns
@@ -716,16 +728,14 @@ where
     }
     .min(units)
     .max(1);
-    let worker = |first: usize| -> Result<T, LcrbError> {
+    let worker = |t: usize| -> Result<T, LcrbError> {
         let mut scratch = pool.lease();
         let mut acc = init();
-        let mut unit = first;
-        while unit < units {
+        for unit in t * units / workers..(t + 1) * units / workers {
             meter
                 .poll()
                 .map_err(|reason| LcrbError::Interrupted { reason })?;
             work(unit, &mut scratch, &mut acc)?;
-            unit += workers;
         }
         Ok(acc)
     };
@@ -1008,42 +1018,52 @@ mod tests {
     #[test]
     fn lane_sweep_matches_per_candidate_sigma_at_any_thread_count() {
         let (inst, bridges, candidates) = three_chunk_instance();
-        let cfg = GreedyConfig {
-            realizations: 6,
-            max_hops: 12,
-            candidates: CandidatePool::AllNonRumor,
-            ..GreedyConfig::default()
-        };
-        let backend = build_backend(&inst, &cfg, bridges.nodes.clone()).unwrap();
-        let mut scratch = SigmaScratch::default();
-        let empty = backend.sigma_with(&[], &mut scratch).unwrap();
-        let expected: Vec<f64> = candidates
-            .iter()
-            .map(|&c| backend.sigma_with(&[c], &mut scratch).unwrap() - empty)
-            .collect();
-        assert!(expected.iter().any(|&gain| gain > 0.0));
+        // Six realizations over three chunks, where a worker's run of
+        // units spans realizations, and one realization, where workers
+        // can split the sweep only by chunk.
         let pool = ScratchPool::new();
-        for threads in [1, 2, 7] {
-            let gains = parallel_initial_gains(
-                &backend,
-                &candidates,
-                empty,
-                threads,
-                &pool,
-                &WorkMeter::unlimited(),
-            )
-            .unwrap();
-            assert_eq!(bits(&gains), bits(&expected), "threads {threads}");
-        }
+        for realizations in [6, 1] {
+            let cfg = GreedyConfig {
+                realizations,
+                max_hops: 12,
+                candidates: CandidatePool::AllNonRumor,
+                ..GreedyConfig::default()
+            };
+            let backend = build_backend(&inst, &cfg, bridges.nodes.clone()).unwrap();
+            let mut scratch = SigmaScratch::default();
+            let empty = backend.sigma_with(&[], &mut scratch).unwrap();
+            let expected: Vec<f64> = candidates
+                .iter()
+                .map(|&c| backend.sigma_with(&[c], &mut scratch).unwrap() - empty)
+                .collect();
+            assert!(expected.iter().any(|&gain| gain > 0.0));
+            for threads in [1, 2, 7] {
+                let gains = parallel_initial_gains(
+                    &backend,
+                    &candidates,
+                    empty,
+                    threads,
+                    &pool,
+                    &WorkMeter::unlimited(),
+                )
+                .unwrap();
+                assert_eq!(
+                    bits(&gains),
+                    bits(&expected),
+                    "{realizations} realizations, threads {threads}"
+                );
+            }
 
-        let solves = [1, 2, 7]
-            .map(|threads| greedy_with_budget(&inst, 3, &GreedyConfig { threads, ..cfg }).unwrap());
-        assert_eq!(solves[0].protectors.len(), 3);
-        assert!(solves[0].evaluations > candidates.len());
-        for s in &solves[1..] {
-            assert_eq!(s.protectors, solves[0].protectors);
-            assert_eq!(bits(&s.sigma_history), bits(&solves[0].sigma_history));
-            assert_eq!(s.evaluations, solves[0].evaluations);
+            let solves = [1, 2, 7].map(|threads| {
+                greedy_with_budget(&inst, 3, &GreedyConfig { threads, ..cfg }).unwrap()
+            });
+            assert_eq!(solves[0].protectors.len(), 3);
+            assert!(solves[0].evaluations > candidates.len());
+            for s in &solves[1..] {
+                assert_eq!(s.protectors, solves[0].protectors);
+                assert_eq!(bits(&s.sigma_history), bits(&solves[0].sigma_history));
+                assert_eq!(s.evaluations, solves[0].evaluations);
+            }
         }
     }
 

@@ -16,7 +16,7 @@
 
 use lcrb_diffusion::{
     CompetitiveIcModel, IcRealization, LaneWorkspace, OpoaoModel, OpoaoRealization, SeedSets,
-    SimWorkspace,
+    SimWorkspace, TargetTable,
 };
 use lcrb_graph::NodeId;
 
@@ -284,8 +284,8 @@ impl<'a> ProtectionObjective<'a> {
 
 /// Scores up to [`lcrb_diffusion::OPOAO_LANES`] protector sets per
 /// OPOAO realization pass: the lane kernel
-/// ([`OpoaoModel::run_lanes_into`]) plus the objective's bridge-end
-/// count.
+/// ([`OpoaoModel::run_lanes_into`]) reading a realization's
+/// [`TargetTable`], plus the objective's bridge-end count.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct LaneScorer<'o> {
     objective: &'o ProtectionObjective<'o>,
@@ -294,9 +294,19 @@ pub(crate) struct LaneScorer<'o> {
 }
 
 impl LaneScorer<'_> {
-    /// Runs realization `index` once for `sets` (at most
-    /// [`lcrb_diffusion::OPOAO_LANES`]) and adds each set's count of
-    /// bridge ends not infected to its slot of `totals`.
+    /// Fills `table` with realization `index`'s targets for the
+    /// objective's hop budget, for [`LaneScorer::add_saved`].
+    pub(crate) fn fill(&self, index: usize, table: &mut TargetTable) {
+        table.fill(
+            self.objective.instance.snapshot(),
+            &self.realizations[index],
+            self.model.max_hops,
+        );
+    }
+
+    /// Runs the realization `table` was filled from once for `sets`
+    /// (at most [`lcrb_diffusion::OPOAO_LANES`]) and adds each set's
+    /// count of bridge ends not infected to its slot of `totals`.
     ///
     /// # Errors
     ///
@@ -304,7 +314,7 @@ impl LaneScorer<'_> {
     /// [`ProtectionObjective::sigma_with`] would.
     pub(crate) fn add_saved<I>(
         &self,
-        index: usize,
+        table: &TargetTable,
         sets: I,
         lanes: &mut LaneWorkspace,
         totals: &mut [usize],
@@ -320,7 +330,7 @@ impl LaneScorer<'_> {
             instance.rumor_seeds(),
             sets,
             lanes,
-            &self.realizations[index],
+            table,
         )?;
         for &v in &self.objective.bridge_ends {
             let mut saved = lanes.lane_mask() & !lanes.infected(v);

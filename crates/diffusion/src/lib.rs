@@ -19,7 +19,8 @@
 //!   OPOAO choices (the paper's timestamp/random-graph construction,
 //!   §V-A), which make the greedy objective a deterministic
 //!   submodular function per realization; every OPOAO run, Monte
-//!   Carlo included, is one;
+//!   Carlo included, is one. A [`TargetTable`] holds one
+//!   realization's targets for a loop that runs it many times;
 //! - [`monte_carlo_sets`]: the thread-parallel, seed-reproducible
 //!   Monte-Carlo loop over any [`TwoCascadeModel`], which scores one
 //!   protector set or many on common runs (one lane-packed pass per
@@ -87,7 +88,9 @@ pub use ic::{CompetitiveIcModel, IcRealization, InvalidProbabilityError};
 pub use lt::CompetitiveLtModel;
 pub use model::TwoCascadeModel;
 pub use montecarlo::{monte_carlo_csr, monte_carlo_sets, AveragedOutcome, MonteCarloConfig};
-pub use opoao::{LaneWorkspace, OpoaoModel, OPOAO_LANES, PAPER_OPOAO_HOPS};
+pub use opoao::{
+    LaneWorkspace, OpoaoModel, TargetSource, TargetTable, OPOAO_LANES, PAPER_OPOAO_HOPS,
+};
 pub use outcome::{DiffusionOutcome, HopRecord, Status};
 pub use pool::{ScratchLease, ScratchPool};
 pub use realization::OpoaoRealization;

@@ -154,11 +154,13 @@ impl OpoaoModel {
     /// equal those of [`OpoaoModel::run_realized_into`] with rumors
     /// `rumors` and protectors `protector_sets[l]`. A realization's
     /// choice for (node, hop) does not depend on the seed sets, so the
-    /// lanes share one frontier and one `choice` per frontier node per
-    /// hop (DESIGN.md §2). A workspace made by
-    /// [`LaneWorkspace::traced`] also records each lane's hop trace
-    /// and quiescence, equal to the scalar run's
-    /// ([`LaneWorkspace::trace_into`]).
+    /// lanes share one frontier and one target per frontier node per
+    /// hop (DESIGN.md §2). The target comes from `targets`: an
+    /// [`OpoaoRealization`] hashes it, a [`TargetTable`]
+    /// filled from that realization reads it back, and both give the
+    /// same run. A workspace made by [`LaneWorkspace::traced`] also
+    /// records each lane's hop trace and quiescence, equal to the
+    /// scalar run's ([`LaneWorkspace::trace_into`]).
     ///
     /// # Errors
     ///
@@ -167,6 +169,12 @@ impl OpoaoModel {
     /// [`SeedError::Overlap`] for a protector that is also a rumor
     /// seed, and [`SeedError::TooManyLanes`] for more than
     /// [`OPOAO_LANES`] sets. After an error `lanes` holds no result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `targets` is a [`TargetTable`] filled for a
+    /// graph with another node or arc count than `graph`, or for
+    /// fewer hops than [`OpoaoModel::max_hops`].
     ///
     /// # Examples
     ///
@@ -192,26 +200,28 @@ impl OpoaoModel {
     /// # Ok(())
     /// # }
     /// ```
-    pub fn run_lanes_into<I>(
+    pub fn run_lanes_into<I, S>(
         &self,
         graph: &CsrGraph,
         rumors: &[NodeId],
         protector_sets: I,
         lanes: &mut LaneWorkspace,
-        realization: &OpoaoRealization,
+        targets: &S,
     ) -> Result<(), SeedError>
     where
         I: IntoIterator,
         I::IntoIter: ExactSizeIterator,
         I::Item: AsRef<[NodeId]>,
+        S: TargetSource,
     {
+        targets.assert_covers(graph, self.max_hops);
         let sets = protector_sets.into_iter();
         if sets.len() > OPOAO_LANES {
             return Err(SeedError::TooManyLanes { sets: sets.len() });
         }
         lanes.begin(graph, sets.len());
         lanes.place_seeds(rumors, sets)?;
-        lanes.run(graph, self.max_hops, realization);
+        lanes.run(graph, self.max_hops, targets);
         Ok(())
     }
 }
@@ -486,23 +496,24 @@ impl LaneWorkspace {
 
     /// Runs the hop loop, counting per lane only if the workspace is
     /// traced.
-    fn run(&mut self, graph: &CsrGraph, max_hops: u32, realization: &OpoaoRealization) {
+    fn run<S: TargetSource>(&mut self, graph: &CsrGraph, max_hops: u32, targets: &S) {
         if self.traced {
-            self.run_hops::<true>(graph, max_hops, realization);
+            self.run_hops::<true, S>(graph, max_hops, targets);
         } else {
-            self.run_hops::<false>(graph, max_hops, realization);
+            self.run_hops::<false, S>(graph, max_hops, targets);
         }
     }
 
     /// The hop loop: every lane of
-    /// [`OpoaoModel::run_realized_into`] at once. With `TRACE`, it
-    /// also counts each lane's new activations per hop and settles
-    /// each lane's trace length and quiescence.
-    fn run_hops<const TRACE: bool>(
+    /// [`OpoaoModel::run_realized_into`] at once, reading each
+    /// frontier node's target from `targets`. With `TRACE`, it also
+    /// counts each lane's new activations per hop and settles each
+    /// lane's trace length and quiescence.
+    fn run_hops<const TRACE: bool, S: TargetSource>(
         &mut self,
         graph: &CsrGraph,
         max_hops: u32,
-        realization: &OpoaoRealization,
+        targets: &S,
     ) {
         let LaneWorkspace {
             lane_mask,
@@ -552,8 +563,7 @@ impl LaneWorkspace {
             // At most `n` are, so the `n + 1` slots never overflow.
             let mut staged = 0;
             for &u in frontier.iter() {
-                let degree = graph.out_degree(u);
-                let target = graph.out_neighbors(u)[realization.choice(u, hop, degree)];
+                let target = targets.target(graph, u, hop);
                 let from = state[u.index()];
                 // Lanes where `u` is active and its target is not.
                 let open = from.active() & !state[target.index()].active();
@@ -641,6 +651,135 @@ fn open_lanes(graph: &CsrGraph, state: &[LaneMasks], frontier: &[NodeId], lanes:
         }
     }
     open
+}
+
+/// Where a lane run ([`OpoaoModel::run_lanes_into`]) reads the
+/// out-neighbor each frontier node targets at each hop.
+///
+/// An [`OpoaoRealization`] hashes the choice on every read; a
+/// [`TargetTable`] filled from one reads back the same target. The
+/// source is sealed: the lane kernel's exactness rests on every target
+/// being the realization's choice.
+pub trait TargetSource: sealed::Sealed {}
+
+mod sealed {
+    use lcrb_graph::{CsrGraph, NodeId};
+
+    /// The reads behind [`super::TargetSource`].
+    pub trait Sealed {
+        /// Panics unless the source has a target for every node of
+        /// `graph` at every hop in `1..=max_hops`.
+        fn assert_covers(&self, graph: &CsrGraph, max_hops: u32);
+
+        /// The out-neighbor that `node` (out-degree > 0, a node of the
+        /// graph the source covers) targets at `hop` (≥ 1).
+        fn target(&self, graph: &CsrGraph, node: NodeId, hop: u32) -> NodeId;
+    }
+}
+
+impl TargetSource for OpoaoRealization {}
+
+impl sealed::Sealed for OpoaoRealization {
+    fn assert_covers(&self, _graph: &CsrGraph, _max_hops: u32) {}
+
+    #[inline]
+    fn target(&self, graph: &CsrGraph, node: NodeId, hop: u32) -> NodeId {
+        graph.out_neighbors(node)[self.choice(node, hop, graph.out_degree(node))]
+    }
+}
+
+/// One realization's targets for every node and hop, read back by the
+/// lane kernel instead of hashing each choice again.
+///
+/// [`TargetTable::fill`] stores, for hops `1..=max_hops`, the
+/// out-neighbor that [`OpoaoRealization::choice`] picks for each node,
+/// as one node id per (hop, node): `hops × n × 4` bytes. A pass over
+/// 64 protector sets already shares each hash across its lanes; a
+/// table shares it across every pass of the realization too, as the
+/// greedy's initial sweep does. The buffer grows on first use and is
+/// kept across fills, so refilling allocates nothing.
+///
+/// # Examples
+///
+/// ```
+/// use lcrb_diffusion::{LaneWorkspace, OpoaoModel, OpoaoRealization, TargetTable};
+/// use lcrb_graph::{CsrGraph, DiGraph, NodeId};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let g = CsrGraph::from(&DiGraph::from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])?);
+/// let (model, real) = (OpoaoModel::new(5), OpoaoRealization::new(7));
+/// let mut table = TargetTable::new();
+/// table.fill(&g, &real, model.max_hops);
+/// let sets = [vec![], vec![NodeId::new(1)]];
+/// let (mut hashed, mut tabled) = (LaneWorkspace::new(), LaneWorkspace::new());
+/// model.run_lanes_into(&g, &[NodeId::new(0)], &sets, &mut hashed, &real)?;
+/// model.run_lanes_into(&g, &[NodeId::new(0)], &sets, &mut tabled, &table)?;
+/// for v in g.nodes() {
+///     assert_eq!(tabled.infected(v), hashed.infected(v));
+///     assert_eq!(tabled.protected(v), hashed.protected(v));
+/// }
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct TargetTable {
+    /// Node and arc count of the graph of the last fill.
+    node_count: usize,
+    arc_count: usize,
+    /// Hops the last fill covers.
+    hops: u32,
+    /// `targets[(hop − 1)·n + u]`: the out-neighbor `u` targets at
+    /// `hop`; a node without out-neighbors holds its own id.
+    targets: Vec<NodeId>,
+}
+
+impl TargetTable {
+    /// Creates an empty table; it covers no graph until filled.
+    #[must_use]
+    pub fn new() -> Self {
+        TargetTable::default()
+    }
+
+    /// Refills the table with `realization`'s targets on `graph` for
+    /// hops `1..=max_hops`, replacing its contents.
+    pub fn fill(&mut self, graph: &CsrGraph, realization: &OpoaoRealization, max_hops: u32) {
+        self.node_count = graph.node_count();
+        self.arc_count = graph.edge_count();
+        self.hops = max_hops;
+        self.targets.clear();
+        for hop in 1..=max_hops {
+            self.targets
+                .extend(graph.nodes().map(|u| match graph.out_degree(u) {
+                    0 => u,
+                    degree => graph.out_neighbors(u)[realization.choice(u, hop, degree)],
+                }));
+        }
+    }
+}
+
+impl TargetSource for TargetTable {}
+
+impl sealed::Sealed for TargetTable {
+    fn assert_covers(&self, graph: &CsrGraph, max_hops: u32) {
+        assert!(
+            self.node_count == graph.node_count() && self.arc_count == graph.edge_count(),
+            "target table filled for a graph of {} nodes and {} arcs, run on one of {} and {}",
+            self.node_count,
+            self.arc_count,
+            graph.node_count(),
+            graph.edge_count()
+        );
+        assert!(
+            self.hops >= max_hops,
+            "target table filled for {} hops, run for {max_hops}",
+            self.hops
+        );
+    }
+
+    #[inline]
+    fn target(&self, _graph: &CsrGraph, node: NodeId, hop: u32) -> NodeId {
+        self.targets[(hop as usize - 1) * self.node_count + node.index()]
+    }
 }
 
 impl TwoCascadeModel for OpoaoModel {
@@ -916,6 +1055,42 @@ mod tests {
                 assert_eq!(ws.is_quiescent(), quiescent[lane]);
             }
         }
+    }
+
+    /// One lane run on `g` (rumor at node 0, no protectors) for
+    /// `max_hops` hops, reading `table`.
+    fn run_on_table(g: &CsrGraph, max_hops: u32, table: &TargetTable) {
+        OpoaoModel::new(max_hops)
+            .run_lanes_into(
+                g,
+                &[NodeId::new(0)],
+                [[]; 1],
+                &mut LaneWorkspace::new(),
+                table,
+            )
+            .unwrap();
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "target table filled for a graph of 4 nodes and 3 arcs, run on one of 5"
+    )]
+    fn lane_runs_reject_a_table_filled_for_another_graph() {
+        let path = |n| CsrGraph::from(&lcrb_graph::generators::path_graph(n));
+        let mut table = TargetTable::new();
+        table.fill(&path(4), &OpoaoRealization::new(2), 10);
+        run_on_table(&path(5), 10, &table);
+    }
+
+    #[test]
+    #[should_panic(expected = "target table filled for 3 hops, run for 4")]
+    fn lane_runs_reject_a_table_filled_for_fewer_hops() {
+        let g = CsrGraph::from(&lcrb_graph::generators::path_graph(6));
+        let mut table = TargetTable::new();
+        table.fill(&g, &OpoaoRealization::new(2), 3);
+        // Three hops are covered; a fourth would read past the table.
+        run_on_table(&g, 3, &table);
+        run_on_table(&g, 4, &table);
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! by hashing `(seed, v, t)` with SplitMix64. Memory stays O(1) per
 //! realization regardless of graph size, and the choice depends only
 //! on `(v, t)` — not on the diffusion state — so it is identical
-//! across evaluations with different protector sets.
+//! across evaluations with different protector sets. A loop that runs
+//! one realization many times can pay for the hashing once instead: a
+//! [`crate::TargetTable`] holds the target of every `(v, t)`, and the
+//! lane kernel reads either ([`crate::TargetSource`]).
 
 use rand::Rng;
 

@@ -8,7 +8,7 @@ use lcrb_diffusion::{
     doam_analytic_csr, doam_safe_targets_csr, monte_carlo_csr, rr_sketch_into, CompetitiveIcModel,
     CompetitiveLtModel, DiffusionOutcome, DoamModel, IcRealization, LaneWorkspace,
     MonteCarloConfig, OpoaoModel, OpoaoRealization, RrScratch, SeedSets, SimWorkspace, SketchBatch,
-    Status, TwoCascadeModel, OPOAO_LANES,
+    Status, TargetTable, TwoCascadeModel, OPOAO_LANES,
 };
 use lcrb_graph::traversal::CsrBfsScratch;
 use lcrb_graph::{CsrGraph, DiGraph, NodeId};
@@ -534,8 +534,9 @@ proptest! {
 
 // The lane kernel against the scalar one: every lane of a packed run
 // must reproduce, node for node and hop for hop, the scalar realized
-// run with that lane's protector set. CI reruns these in release with
-// `PROPTEST_CASES=1000`.
+// run with that lane's protector set, whether the run hashes each
+// target or reads it from a target table. CI reruns these in release
+// with `PROPTEST_CASES=1000`.
 proptest! {
     #[test]
     fn opoao_lanes_match_the_scalar_kernel(
@@ -584,8 +585,11 @@ proptest! {
         let csr = CsrGraph::from(&g);
         let mut traced = LaneWorkspace::traced();
         let mut plain = LaneWorkspace::new();
+        let (mut traced_table, mut plain_table) = (LaneWorkspace::traced(), LaneWorkspace::new());
+        // One table, refilled for every realization and hop budget.
+        let mut table = TargetTable::new();
         let mut ws = SimWorkspace::new();
-        let mut trace = Vec::new();
+        let (mut trace, mut table_trace) = (Vec::new(), Vec::new());
         for (rumors, sets) in &cases {
             for lane_count in [1, 2, 63, 64] {
                 let sets = &sets[..lane_count];
@@ -624,6 +628,36 @@ proptest! {
                             // Tracing changes no status.
                             prop_assert_eq!(plain.infected(v), traced.infected(v));
                             prop_assert_eq!(plain.protected(v), traced.protected(v));
+                        }
+                        // The same realization read back from a table
+                        // filled for the run's hop budget, and from one
+                        // filled for a longer budget.
+                        for table_hops in [max_hops, max_hops + hops] {
+                            table.fill(&csr, &real, table_hops);
+                            model.run_lanes_into(&csr, rumors, sets, &mut traced_table, &table).unwrap();
+                            model.run_lanes_into(&csr, rumors, sets, &mut plain_table, &table).unwrap();
+                            prop_assert_eq!(traced_table.lane_mask(), mask);
+                            for v in g.nodes() {
+                                for lanes in [&traced_table, &plain_table] {
+                                    prop_assert_eq!(
+                                        (lanes.infected(v), lanes.protected(v)),
+                                        (traced.infected(v), traced.protected(v)),
+                                        "node {} of {} lanes, {} hops, table of {} hops, realization {}",
+                                        v, lane_count, max_hops, table_hops, r
+                                    );
+                                }
+                            }
+                            for lane in 0..lane_count {
+                                traced.trace_into(lane, &mut trace);
+                                traced_table.trace_into(lane, &mut table_trace);
+                                prop_assert_eq!(
+                                    &table_trace,
+                                    &trace,
+                                    "trace of lane {} of {}, {} hops, table of {} hops, realization {}",
+                                    lane, lane_count, max_hops, table_hops, r
+                                );
+                                prop_assert_eq!(traced_table.is_quiescent(lane), traced.is_quiescent(lane));
+                            }
                         }
                     }
                 }

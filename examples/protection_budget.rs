@@ -20,10 +20,10 @@
 //! trades a one-time sampling pass for much cheaper per-set queries.
 //!
 //! `--max-sims` caps the Monte-Carlo simulation budget (a
-//! deterministic work-unit cap: the solve degrades to the same prefix
-//! on every run) and `--deadline-ms` attaches an advisory wall-clock
-//! deadline; either way a starved solve reports `Completion::Degraded`
-//! instead of failing.
+//! deterministic work-unit cap: every solve degrades to the same prefix
+//! on every run, since the α batch is solved in request order) and
+//! `--deadline-ms` attaches an advisory wall-clock deadline; either way
+//! a starved solve reports `Completion::Degraded` instead of failing.
 
 use lcrb_repro::prelude::*;
 use rand::rngs::SmallRng;
@@ -157,13 +157,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // α-target mode: the LCRB-P problem statement. The three targets
-    // go through `solve_many` as one batch — each resumes the
+    // go through `solve_many_threaded` as one batch — each resumes the
     // session's cached trajectory instead of starting cold, and the
-    // cache-counter delta around the batch shows the reuse.
+    // cache-counter delta around the batch shows the reuse. One worker
+    // solves them in order: under `--max-sims` each request spends its
+    // own allowance from wherever the shared trajectory stands, so a
+    // parallel batch would print whichever order won the race.
     let alphas = [0.5, 0.8, 0.95];
     let batch = alphas.map(|alpha| base.clone().with_stop(StopRule::Alpha(alpha)));
     let before = solver.cache_stats();
-    let reports = solver.solve_many(&batch);
+    let reports = solver.solve_many_threaded(&batch, 1);
     let batch_delta = solver.cache_stats().delta_since(&before);
     for (alpha, report) in alphas.iter().zip(reports) {
         let report = report?;
