@@ -100,15 +100,15 @@ use lcrb_diffusion::{derive_stream, CancelToken, RunBudget, ScratchPool, StopRea
 use lcrb_graph::NodeId;
 
 use crate::greedy::{
-    advance_trajectory, candidate_pool, normalized_model, selection_from_trajectory,
-    GreedyTrajectory, SigmaBackend, SigmaScratch,
+    advance_trajectory, candidate_pool, selection_from_trajectory, GreedyTrajectory, SigmaBackend,
+    SigmaScratch,
 };
 use crate::heuristics::{max_degree_ordering, pagerank_ordering, proximity_pool};
 use crate::scbg::scbg_metered;
 use crate::{
     find_bridge_ends, scbg, BridgeEndRule, BridgeEnds, CandidatePool, Estimator, GreedyConfig,
-    GreedySelection, LcrbError, ObjectiveModel, ProtectionObjective, RumorBlockingInstance,
-    ScbgConfig, ScbgSolution, SketchIndex, SketchObjective,
+    GreedySelection, LcrbError, ProtectionObjective, RumorBlockingInstance, ScbgConfig,
+    ScbgSolution, SketchIndex, SketchObjective,
 };
 
 /// Which selection algorithm a [`SolveRequest`] runs.
@@ -174,11 +174,9 @@ pub struct SolveRequest {
     pub estimator: Estimator,
     /// Bridge-end detection rule.
     pub rule: BridgeEndRule,
-    /// Diffusion model the greedy's objective estimates under.
-    pub model: ObjectiveModel,
     /// Realizations for the Monte-Carlo greedy estimator.
     pub realizations: usize,
-    /// Hop budget applied to the OPOAO objective model.
+    /// Hop budget of the greedy's OPOAO objective.
     pub max_hops: u32,
     /// Candidate pool for the greedy.
     pub candidates: CandidatePool,
@@ -201,7 +199,6 @@ impl SolveRequest {
             stop,
             estimator: defaults.estimator,
             rule: defaults.rule,
-            model: defaults.model,
             realizations: defaults.realizations,
             max_hops: defaults.max_hops,
             candidates: defaults.candidates,
@@ -360,7 +357,6 @@ impl SolveRequest {
             realizations: self.realizations,
             master_seed,
             max_hops: self.max_hops,
-            model: self.model,
             candidates: self.candidates,
             rule: self.rule,
             threads: self.threads,
@@ -936,28 +932,6 @@ impl<K: Copy + Ord, V> FamilyCache<K, V> {
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct ModelKey {
-    tag: u8,
-    probability_bits: u64,
-    max_hops: u32,
-}
-
-fn model_key(model: &ObjectiveModel) -> ModelKey {
-    match model {
-        ObjectiveModel::Opoao(m) => ModelKey {
-            tag: 0,
-            probability_bits: 0,
-            max_hops: m.max_hops,
-        },
-        ObjectiveModel::CompetitiveIc(m) => ModelKey {
-            tag: 1,
-            probability_bits: m.probability().to_bits(),
-            max_hops: m.max_hops,
-        },
-    }
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct EstimatorKey {
     tag: u8,
     realizations: usize,
@@ -1014,14 +988,14 @@ struct SketchKey {
 }
 
 /// A CELF trajectory is keyed by everything the pick sequence depends
-/// on — estimator, model, candidate pool, rule — and by nothing it
-/// does not (the stopping rule and thread count never change which
+/// on — rule, estimator, hop budget, candidate pool — and by nothing
+/// it does not (the stopping rule and thread count never change which
 /// node is picked next).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct CelfKey {
     rule: u8,
     estimator: EstimatorKey,
-    model: ModelKey,
+    max_hops: u32,
     candidates: (u8, u32),
 }
 
@@ -1356,8 +1330,7 @@ impl Solver {
     ///   [`Completion`]);
     /// - plus whatever the underlying algorithm returns
     ///   ([`LcrbError::NoRealizations`],
-    ///   [`LcrbError::InvalidSketchParams`],
-    ///   [`LcrbError::SketchModelUnsupported`], ...).
+    ///   [`LcrbError::InvalidSketchParams`], ...).
     ///
     /// # Examples
     ///
@@ -1563,19 +1536,15 @@ impl Solver {
             });
         clock.lap("bridge");
 
-        let model = normalized_model(&config);
         let backend = match config.estimator {
-            Estimator::MonteCarlo => SigmaBackend::Mc(ProtectionObjective::with_model(
+            Estimator::MonteCarlo => SigmaBackend::Mc(ProtectionObjective::new(
                 &self.instance,
                 bridge.nodes.clone(),
-                model,
                 config.realizations,
                 self.master_seed,
+                config.max_hops,
             )?),
             Estimator::Sketch(params) => {
-                if !matches!(model, ObjectiveModel::Opoao(_)) {
-                    return Err(LcrbError::SketchModelUnsupported);
-                }
                 let key = SketchKey {
                     rule: rule_tag(config.rule),
                     max_hops: config.max_hops,
@@ -1612,7 +1581,7 @@ impl Solver {
         let celf_key = CelfKey {
             rule: rule_tag(config.rule),
             estimator: estimator_key(&config.estimator, config.realizations),
-            model: model_key(&model),
+            max_hops: config.max_hops,
             candidates: candidates_key(config.candidates),
         };
         // A trajectory parked with the answer already in it (a replay)
@@ -1966,6 +1935,64 @@ mod tests {
         assert_eq!(b.evaluations, 0);
         assert_eq!(delta.misses(), 0);
         assert!(delta.hits() >= 2);
+    }
+
+    #[test]
+    fn celf_key_separates_every_input_the_picks_depend_on() {
+        let inst = community_instance(43);
+        let solver = Solver::new(inst.clone());
+        let base = SolveRequest {
+            realizations: 8,
+            max_hops: 10,
+            ..SolveRequest::greedy_budget(2)
+        };
+        solver.solve(&base).unwrap();
+        let sketch = base
+            .clone()
+            .with_estimator(Estimator::Sketch(crate::SketchParams::default()));
+        // Each differs from the base in exactly one input, and so
+        // shares a key with no request solved before it. The last
+        // differs from the sketch variant only in its hop budget,
+        // which the sketch sample depends on too.
+        let variants = [
+            SolveRequest {
+                max_hops: 11,
+                ..base.clone()
+            },
+            SolveRequest {
+                realizations: 9,
+                ..base.clone()
+            },
+            SolveRequest {
+                candidates: CandidatePool::AllNonRumor,
+                ..base.clone()
+            },
+            sketch.clone(),
+            SolveRequest {
+                max_hops: 11,
+                ..sketch
+            },
+        ];
+        for (i, variant) in variants.iter().enumerate() {
+            let (warm, delta) = charged(&solver, || solver.solve(variant).unwrap());
+            assert_eq!((delta.celf.misses, delta.celf.hits), (1, 0), "variant {i}");
+            if i == variants.len() - 1 {
+                assert_eq!((delta.sketch.misses, delta.sketch.hits), (1, 0));
+            }
+            let cold = Solver::new(inst.clone()).solve(variant).unwrap();
+            assert_eq!(warm.protectors, cold.protectors, "variant {i}");
+            let (SolveDetail::Greedy(a), SolveDetail::Greedy(b)) = (&warm.detail, &cold.detail)
+            else {
+                panic!("expected greedy details");
+            };
+            let bits = |h: &[f64]| h.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&a.sigma_history),
+                bits(&b.sigma_history),
+                "variant {i}"
+            );
+            assert_eq!(a.achieved.to_bits(), b.achieved.to_bits(), "variant {i}");
+        }
     }
 
     #[test]

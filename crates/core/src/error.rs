@@ -47,10 +47,6 @@ pub enum LcrbError {
         /// What was wrong with the parameters.
         reason: &'static str,
     },
-    /// The sketch estimator only supports the OPOAO objective model
-    /// (RR sketches invert the OPOAO timestamp rule over realizations
-    /// that fix one out-neighbour choice per (node, hop)).
-    SketchModelUnsupported,
     /// A [`crate::engine::SolveRequest`] combined options that no
     /// algorithm implements (e.g. an α stopping rule on a pure-budget
     /// baseline).
@@ -99,9 +95,6 @@ impl fmt::Display for LcrbError {
             }
             LcrbError::InvalidSketchParams { reason } => {
                 write!(f, "invalid sketch estimator parameters: {reason}")
-            }
-            LcrbError::SketchModelUnsupported => {
-                f.write_str("the sketch estimator supports only the OPOAO objective model")
             }
             LcrbError::UnsupportedRequest { reason } => {
                 write!(f, "unsupported solve request: {reason}")

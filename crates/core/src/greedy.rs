@@ -25,8 +25,8 @@ use lcrb_graph::NodeId;
 
 use crate::scbg::BbstWalker;
 use crate::{
-    find_bridge_ends, BridgeEndRule, BridgeEnds, CoverageScratch, LcrbError, ObjectiveModel,
-    ProtectionObjective, RumorBlockingInstance, SketchObjective, SketchParams,
+    find_bridge_ends, BridgeEndRule, BridgeEnds, CoverageScratch, LcrbError, ProtectionObjective,
+    RumorBlockingInstance, SketchObjective, SketchParams,
 };
 
 /// Where Algorithm 1 looks for protector candidates.
@@ -55,9 +55,9 @@ pub enum CandidatePool {
 /// Monte Carlo re-simulates the realization batch for every marginal
 /// gain query; the sketch estimator pays a one-time RR-sketch sample
 /// and answers every query by coverage counting
-/// ([`SketchObjective`]). Sketches require the OPOAO objective model
-/// and ignore [`GreedyConfig::realizations`] (the sample size comes
-/// from the `(ε, δ)` schedule in [`SketchParams`]).
+/// ([`SketchObjective`]). Sketches ignore
+/// [`GreedyConfig::realizations`] (the sample size comes from the
+/// `(ε, δ)` schedule in [`SketchParams`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum Estimator {
     /// Simulation over the coupled realization batch (the default).
@@ -75,13 +75,8 @@ pub struct GreedyConfig {
     pub realizations: usize,
     /// Master seed for the realization batch.
     pub master_seed: u64,
-    /// Hop budget per simulated diffusion (applies to the OPOAO
-    /// objective; an IC model keeps its own hop budget).
+    /// Hop budget per simulated OPOAO diffusion.
     pub max_hops: u32,
-    /// Which diffusion model the objective estimates under (OPOAO by
-    /// default; competitive IC via live-edge realizations as the
-    /// EIL-flavored extension).
-    pub model: ObjectiveModel,
     /// Candidate pool to draw from.
     pub candidates: CandidatePool,
     /// Bridge-end detection rule.
@@ -100,7 +95,6 @@ impl Default for GreedyConfig {
             realizations: 64,
             master_seed: 0,
             max_hops: lcrb_diffusion::PAPER_OPOAO_HOPS,
-            model: ObjectiveModel::default(),
             candidates: CandidatePool::default(),
             rule: BridgeEndRule::default(),
             threads: 0,
@@ -284,18 +278,6 @@ impl SigmaBackend<'_> {
     }
 }
 
-/// Applies the config's hop budget to the OPOAO objective model (an
-/// IC model keeps its own hop budget) — shared between the one-shot
-/// path here and the session engine.
-pub(crate) fn normalized_model(config: &GreedyConfig) -> ObjectiveModel {
-    match config.model {
-        ObjectiveModel::Opoao(_) => {
-            ObjectiveModel::Opoao(lcrb_diffusion::OpoaoModel::new(config.max_hops))
-        }
-        other => other,
-    }
-}
-
 /// Builds the `σ̂` backend the config asks for, sampling sketches or
 /// deriving the realization batch as needed.
 pub(crate) fn build_backend<'a>(
@@ -303,27 +285,21 @@ pub(crate) fn build_backend<'a>(
     config: &GreedyConfig,
     bridge_nodes: Vec<NodeId>,
 ) -> Result<SigmaBackend<'a>, LcrbError> {
-    let model = normalized_model(config);
     Ok(match config.estimator {
-        Estimator::MonteCarlo => SigmaBackend::Mc(ProtectionObjective::with_model(
+        Estimator::MonteCarlo => SigmaBackend::Mc(ProtectionObjective::new(
             instance,
             bridge_nodes,
-            model,
             config.realizations,
             config.master_seed,
+            config.max_hops,
         )?),
-        Estimator::Sketch(params) => {
-            if !matches!(model, ObjectiveModel::Opoao(_)) {
-                return Err(LcrbError::SketchModelUnsupported);
-            }
-            SigmaBackend::Sketch(SketchObjective::build(
-                instance,
-                bridge_nodes,
-                params,
-                config.master_seed,
-                config.max_hops,
-            )?)
-        }
+        Estimator::Sketch(params) => SigmaBackend::Sketch(SketchObjective::build(
+            instance,
+            bridge_nodes,
+            params,
+            config.master_seed,
+            config.max_hops,
+        )?),
     })
 }
 
@@ -611,7 +587,7 @@ pub(crate) fn candidate_pool(
 /// The initial CELF gain sweep: `σ̂({c}) − σ̂(∅)` for every candidate
 /// `c`, spread over `threads` workers.
 ///
-/// The OPOAO Monte-Carlo backend packs the pool, in order, into chunks
+/// The Monte-Carlo backend packs the pool, in order, into chunks
 /// of [`OPOAO_LANES`] candidates and runs one lane-kernel pass per
 /// (realization, chunk) unit. Units are numbered realization-major, so
 /// a worker's contiguous run of them visits each realization in one
@@ -620,7 +596,7 @@ pub(crate) fn candidate_pool(
 /// The tables are refilled at every sweep's start. Each candidate's
 /// saved-bridge-end count is summed as an integer, so its `σ̂` equals
 /// what `sigma_with` returns, bit for bit, at any thread count. The
-/// sketch backend and the IC objective score one candidate per unit.
+/// sketch backend scores one candidate per unit.
 ///
 /// Cancellation/deadline polls run per unit (the simulation cost was
 /// already charged whole by the caller); a stop surfaces as
@@ -635,46 +611,44 @@ fn parallel_initial_gains(
     meter: &WorkMeter,
 ) -> Result<Vec<f64>, LcrbError> {
     if let SigmaBackend::Mc(obj) = objective {
-        if let Some(scorer) = obj.lane_scorer() {
-            let chunks = candidates.len().div_ceil(OPOAO_LANES);
-            let partials = run_units(
-                obj.realization_count() * chunks,
-                threads,
-                pool,
-                meter,
-                // Per worker: its totals, and the realization its table
-                // holds (none at the sweep's start).
-                // xtask-allow: hotreach -- one accumulator per worker thread for the whole sweep
-                || (vec![0; candidates.len()], None),
-                |unit, scratch, (totals, filled)| {
-                    let realization = unit / chunks;
-                    if *filled != Some(realization) {
-                        scorer.fill(realization, &mut scratch.targets);
-                        *filled = Some(realization);
-                    }
-                    let lo = unit % chunks * OPOAO_LANES;
-                    let hi = (lo + OPOAO_LANES).min(candidates.len());
-                    scorer.add_saved(
-                        &scratch.targets,
-                        candidates[lo..hi].iter().map(std::slice::from_ref),
-                        &mut scratch.lanes,
-                        &mut totals[lo..hi],
-                    )
-                },
-            )?;
-            // xtask-allow: hotreach -- once-per-sweep result buffer sized to the candidate pool
-            let mut totals = vec![0; candidates.len()];
-            for (partial, _) in partials {
-                for (total, saved) in totals.iter_mut().zip(partial) {
-                    *total += saved;
+        let chunks = candidates.len().div_ceil(OPOAO_LANES);
+        let partials = run_units(
+            obj.realization_count() * chunks,
+            threads,
+            pool,
+            meter,
+            // Per worker: its totals, and the realization its table
+            // holds (none at the sweep's start).
+            // xtask-allow: hotreach -- one accumulator per worker thread for the whole sweep
+            || (vec![0; candidates.len()], None),
+            |unit, scratch, (totals, filled)| {
+                let realization = unit / chunks;
+                if *filled != Some(realization) {
+                    obj.fill_targets(realization, &mut scratch.targets);
+                    *filled = Some(realization);
                 }
+                let lo = unit % chunks * OPOAO_LANES;
+                let hi = (lo + OPOAO_LANES).min(candidates.len());
+                obj.add_saved(
+                    &scratch.targets,
+                    candidates[lo..hi].iter().map(std::slice::from_ref),
+                    &mut scratch.lanes,
+                    &mut totals[lo..hi],
+                )
+            },
+        )?;
+        // xtask-allow: hotreach -- once-per-sweep result buffer sized to the candidate pool
+        let mut totals = vec![0; candidates.len()];
+        for (partial, _) in partials {
+            for (total, saved) in totals.iter_mut().zip(partial) {
+                *total += saved;
             }
-            return Ok(totals
-                .into_iter()
-                .map(|total| obj.average(total) - sigma_empty)
-                // xtask-allow: hotreach -- the σ̂ gains of one sweep, one Vec sized to the candidate pool
-                .collect());
         }
+        return Ok(totals
+            .into_iter()
+            .map(|total| obj.average(total) - sigma_empty)
+            // xtask-allow: hotreach -- the σ̂ gains of one sweep, one Vec sized to the candidate pool
+            .collect());
     }
     let partials = run_units(
         candidates.len(),
@@ -902,28 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_works_under_competitive_ic() {
-        use lcrb_diffusion::CompetitiveIcModel;
-        let inst = community_instance(13);
-        let request = SolveRequest {
-            realizations: 12,
-            model: ObjectiveModel::CompetitiveIc(CompetitiveIcModel::new(0.5).unwrap()),
-            ..SolveRequest::greedy_alpha(0.6)
-        };
-        let sel = solve(&inst, &request).unwrap();
-        // σ̂ history is nondecreasing and the selection is valid.
-        for w in sel.sigma_history.windows(2) {
-            assert!(w[1] >= w[0] - 1e-12);
-        }
-        for p in &sel.protectors {
-            assert!(!inst.is_rumor_seed(*p));
-        }
-        if sel.target_met {
-            assert!(sel.achieved >= sel.target - 1e-9);
-        }
-    }
-
-    #[test]
     fn sketch_estimator_solves_the_chain() {
         let inst = chain_instance();
         let request = SolveRequest::greedy_alpha(1.0)
@@ -933,21 +885,6 @@ mod tests {
         assert_eq!(sel.protectors.len(), 1);
         // On the forced chain the only useful picks are 1 and 2.
         assert!(matches!(sel.protectors[0].raw(), 1 | 2));
-    }
-
-    #[test]
-    fn sketch_estimator_rejects_non_opoao_models() {
-        use lcrb_diffusion::CompetitiveIcModel;
-        let inst = chain_instance();
-        let cfg = GreedyConfig {
-            estimator: Estimator::Sketch(SketchParams::default()),
-            model: ObjectiveModel::CompetitiveIc(CompetitiveIcModel::new(0.5).unwrap()),
-            ..GreedyConfig::default()
-        };
-        assert!(matches!(
-            greedy_with_budget(&inst, 1, &cfg).unwrap_err(),
-            LcrbError::SketchModelUnsupported
-        ));
     }
 
     #[test]

@@ -87,6 +87,6 @@ pub use greedy::{greedy_with_budget, CandidatePool, Estimator, GreedyConfig, Gre
 pub use heuristics::{max_degree_ordering, protectors_to_cover_all, proximity_pool};
 pub use instance::RumorBlockingInstance;
 pub use lcrb_diffusion::{CancelToken, RunBudget, StopReason};
-pub use objective::{ObjectiveModel, ProtectionObjective};
+pub use objective::ProtectionObjective;
 pub use scbg::{scbg, ScbgConfig, ScbgSolution};
 pub use sketch_objective::{CoverageScratch, SketchIndex, SketchObjective, SketchParams};

@@ -15,49 +15,11 @@
 //! paper's protection target `α·|B|`.
 
 use lcrb_diffusion::{
-    CompetitiveIcModel, IcRealization, LaneWorkspace, OpoaoModel, OpoaoRealization, SeedSets,
-    SimWorkspace, TargetTable,
+    LaneWorkspace, OpoaoModel, OpoaoRealization, SeedSets, SimWorkspace, TargetTable,
 };
 use lcrb_graph::NodeId;
 
 use crate::{LcrbError, RumorBlockingInstance};
-
-/// Which diffusion model the LCRB-P objective estimates under.
-///
-/// The paper studies LCRB-P on OPOAO; the IC variant is the
-/// EIL-flavored extension enabled by the live-edge coupling (see
-/// [`IcRealization`]). Both couplings make the per-realization
-/// saved-bridge-end count monotone and submodular, so the greedy's
-/// `(1 - 1/e)` guarantee carries over.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ObjectiveModel {
-    /// Opportunistic One-Activate-One (the paper's §III-A model).
-    Opoao(OpoaoModel),
-    /// Competitive Independent Cascade with live-edge realizations.
-    CompetitiveIc(CompetitiveIcModel),
-}
-
-impl Default for ObjectiveModel {
-    fn default() -> Self {
-        ObjectiveModel::Opoao(OpoaoModel::default())
-    }
-}
-
-/// The realization batch matching an [`ObjectiveModel`].
-#[derive(Debug)]
-enum Batch {
-    Opoao(OpoaoModel, Vec<OpoaoRealization>),
-    Ic(CompetitiveIcModel, Vec<IcRealization>),
-}
-
-impl Batch {
-    fn len(&self) -> usize {
-        match self {
-            Batch::Opoao(_, r) => r.len(),
-            Batch::Ic(_, r) => r.len(),
-        }
-    }
-}
 
 /// A reusable evaluator of `σ̂` over a fixed realization batch.
 ///
@@ -83,7 +45,8 @@ impl Batch {
 pub struct ProtectionObjective<'a> {
     instance: &'a RumorBlockingInstance,
     bridge_ends: Vec<NodeId>,
-    batch: Batch,
+    model: OpoaoModel,
+    realizations: Vec<OpoaoRealization>,
 }
 
 impl<'a> ProtectionObjective<'a> {
@@ -104,46 +67,15 @@ impl<'a> ProtectionObjective<'a> {
         master_seed: u64,
         max_hops: u32,
     ) -> Result<Self, LcrbError> {
-        ProtectionObjective::with_model(
-            instance,
-            bridge_ends,
-            ObjectiveModel::Opoao(OpoaoModel::new(max_hops)),
-            realization_count,
-            master_seed,
-        )
-    }
-
-    /// Builds an objective for any supported diffusion model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LcrbError::NoRealizations`] when
-    /// `realization_count == 0`, and [`LcrbError::Seeds`] with
-    /// [`lcrb_diffusion::SeedError::OutOfBounds`] if a bridge end is
-    /// not a node of the instance.
-    pub fn with_model(
-        instance: &'a RumorBlockingInstance,
-        bridge_ends: Vec<NodeId>,
-        model: ObjectiveModel,
-        realization_count: usize,
-        master_seed: u64,
-    ) -> Result<Self, LcrbError> {
         if realization_count == 0 {
             return Err(LcrbError::NoRealizations);
         }
         instance.check_in_bounds(&bridge_ends)?;
-        let batch = match model {
-            ObjectiveModel::Opoao(m) => {
-                Batch::Opoao(m, OpoaoRealization::batch(realization_count, master_seed))
-            }
-            ObjectiveModel::CompetitiveIc(m) => {
-                Batch::Ic(m, IcRealization::batch(realization_count, master_seed))
-            }
-        };
         Ok(ProtectionObjective {
             instance,
             bridge_ends,
-            batch,
+            model: OpoaoModel::new(max_hops),
+            realizations: OpoaoRealization::batch(realization_count, master_seed),
         })
     }
 
@@ -156,7 +88,7 @@ impl<'a> ProtectionObjective<'a> {
     /// Number of realizations in the batch.
     #[must_use]
     pub fn realization_count(&self) -> usize {
-        self.batch.len()
+        self.realizations.len()
     }
 
     /// Number of bridge ends *not infected* on one specific
@@ -213,7 +145,7 @@ impl<'a> ProtectionObjective<'a> {
         ws: &mut SimWorkspace,
     ) -> Result<f64, LcrbError> {
         let seeds = self.seed_sets(protectors)?;
-        let total: usize = (0..self.batch.len())
+        let total: usize = (0..self.realizations.len())
             .map(|i| self.saved(i, &seeds, ws))
             .sum();
         Ok(self.average(total))
@@ -240,72 +172,25 @@ impl<'a> ProtectionObjective<'a> {
             None => seeds.insert(self.instance.seed_sets(Vec::new())?),
         };
         seeds.set_protectors(self.instance.snapshot().node_count(), protectors)?;
-        let total: usize = (0..self.batch.len())
+        let total: usize = (0..self.realizations.len())
             .map(|i| self.saved(i, seeds, ws))
             .sum();
         Ok(self.average(total))
     }
 
-    /// The lane-packed scorer behind the greedy's initial sweep;
-    /// `None` under IC, which has no lane kernel.
-    pub(crate) fn lane_scorer(&self) -> Option<LaneScorer<'_>> {
-        match &self.batch {
-            Batch::Opoao(model, realizations) => Some(LaneScorer {
-                objective: self,
-                model: *model,
-                realizations,
-            }),
-            Batch::Ic(..) => None,
-        }
-    }
-
-    /// `σ̂` from the saved-bridge-end count summed over the batch.
-    pub(crate) fn average(&self, total: usize) -> f64 {
-        total as f64 / self.batch.len() as f64
-    }
-
-    fn seed_sets(&self, protectors: &[NodeId]) -> Result<SeedSets, LcrbError> {
-        // xtask-allow: hotreach -- one-off convenience entry; the CELF loop goes through sigma_with_cached_seeds
-        self.instance.seed_sets(protectors.to_vec())
-    }
-
-    fn saved(&self, index: usize, seeds: &SeedSets, ws: &mut SimWorkspace) -> usize {
-        let csr = self.instance.snapshot();
-        match &self.batch {
-            Batch::Opoao(m, reals) => m.run_realized_into(csr, seeds, ws, &reals[index]),
-            Batch::Ic(m, reals) => m.run_realized_into(csr, seeds, ws, &reals[index]),
-        }
-        self.bridge_ends
-            .iter()
-            .filter(|&&v| !ws.status(v).is_infected())
-            .count()
-    }
-}
-
-/// Scores up to [`lcrb_diffusion::OPOAO_LANES`] protector sets per
-/// OPOAO realization pass: the lane kernel
-/// ([`OpoaoModel::run_lanes_into`]) reading a realization's
-/// [`TargetTable`], plus the objective's bridge-end count.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct LaneScorer<'o> {
-    objective: &'o ProtectionObjective<'o>,
-    model: OpoaoModel,
-    realizations: &'o [OpoaoRealization],
-}
-
-impl LaneScorer<'_> {
     /// Fills `table` with realization `index`'s targets for the
-    /// objective's hop budget, for [`LaneScorer::add_saved`].
-    pub(crate) fn fill(&self, index: usize, table: &mut TargetTable) {
+    /// objective's hop budget, for [`ProtectionObjective::add_saved`].
+    pub(crate) fn fill_targets(&self, index: usize, table: &mut TargetTable) {
         table.fill(
-            self.objective.instance.snapshot(),
+            self.instance.snapshot(),
             &self.realizations[index],
             self.model.max_hops,
         );
     }
 
     /// Runs the realization `table` was filled from once for `sets`
-    /// (at most [`lcrb_diffusion::OPOAO_LANES`]) and adds each set's
+    /// (at most [`lcrb_diffusion::OPOAO_LANES`]) through the lane
+    /// kernel ([`OpoaoModel::run_lanes_into`]) and adds each set's
     /// count of bridge ends not infected to its slot of `totals`.
     ///
     /// # Errors
@@ -324,15 +209,14 @@ impl LaneScorer<'_> {
         I::IntoIter: ExactSizeIterator,
         I::Item: AsRef<[NodeId]>,
     {
-        let instance = self.objective.instance;
         self.model.run_lanes_into(
-            instance.snapshot(),
-            instance.rumor_seeds(),
+            self.instance.snapshot(),
+            self.instance.rumor_seeds(),
             sets,
             lanes,
             table,
         )?;
-        for &v in &self.objective.bridge_ends {
+        for &v in &self.bridge_ends {
             let mut saved = lanes.lane_mask() & !lanes.infected(v);
             while saved != 0 {
                 totals[saved.trailing_zeros() as usize] += 1;
@@ -340,6 +224,29 @@ impl LaneScorer<'_> {
             }
         }
         Ok(())
+    }
+
+    /// `σ̂` from the saved-bridge-end count summed over the batch.
+    pub(crate) fn average(&self, total: usize) -> f64 {
+        total as f64 / self.realizations.len() as f64
+    }
+
+    fn seed_sets(&self, protectors: &[NodeId]) -> Result<SeedSets, LcrbError> {
+        // xtask-allow: hotreach -- one-off convenience entry; the CELF loop goes through sigma_with_cached_seeds
+        self.instance.seed_sets(protectors.to_vec())
+    }
+
+    fn saved(&self, index: usize, seeds: &SeedSets, ws: &mut SimWorkspace) -> usize {
+        self.model.run_realized_into(
+            self.instance.snapshot(),
+            seeds,
+            ws,
+            &self.realizations[index],
+        );
+        self.bridge_ends
+            .iter()
+            .filter(|&&v| !ws.status(v).is_infected())
+            .count()
     }
 }
 
@@ -432,24 +339,6 @@ mod tests {
                 node_count: 4,
             })
         );
-    }
-
-    #[test]
-    fn ic_objective_behaves_like_opoao_objective() {
-        use lcrb_diffusion::CompetitiveIcModel;
-        let inst = chain_instance();
-        let model = ObjectiveModel::CompetitiveIc(CompetitiveIcModel::new(1.0).unwrap());
-        let obj =
-            ProtectionObjective::with_model(&inst, vec![NodeId::new(2)], model, 8, 0).unwrap();
-        // p = 1 on a path: deterministic infection unless protected.
-        assert_eq!(obj.sigma(&[]).unwrap(), 0.0);
-        assert_eq!(obj.sigma(&[NodeId::new(2)]).unwrap(), 1.0);
-        // Monotone per realization.
-        for i in 0..obj.realization_count() {
-            let a = obj.saved_on_realization(i, &[]).unwrap();
-            let b = obj.saved_on_realization(i, &[NodeId::new(3)]).unwrap();
-            assert!(b >= a);
-        }
     }
 
     #[test]

@@ -32,7 +32,9 @@
 //!   primitive); [`rr_sketch_batch_into`] draws a run of sketches,
 //!   polling a [`WorkMeter`] before each;
 //! - [`CompetitiveIcModel`] / [`CompetitiveLtModel`]: the competitive
-//!   IC / LT extension models from the paper's related work.
+//!   IC / LT extension models from the paper's related work, stochastic
+//!   models for simulating protector sets (the LCRB-P objective and
+//!   its realizations are OPOAO's).
 //!
 //! Every model simulates against a frozen [`lcrb_graph::CsrGraph`]
 //! snapshot with per-run scratch in a reusable, epoch-versioned
@@ -84,7 +86,7 @@ mod workspace;
 pub use analytic::{doam_analytic_csr, doam_safe_targets_csr};
 pub use budget::{CancelToken, RunBudget, StopReason, WorkMeter};
 pub use doam::DoamModel;
-pub use ic::{CompetitiveIcModel, IcRealization, InvalidProbabilityError};
+pub use ic::{CompetitiveIcModel, InvalidProbabilityError};
 pub use lt::CompetitiveLtModel;
 pub use model::TwoCascadeModel;
 pub use montecarlo::{monte_carlo_csr, monte_carlo_sets, AveragedOutcome, MonteCarloConfig};

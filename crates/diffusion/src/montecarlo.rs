@@ -556,6 +556,8 @@ mod tests {
         };
         let serial = monte_carlo_csr(&ic, &csr, &s, &cfg);
         assert_eq!(serial.final_infected_by_run.len(), 11);
+        // The set-by-set path tracks the spread of a stochastic model.
+        assert!(serial.std_final_infected > 0.0);
         let mut ws = SimWorkspace::new();
         for (r, &fin) in serial.final_infected_by_run.iter().enumerate() {
             ic.run_into(&csr, &s, &mut ws, &mut run_rng(4, r));

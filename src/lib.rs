@@ -74,7 +74,7 @@ pub use lcrb;
 pub mod prelude {
     pub use lcrb::{
         find_bridge_ends, greedy_with_budget, scbg, Algorithm, BridgeEndRule, CacheStats,
-        CancelToken, CandidatePool, Completion, Estimator, GreedyConfig, LcrbError, ObjectiveModel,
+        CancelToken, CandidatePool, Completion, Estimator, GreedyConfig, LcrbError,
         RumorBlockingInstance, RunBudget, ScbgConfig, SketchIndex, SketchObjective, SketchParams,
         SolveDetail, SolveReport, SolveRequest, Solver, SolverConfig, StopReason, StopRule,
     };

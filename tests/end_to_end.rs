@@ -165,40 +165,6 @@ fn alpha_one_greedy_matches_problem_definition() {
 }
 
 #[test]
-fn greedy_generalizes_to_competitive_ic() {
-    use lcrb::ObjectiveModel;
-    use lcrb_repro::diffusion::CompetitiveIcModel;
-    let inst = hep_instance(0.05, 21, 2);
-    let ic = CompetitiveIcModel::new(0.5).unwrap();
-    let cfg = GreedyConfig {
-        realizations: 16,
-        model: ObjectiveModel::CompetitiveIc(ic),
-        candidates: CandidatePool::BackwardRadius(1),
-        master_seed: 6,
-        ..GreedyConfig::default()
-    };
-    let sel = greedy_with_budget(&inst, 4, &cfg).unwrap();
-    assert!(!sel.protectors.is_empty());
-
-    // The selection genuinely helps under the IC model it optimized.
-    let mc = MonteCarloConfig {
-        runs: 200,
-        base_seed: 3,
-        threads: 0,
-    };
-    let blocked = monte_carlo_csr(
-        &ic,
-        inst.snapshot(),
-        &inst.seed_sets(sel.protectors.clone()).unwrap(),
-        &mc,
-    );
-    let unblocked = monte_carlo_csr(&ic, inst.snapshot(), &inst.seed_sets(vec![]).unwrap(), &mc);
-    assert!(blocked.mean_final_infected() < unblocked.mean_final_infected());
-    // Variance tracking is populated for stochastic models.
-    assert!(unblocked.std_final_infected > 0.0);
-}
-
-#[test]
 fn umbrella_reexports_are_usable() {
     // Every crate is reachable through the umbrella.
     let g = lcrb_repro::graph::generators::path_graph(3);
